@@ -52,7 +52,6 @@ SOS4 = "SOS4"
 NOT_SOS4 = "NOT_SOS4"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-DEFAULT_ROOT_BUDGET = 24
 SPLIT_SEARCH_DEGREE_CAP = 20
 
 
@@ -224,15 +223,19 @@ def rule_odd_split_witness(f: RatPoly, a_poly: RatPoly, c) -> OddSquareSplit | N
     return None
 
 
-def rule_simple_z2_root(f: RatPoly, budget: int = DEFAULT_ROOT_BUDGET) -> SimpleZ2Root | None:
+def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2Root | None:
     """NOT rule: a certified 2-adic root of a square-free polynomial is
-    a linear factor of multiplicity one."""
+    a linear factor of multiplicity one.  ``squarefree`` is what the
+    caller already knows about f (the positivity certificate tells it);
+    left out, the discriminant decides."""
     if f.degree < 1:
         return None
-    status = z2_root_status(f, budget)
-    if status.tag != ROOT_EXISTS:
+    if squarefree is None:
+        squarefree = discriminant(f) != 0
+    if not squarefree:
         return None
-    if discriminant(f) == 0:
+    status = z2_root_status(f)
+    if status.tag != ROOT_EXISTS:
         return None
     return SimpleZ2Root(status, True)
 
@@ -289,7 +292,6 @@ def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
 # ---------------------------------------------------------------------------
 
 def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
-                 root_budget: int = DEFAULT_ROOT_BUDGET,
                  check_all_rules: bool = False) -> Sos4Certificate:
     """Run the rule pipeline and return the first conclusive verdict.
 
@@ -325,7 +327,8 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
     order = [
         (NOT_SOS4, "odd_split_witness",
          lambda: rule_odd_split_witness(f, *split) if split and split[1] != 0 else None),
-        (NOT_SOS4, "simple_z2_root", lambda: rule_simple_z2_root(f, root_budget)),
+        (NOT_SOS4, "simple_z2_root",
+         lambda: rule_simple_z2_root(f, positivity.on_squarefree_part)),
         (SOS4, "two_square_split",
          lambda: rule_two_square_split(f, *split) if split else None),
         (SOS4, "eisenstein", lambda: rule_eisenstein(f)),
@@ -418,7 +421,5 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
             return False
         return (ev.root_status.tag == NO_ROOT
-                and z2_root_status(scaled, ev.root_status.sieve_depth
-                                   + (ev.root_status.reversal_sieve_depth or 0)
-                                   + 2).tag == NO_ROOT)
+                and z2_root_status(scaled).tag == NO_ROOT)
     return False

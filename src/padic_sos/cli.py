@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import serialize
 from .certifier import INCONCLUSIVE, certify_sos4
-from .hensel import UNKNOWN, z2_root_status
+from .hensel import z2_root_status
 from .newton_polygon import newton_diagram
 from .padic import is_square_in_q2, padic_sqrt
 from .ratpoly import (RatPoly, discriminant, hankel_matrix,
@@ -116,16 +116,16 @@ def _cmd_padic_sqrt(args) -> int:
 
 def _cmd_root_status(args) -> int:
     f = _read_poly(args)
-    status = z2_root_status(f, args.budget)
+    status = z2_root_status(f)
     return _emit(args, {"poly": serialize.poly_to_json(f),
                         "root_status": serialize.root_status_to_json(status)},
-                 "ok" if status.tag != UNKNOWN else "inconclusive")
+                 "ok")
 
 
 def _cmd_certify(args) -> int:
     f = _read_poly(args)
     witness = _parse_witness(args.witness) if args.witness else None
-    cert = certify_sos4(f, witness=witness, root_budget=args.budget)
+    cert = certify_sos4(f, witness=witness)
     status = "ok" if cert.verdict != INCONCLUSIVE else "inconclusive"
     return _emit(args, {"poly": serialize.poly_to_json(f),
                         "certificate": serialize.certificate_to_json(cert)},
@@ -148,7 +148,7 @@ def _cmd_reduce(args) -> int:
     elif method == "gr4":
         outcome = reduce_cyclotomic_power(f)
     elif method == "picky":
-        outcome = reduce_twice_odd_degree(f, root_budget=args.budget)
+        outcome = reduce_twice_odd_degree(f)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method}")
 
@@ -230,13 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root-status")
     add_poly_args(p)
-    p.add_argument("--budget", type=int, default=20)
     p.set_defaults(fn=_cmd_root_status)
 
     p = sub.add_parser("sos4-certify")
     add_poly_args(p)
     p.add_argument("--witness", help="split witness 'A-poly:c'")
-    p.add_argument("--budget", type=int, default=24)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("reduce")
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto",
                    choices=["auto", "alg6", "algn", "alg9", "nos", "gr4", "picky"])
     p.add_argument("--cap", type=int, default=40)
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("alg9-demo")

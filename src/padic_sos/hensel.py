@@ -6,13 +6,15 @@ Three capabilities, all exact:
   modulo 2^m, doubling the precision each round with Bezout cofactors
   carried along;
 * ``z2_root_status``: decide whether a rational polynomial has a root
-  in the 2-adic field.  A breadth-first sieve expands only residues c
-  mod 2^j with f(c) divisible by 2^j; a surviving residue is promoted
-  to a certificate once the classical Newton conditions
-  f(c) = 0 mod 2^(2*delta+1), ord2(f'(c)) = delta hold, and emptiness
-  at some level is a nonexistence certificate.  Roots of negative
-  valuation are caught by sieving the reversed polynomial over even
-  residues;
+  in the 2-adic field with a root tree (Panayi's algorithm).  A node
+  (c, j, g) has g(y) = f(c + 2^j*y) / 2^v primitive and branches only
+  on the roots of g mod 2, so a level holds at most deg f nodes; a node
+  without one is closed, and a closed tree certifies nonexistence.  A
+  simple root mod 2 is Newton-lifted until the classical conditions
+  f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
+  root.  The reversed polynomial over even residues catches roots of
+  negative valuation.  The tree ends on square-free input, and a
+  repeated factor sends it to the square-free part;
 * ``newton_refine``: push a certified witness to any target precision
   by Newton iteration.
 """
@@ -20,14 +22,18 @@ Three capabilities, all exact:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
-from .ratpoly import RatPoly, primitive_integer_coeffs
+from .ratpoly import RatPoly, poly_gcd, primitive_integer_coeffs, squarefree_part
 
 ROOT_EXISTS = "RootExists"
 NO_ROOT = "NoRoot"
-UNKNOWN = "Unknown"
+
+# Root-tree nodes per degree after which z2_root_status checks f for a
+# repeated factor: a cost switch, not a limit on the search.
+SQUAREFREE_CHECK_NODES = 4
+_PAUSED = "paused"
 
 
 @dataclass(frozen=True)
@@ -35,25 +41,22 @@ class RootWitness:
     """Residue gamma with f(gamma) = 0 mod 2^(2*delta+1) and
     ord2(f'(gamma)) = delta, taken on the primitive integer model;
     ``on_reversal`` marks witnesses for reciprocal (negative-valuation)
-    roots.  ``exact`` flags a literal integer root."""
+    roots and ``on_squarefree_part`` witnesses taken on the square-free
+    part of f (f has a repeated factor).  ``exact`` flags a literal
+    integer root."""
 
     gamma: int
     delta: int | None
     modulus: int
     on_reversal: bool = False
     exact: bool = False
+    on_squarefree_part: bool = False
 
 
 @dataclass(frozen=True)
 class RootStatus:
     tag: str
     witness: RootWitness | None
-    sieve_depth: int
-    reversal_sieve_depth: int | None = None
-
-    @property
-    def conclusive(self) -> bool:
-        return self.tag != UNKNOWN
 
 
 def _int_eval(coeffs: list[int], t: int) -> int:
@@ -87,71 +90,93 @@ def _ord2_int(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _sieve(coeffs: list[int], budget: int, even_only: bool, on_reversal: bool,
-           max_candidates: int = 4096) -> tuple[str, RootWitness | None, int]:
-    """Expand residues level by level.  Returns (tag, witness, depth):
-    depth is the level at which the candidate set died for NO_ROOT,
-    otherwise the last level reached.
-
-    Gives up with UNKNOWN when the level budget runs out or the
-    survivor set exceeds ``max_candidates`` (residue funnels around
-    high-valuation near-roots can grow exponentially wide before a
-    certificate becomes available)."""
-    dcoeffs = _int_derivative(coeffs)
-    if even_only:
-        level = 1
-        candidates = [0] if _int_eval(coeffs, 0) % 2 == 0 else []
-    else:
-        level = 0
-        candidates = [0]
-    while candidates:
-        if level >= budget or len(candidates) > max_candidates:
-            return UNKNOWN, None, level
-        step = 1 << level
-        modulus = step << 1
-        survivors = []
-        for c in candidates:
-            for t in (c, c + step):
-                if _int_eval(coeffs, t) % modulus != 0:
-                    continue
-                witness = _certify(coeffs, dcoeffs, t, on_reversal)
-                if witness is not None:
-                    return ROOT_EXISTS, witness, level + 1
-                survivors.append(t)
-        candidates = survivors
-        level += 1
-    return NO_ROOT, None, level
+def _descend(g: list[int], r: int) -> list[int]:
+    """g(r + 2y) divided by the power of 2 in its content."""
+    h = list(g)
+    if r:  # Taylor shift y -> y + 1
+        for i in range(len(h) - 1):
+            for k in range(len(h) - 2, i - 1, -1):
+                h[k] += h[k + 1]
+    h = [c << i for i, c in enumerate(h)]
+    v = min(_ord2_int(c) for c in h if c)
+    return [c >> v for c in h]
 
 
-def z2_root_status(f: RatPoly, budget: int = 20) -> RootStatus:
+def _lift(base: list[int], g: list[int], c: int, j: int, r: int,
+          on_reversal: bool) -> RootWitness:
+    """Newton-lift the simple root r of g mod 2, g(y) = base(c + 2^j*y)
+    / 2^v, until gamma = c + 2^j*y passes ``_certify`` on ``base``: each
+    step doubles the precision of g(y) = 0 and keeps ord2(base'(gamma)),
+    so the classical condition is reached."""
+    dbase = _int_derivative(base)
+    dg = _int_derivative(g)
+    y, k = r, 1
+    while (witness := _certify(base, dbase, c + (y << j), on_reversal)) is None:
+        k *= 2
+        y = (y - _int_eval(g, y) * pow(_int_eval(dg, y), -1, 1 << k)) % (1 << k)
+    return witness
+
+
+def _root_tree(coeffs: list[int], switch: int):
+    """Breadth-first root tree over Z_2 of the primitive integer
+    polynomial ``coeffs``, then, with an even leading coefficient, over
+    2Z_2 for its reversal.  A generator: it yields ``_PAUSED`` once,
+    after ``switch`` nodes, and then its result: the first certified
+    witness, or None once every node is closed."""
+    trees = [(coeffs, False)]
+    if coeffs[-1] % 2 == 0:
+        trees.append((coeffs[::-1], True))
+    nodes = 0
+    for base, on_reversal in trees:
+        level = [(0, 1, _descend(base, 0))] if on_reversal else [(0, 0, base)]
+        while level:
+            deeper = []
+            for c, j, g in level:
+                nodes += 1
+                if nodes == switch:
+                    yield _PAUSED
+                for r in (0, 1):
+                    if (g[0] if r == 0 else sum(g)) % 2:
+                        continue  # r is not a root of g mod 2
+                    if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
+                        yield _lift(base, g, c, j, r, on_reversal)
+                        return
+                    deeper.append((c + (r << j), j + 1, _descend(g, r)))
+            level = deeper
+    yield None
+
+
+def z2_root_status(f: RatPoly) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
     Works on the primitive integer model (roots are scale-invariant).
-    With an odd leading coefficient all 2-adic roots are integral, so
-    one sieve decides; otherwise the reversed polynomial is also sieved
-    over even residues for roots of negative valuation.
+    After ``SQUAREFREE_CHECK_NODES`` nodes per degree one gcd checks f
+    for a repeated factor: without one the tree runs on to its end,
+    with one it reruns on the square-free part and marks the witness.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = primitive_integer_coeffs(f)
     if len(coeffs) == 1:
-        return RootStatus(NO_ROOT, None, 0)
-    tag, witness, depth = _sieve(coeffs, budget, False, False)
-    if tag == ROOT_EXISTS:
-        return RootStatus(ROOT_EXISTS, witness, depth)
-    if coeffs[-1] % 2 != 0:
-        return RootStatus(tag, None, depth)
-    rev = list(reversed(coeffs))
-    rtag, rwitness, rdepth = _sieve(rev, budget, True, True)
-    if rtag == ROOT_EXISTS:
-        return RootStatus(ROOT_EXISTS, rwitness, depth, rdepth)
-    if tag == NO_ROOT and rtag == NO_ROOT:
-        return RootStatus(NO_ROOT, None, depth, rdepth)
-    return RootStatus(UNKNOWN, None, depth, rdepth)
+        return RootStatus(NO_ROOT, None)
+    walk = _root_tree(coeffs, SQUAREFREE_CHECK_NODES * (len(coeffs) - 1))
+    witness = next(walk)
+    if witness is _PAUSED:
+        gcd = poly_gcd(f, f.derivative())
+        if gcd.degree < 1:
+            witness = next(walk)
+        else:
+            witness = next(_root_tree(primitive_integer_coeffs(f // gcd), 0))
+            if witness is not None:
+                witness = replace(witness, on_squarefree_part=True)
+    return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)
 
 
 def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
-    """Re-check the certificate conditions from scratch."""
+    """Re-check the certificate conditions from scratch (on the
+    square-free part of f for a witness marked as taken there)."""
+    if witness.on_squarefree_part:
+        f = squarefree_part(f)
     coeffs = primitive_integer_coeffs(f)
     if witness.on_reversal:
         coeffs = list(reversed(coeffs))

@@ -253,9 +253,8 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
 
     def branch(h: RatPoly) -> BranchRecord:
         candidate = f - h * h
-        budget = 2 * l + 16
         try:
-            cert = certify_sos4(candidate, root_budget=budget)
+            cert = certify_sos4(candidate)
             return BranchRecord(h, candidate, cert)
         except ValueError as exc:  # degenerate candidate (e.g. not positive)
             return BranchRecord(h, candidate, None, str(exc))
@@ -312,7 +311,7 @@ def reduce_constant_three_mod_four(f: RatPoly, n_limit: int = 99,
                 if len(trace) < 50:
                     trace.append(("N", n, "l", ell, "rejected", "positivity"))
                 continue
-            cert = certify_sos4(g, root_budget=2 * ell + 2 * a + 16)
+            cert = certify_sos4(g)
             params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
             return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
     raise SearchDepthExceeded(
@@ -352,9 +351,8 @@ def _picky_checks(f: RatPoly) -> int:
     return (f.degree - 2) // 4
 
 
-def reduce_twice_odd_degree(f: RatPoly, root_budget: int | None = None,
-                            refine_precision: int = 64
-                            ) -> ReductionResult | ObstructionReport | InconclusiveReport:
+def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
+                            ) -> ReductionResult | ObstructionReport:
     """Degree 2(2k+1): subtract 2^(-2l)(x^2+x+1)^(2k)x^2.
 
     With f(0) not a 2-adic square the scaled difference Hensel-splits
@@ -401,13 +399,10 @@ def reduce_twice_odd_degree(f: RatPoly, root_budget: int | None = None,
     for _ in range(2 * k):
         g1 = f2_mul(g1, 0b111)
     factors = hensel_split(q, g1, 0b100, precision=64)
-    budget = root_budget if root_budget is not None else 2 * ell + k0 + 14
-    status = z2_root_status(q, budget)
+    status = z2_root_status(q)
     if status.tag != NO_ROOT:
-        return InconclusiveReport(
-            f"root status {status.tag} at sieve budget {budget}; the "
-            "quadratic Hensel factor could not be certified irreducible",
-            certificate=None)
+        raise ArithmeticError(
+            "the quadratic Hensel factor has a 2-adic root")
     h = (CYCLOTOMIC ** k) * RatPoly.monomial(1, Fraction(1, 2 ** ell))
     g = f - h * h
     positivity = is_positive_on_reals(g)
@@ -445,7 +440,7 @@ def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
     positivity = is_positive_on_reals(g)
     _require(positivity.verdict, "obstruction residual lost positivity")
     witness = RootWitness(gamma, delta, 1 << (2 * delta + 1))
-    status = RootStatus(ROOT_EXISTS, witness, sieve_depth=0)
+    status = RootStatus(ROOT_EXISTS, witness)
     cert = Sos4Certificate(NOT_SOS4, "simple_z2_root", positivity,
                            SimpleZ2Root(status, True))
     if not verify_certificate(g, cert):
@@ -564,9 +559,6 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
             res = call()
         except (ValueError, SearchDepthExceeded) as exc:
             trace.append((route, f"skipped: {exc}"))
-            return None
-        if isinstance(res, InconclusiveReport):
-            trace.append((route, f"inconclusive: {res.note}"))
             return None
         trace.append((route, f"succeeded ({res.method})"))
         return res

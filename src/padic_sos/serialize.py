@@ -125,9 +125,7 @@ def diagram_to_json(d: NewtonDiagram) -> dict:
 
 
 def root_status_to_json(status: RootStatus) -> dict:
-    out: dict = {"tag": status.tag, "sieve_depth": status.sieve_depth}
-    if status.reversal_sieve_depth is not None:
-        out["reversal_sieve_depth"] = status.reversal_sieve_depth
+    out: dict = {"tag": status.tag}
     if status.witness is not None:
         w = status.witness
         out["witness"] = {
@@ -136,6 +134,7 @@ def root_status_to_json(status: RootStatus) -> dict:
             "modulus": str(w.modulus),
             "on_reversal": w.on_reversal,
             "exact": w.exact,
+            "on_squarefree_part": w.on_squarefree_part,
         }
     return out
 

@@ -82,7 +82,7 @@ def test_criterion_03_degree_four_terminates():
         for c in (7, 15, 23, 31, 39, 47):
             f = (RatPoly([-s, 0, 1]) ** 2) + RatPoly([c])
             assert is_square_in_q2(-F(c))
-            status = z2_root_status(f, budget=16)
+            status = z2_root_status(f)
             if status.tag == ROOT_EXISTS and is_squarefree(f):
                 chosen.append(f)
         if len(chosen) >= 5:

@@ -6,10 +6,10 @@ import pytest
 
 from padic_sos.f2 import (f2_degree, f2_divmod, f2_factor, f2_from_coeffs,
                           f2_mod, f2_mul, f2_to_str, f2_xgcd)
-from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, UNKNOWN, hensel_split,
+from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, hensel_split,
                               newton_refine, reduce_mod2,
                               verify_root_witness, z2_root_status)
-from padic_sos.ratpoly import RatPoly
+from padic_sos.ratpoly import RatPoly, primitive_integer_coeffs
 
 CYC = RatPoly([1, 1, 1])
 
@@ -114,14 +114,23 @@ def test_hensel_split_with_odd_denominators():
 # Root status
 # ---------------------------------------------------------------------------
 
+def no_residue_root(coeffs, m, even_only=False):
+    """No residue t mod 2^m (even t only, if asked) has 2^m | f(t)."""
+    return all(sum(c * t ** i for i, c in enumerate(coeffs)) % (1 << m)
+               for t in range(0, 1 << m, 2 if even_only else 1))
+
+
 def test_root_status_examples():
     st = z2_root_status(RatPoly([-17, 0, 1]))
     assert st.tag == ROOT_EXISTS
     assert verify_root_witness(RatPoly([-17, 0, 1]), st.witness)
     st = z2_root_status(RatPoly([-3, 0, 1]))
-    assert st.tag == NO_ROOT and st.sieve_depth <= 3
+    assert st.tag == NO_ROOT
+    assert no_residue_root([-3, 0, 1], 2)  # x^2 - 3 has no root mod 4
     st = z2_root_status(RatPoly([3, 0, 1]))
-    assert st.tag == NO_ROOT and st.sieve_depth == 3
+    assert st.tag == NO_ROOT
+    assert no_residue_root([3, 0, 1], 3)  # x^2 + 3 has no root mod 8
+    assert not no_residue_root([3, 0, 1], 2)
     # rational roots with odd denominator are 2-adic integers
     st = z2_root_status(RatPoly([-1, 3]))
     assert st.tag == ROOT_EXISTS
@@ -141,25 +150,22 @@ def test_root_status_on_twice_odd_family_with_square_constant():
     dval = sum(i * c * gamma ** (i - 1) for i, c in enumerate(coeffs) if i)
     assert val % (1 << (2 * delta + 1)) == 0
     assert dval % (1 << delta) == 0 and dval % (1 << (delta + 1)) != 0
-    assert z2_root_status(q, budget=2 * delta + 6).tag == ROOT_EXISTS
+    assert z2_root_status(q).tag == ROOT_EXISTS
 
 
 def test_no_root_reverifies_exhaustively():
-    for f in (RatPoly([3, 0, 1]), RatPoly([5, 2, 0, 1]), RatPoly([1, 0, 4])):
-        st = z2_root_status(f)
-        if st.tag != NO_ROOT:
-            continue
-        from padic_sos.ratpoly import primitive_integer_coeffs
+    # x^3 + 2x + 5 has the root class 1 mod 2; the other two have none,
+    # which the residues mod 2^m (the reversal: even residues mod 2^mr)
+    # already show
+    st = z2_root_status(RatPoly([5, 2, 0, 1]))
+    assert st.tag == ROOT_EXISTS
+    assert verify_root_witness(RatPoly([5, 2, 0, 1]), st.witness)
+    for f, m, mr in ((RatPoly([3, 0, 1]), 3, None), (RatPoly([1, 0, 4]), 1, 4)):
+        assert z2_root_status(f).tag == NO_ROOT
         coeffs = primitive_integer_coeffs(f)
-        m = st.sieve_depth
-        assert m <= 20
-        assert all(sum(c * t ** i for i, c in enumerate(coeffs)) % (1 << m)
-                   for t in range(1 << m))
-        if st.reversal_sieve_depth is not None:
-            mr = st.reversal_sieve_depth
-            rev = list(reversed(coeffs))
-            assert all(sum(c * t ** i for i, c in enumerate(rev)) % (1 << mr)
-                       for t in range(0, 1 << mr, 2))
+        assert no_residue_root(coeffs, m)
+        if mr is not None:
+            assert no_residue_root(list(reversed(coeffs)), mr, even_only=True)
 
 
 def brute_has_residue_root_mod_2_16(coeffs):
@@ -177,9 +183,7 @@ def test_agreement_with_residue_enumeration():
         deg = rng.choice([3, 4])
         coeffs = [rng.randint(-40, 40) for _ in range(deg)] + [rng.choice([1, 3, 5, -3])]
         f = RatPoly(coeffs)
-        st = z2_root_status(f, budget=16)
-        if st.tag == UNKNOWN:
-            continue
+        st = z2_root_status(f)
         brute = brute_has_residue_root_mod_2_16(coeffs)
         if st.tag == ROOT_EXISTS:
             assert verify_root_witness(f, st.witness)
@@ -188,7 +192,7 @@ def test_agreement_with_residue_enumeration():
         else:
             assert not brute
         checked += 1
-    assert checked >= 150
+    assert checked == 200
 
 
 def test_newton_refine():

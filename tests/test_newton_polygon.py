@@ -115,4 +115,4 @@ def test_eisenstein_implies_no_certified_z2_root():
         cases.append(RatPoly(coeffs))
     for f in cases:
         if f.degree >= 2 and eisenstein_irreducible(f):
-            assert z2_root_status(f, budget=12).tag != ROOT_EXISTS
+            assert z2_root_status(f).tag != ROOT_EXISTS

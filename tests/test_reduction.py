@@ -207,10 +207,13 @@ def test_picky_success_degree_ten():
     assert verify_certificate(res.residual, res.certificate)
 
 
-def test_picky_inconclusive_at_tiny_budget():
-    rep = reduce_twice_odd_degree(RatPoly([3, 0, 1, 0, 0, 0, 1]), root_budget=1)
-    assert isinstance(rep, InconclusiveReport)
-    assert "budget" in rep.note
+def test_picky_certifies_quadratic_factor_without_root():
+    # x^6 + x^2 + 3: the root tree closes the quadratic Hensel factor
+    f = RatPoly([3, 0, 1, 0, 0, 0, 1])
+    res = reduce_twice_odd_degree(f)
+    assert isinstance(res, ReductionResult) and res.method == "PICKY"
+    assert res.certificate.evidence.root_status.tag == "NoRoot"
+    assert verify_certificate(res.residual, res.certificate)
 
 
 def test_picky_obstruction_on_square_constant():

@@ -70,7 +70,7 @@ def test_positive_quadratics_with_2adic_roots_never_certified():
 
 def test_reciprocal_root_family_never_certified():
     # reverse of (x - 2k)^2 + 4*(8b+7): the roots move to negative
-    # valuation, exercising the reversal side of the root sieve
+    # valuation, exercising the reversal side of the root tree
     rng = random.Random(3456)
     for _ in range(40):
         a = 2 * rng.randint(1, 10)
@@ -131,7 +131,7 @@ def test_verify_certificate_rejects_tampering():
     fake_witness = RootWitness(ev.status.witness.gamma + 1,
                                ev.status.witness.delta,
                                ev.status.witness.modulus)
-    fake = SimpleZ2Root(RootStatus("RootExists", fake_witness, 0), True)
+    fake = SimpleZ2Root(RootStatus("RootExists", fake_witness), True)
     from padic_sos.hensel import verify_root_witness
     assert verify_root_witness(h, ev.status.witness)
     assert not verify_root_witness(h, fake_witness)

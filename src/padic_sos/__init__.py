@@ -18,10 +18,10 @@ from .padic import PadicApprox, is_square_in_q2, ord2, padic_sqrt
 from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
                       count_distinct_and_real_roots, discriminant,
                       epsilon_below_infimum, hankel_matrix,
-                      is_positive_on_reals, is_squarefree,
-                      parametric_discriminant, perturbation_bound, poly_gcd,
-                      power_sums, rank_signature, squarefree_decomposition,
-                      sturm_real_root_count, sylvester_resultant)
+                      is_positive_on_reals, is_squarefree, perturbation_bound,
+                      poly_gcd, power_sums, rank_signature,
+                      squarefree_decomposition, sturm_real_root_count,
+                      sylvester_resultant)
 from .reduction import (InconclusiveReport, NonTermination, ObstructionReport,
                         ReductionResult, palindromic_counterexample,
                         reduce_auto, reduce_constant_three_mod_four,
@@ -40,9 +40,9 @@ __all__ = [
     "PositivityCertificate", "RatPoly", "SearchDepthExceeded",
     "count_distinct_and_real_roots", "discriminant", "epsilon_below_infimum",
     "hankel_matrix", "is_positive_on_reals", "is_squarefree",
-    "parametric_discriminant", "perturbation_bound", "poly_gcd", "power_sums",
-    "rank_signature", "squarefree_decomposition", "sturm_real_root_count",
-    "sylvester_resultant", "InconclusiveReport", "NonTermination",
+    "perturbation_bound", "poly_gcd", "power_sums", "rank_signature",
+    "squarefree_decomposition", "sturm_real_root_count", "sylvester_resultant",
+    "InconclusiveReport", "NonTermination",
     "ObstructionReport", "ReductionResult", "palindromic_counterexample",
     "reduce_auto", "reduce_constant_three_mod_four", "reduce_cyclotomic_power",
     "reduce_iterative", "reduce_multiple_of_four", "reduce_odd_valuation",

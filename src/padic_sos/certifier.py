@@ -12,7 +12,7 @@ NOT rules
   * odd square split: f = A^2 + c with deg A odd and -c a 2-adic
     square makes f a product of two coprime odd-degree 2-adic factors,
     one of which contributes an odd-degree factor of odd multiplicity;
-  * simple 2-adic root: a certified root plus a nonzero discriminant
+  * simple 2-adic root: a certified root of a square-free polynomial
     is a linear factor of multiplicity one.
 
 SOS rules
@@ -44,8 +44,8 @@ from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
 from .padic import is_square_in_q2
 from .ratpoly import (NEGATIVE_SOMEWHERE, NONNEGATIVE_WITH_ROOTS,
-                      PositivityCertificate, RatPoly, discriminant,
-                      is_positive_on_reals, positivity_trichotomy,
+                      PositivityCertificate, RatPoly, is_positive_on_reals,
+                      is_squarefree, positivity_trichotomy,
                       primitive_integer_coeffs)
 
 SOS4 = "SOS4"
@@ -81,7 +81,6 @@ class SimpleZ2Root:
     """A certified 2-adic root of a square-free polynomial."""
 
     status: RootStatus
-    discriminant_nonzero: bool
     kind = "simple_z2_root"
 
 
@@ -227,17 +226,17 @@ def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2R
     """NOT rule: a certified 2-adic root of a square-free polynomial is
     a linear factor of multiplicity one.  ``squarefree`` is what the
     caller already knows about f (the positivity certificate tells it);
-    left out, the discriminant decides."""
+    left out, ``is_squarefree`` decides."""
     if f.degree < 1:
         return None
     if squarefree is None:
-        squarefree = discriminant(f) != 0
+        squarefree = is_squarefree(f)
     if not squarefree:
         return None
     status = z2_root_status(f)
     if status.tag != ROOT_EXISTS:
         return None
-    return SimpleZ2Root(status, True)
+    return SimpleZ2Root(status)
 
 
 def rule_two_square_split(f: RatPoly, a_poly: RatPoly, c) -> TwoSquareSplit | None:
@@ -385,7 +384,7 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
                 and ev.status.tag == ROOT_EXISTS
                 and ev.status.witness is not None
                 and verify_root_witness(f, ev.status.witness)
-                and discriminant(f) != 0)
+                and is_squarefree(f))
     if isinstance(ev, TwoSquareSplit):
         return (cert.verdict == SOS4
                 and f == ev.a_poly * ev.a_poly + RatPoly([ev.s * ev.s]))

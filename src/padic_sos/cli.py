@@ -192,7 +192,7 @@ def _cmd_family(args) -> int:
     return _emit(args, {
         "family": family,
         "poly": serialize.poly_to_json(f),
-        "poly_pretty": serialize.poly_pretty(f),
+        "poly_pretty": str(f),
         "witness_a": serialize.poly_to_json(a_poly),
         "witness_c": serialize.frac_str(c),
     }, "ok")

@@ -2,12 +2,18 @@
 
 Polynomials are dense coefficient tuples of ``fractions.Fraction`` in
 ascending degree order, always stored with a nonzero top coefficient
-(the zero polynomial is the empty tuple).  On top of the ring
-operations this module provides the real-root counting toolkit used by
-the positivity tests: power sums of the complex roots, the Hankel
-matrix of those power sums, exact rank/signature of symmetric
-matrices, Sturm chains, resultants and discriminants, and certified
-"epsilon below the infimum" searches.
+(the zero polynomial is the empty tuple).
+
+Root counting, square-freeness and gcds run on one fraction-free kernel:
+a sign-tracked remainder sequence of primitive integer polynomials
+(``_remainder_sequence``).  Run on (f, f') it gives the numbers of
+distinct complex and distinct real roots (the rank and signature of the
+Hankel form of f), and with them strict positivity on the reals; run on
+(f, g) its last term is the gcd.  The Fraction reference paths stay for
+the documents that print them and as test oracles: power sums, the
+Hankel matrix and its exact rank/signature, Sturm chains, and Sylvester
+resultants and discriminants.  Certified "epsilon below the infimum"
+searches complete the module.
 """
 
 from __future__ import annotations
@@ -239,24 +245,54 @@ def primitive_integer_coeffs(f: RatPoly) -> list[int]:
     """
     if f.is_zero:
         return []
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in f.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in f.coeffs]
+    content = math.gcd(*ints)
     return [c // content for c in ints]
 
 
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """Fraction-free Sturm-type remainder sequence a, b, r_2, ..., r_k.
+
+    ``a`` and ``b`` are ascending integer coefficient lists with
+    deg a >= deg b.  Each new term is minus a positive multiple of the
+    remainder of the two before it: pseudo-division that scales by
+    |lc(b)| instead of lc(b) keeps the multiplier positive, and dividing
+    by the positive content keeps the numbers small.  So every term has
+    the sign of the matching term of the Sturm sequence over Q, and the
+    last term is gcd(a, b) up to a nonzero factor.
+    """
+    seq = [a]
+    while b:
+        seq.append(b)
+        n = len(b)
+        lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        r = list(a)
+        for k in range(len(a) - n, -1, -1):
+            c = sb * r.pop()
+            if c:
+                r = [lb * x for x in r]
+                for i in range(n - 1):
+                    r[k + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+        if r:
+            content = math.gcd(*r)
+            r = [-x // content for x in r]
+        a, b = b, r
+    return seq
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic greatest common divisor (Euclid over the rationals)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a * (1 / a.leading)
+    """Monic greatest common divisor: the last term of the integer
+    remainder sequence of the primitive models of f and g."""
+    a, b = primitive_integer_coeffs(f), primitive_integer_coeffs(g)
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return RatPoly()
+    last = _remainder_sequence(a, b)[-1]
+    return RatPoly([Fraction(c, last[-1]) for c in last])
 
 
 def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
@@ -358,51 +394,10 @@ def discriminant(f: RatPoly) -> Fraction:
 
 
 def is_squarefree(f: RatPoly) -> bool:
+    """No repeated complex root: f has deg f distinct roots."""
     if f.degree < 1:
         raise ValueError("square-freeness needs degree >= 1")
-    return discriminant(f) != 0
-
-
-def _lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> RatPoly:
-    result = RatPoly()
-    for i, (xi, yi) in enumerate(points):
-        num = RatPoly([yi])
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * RatPoly([-xj, 1])
-            den *= xi - xj
-        result = result + num * (1 / den)
-    return result
-
-
-def parametric_discriminant(f: RatPoly, g: RatPoly) -> RatPoly:
-    """disc_x(lambda*f + g) as an exact polynomial in the parameter.
-
-    Computed by evaluating the Sylvester determinant, at declared
-    degrees (deg f, deg f - 1), on enough rational parameter values and
-    interpolating.  For square-free f the result is nonzero with
-    leading coefficient disc(f).
-    """
-    if not is_squarefree(f):
-        raise ValueError("parametric discriminant needs square-free f")
-    if g.degree > f.degree:
-        raise ValueError("deg g must be bounded by deg f")
-    d = f.degree
-    nodes = []
-    # degree of the determinant in the parameter is at most 2d - 1
-    for k in range(2 * d):
-        lam = Fraction(k)
-        h = f * lam + g
-        hc = [h[i] for i in range(d, -1, -1)]
-        dh = h.derivative()
-        dhc = [dh[i] for i in range(d - 1, -1, -1)]
-        nodes.append((lam, _det_fraction(_sylvester_rows(hc, dhc))))
-    p = _lagrange_interpolate(nodes)
-    if p.is_zero:
-        raise ValueError("parametric discriminant vanished identically")
-    return p
+    return count_distinct_and_real_roots(f)[0] == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +494,37 @@ def rank_signature(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
 
 
 def count_distinct_and_real_roots(f: RatPoly) -> tuple[int, int]:
-    """(number of distinct complex roots, number of distinct real roots),
-    read off as the rank and signature of the Hankel matrix."""
-    rank, sig = rank_signature(hankel_matrix(f))
-    return rank, sig
+    """(number of distinct complex roots, number of distinct real roots)
+    of f, the rank and signature of its Hankel matrix.
+
+    Both come from one integer remainder sequence of (f, f'), which ends
+    at gcd(f, f'): the rank is deg f minus the degree of that last term,
+    and the signature is the drop in Sturm sign variations from -infinity
+    to +infinity.  Square-freeness is not needed, since dividing the whole
+    sequence by the gcd changes no sign variation at infinity.
+    """
+    if f.degree < 1:
+        raise ValueError("root counts need degree >= 1")
+    a = primitive_integer_coeffs(f)
+    da = [i * c for i, c in enumerate(a)][1:]
+    content = math.gcd(*da)
+    seq = _remainder_sequence(a, [c // content for c in da])
+    at_pos = [1 if p[-1] > 0 else -1 for p in seq]
+    at_neg = [s if len(p) % 2 == 1 else -s for s, p in zip(at_pos, seq)]
+    return len(a) - len(seq[-1]), _variations(at_neg) - _variations(at_pos)
+
+
+def _variations(signs: list[int]) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def sturm_real_root_count(f: RatPoly) -> int:
     """Count real roots of a square-free f by Sturm sign variations at
-    -infinity and +infinity.  Independent of the Hankel route."""
+    -infinity and +infinity, with the chain and its square-free check
+    on Fractions.  Independent of the integer remainder sequence."""
     if f.is_zero:
         raise ValueError("zero polynomial")
-    if f.degree >= 1 and poly_gcd(f, f.derivative()).degree > 0:
-        raise ValueError("Sturm count requires square-free input")
     if f.degree == 0:
         return 0
     chain = [f, f.derivative()]
@@ -519,14 +532,11 @@ def sturm_real_root_count(f: RatPoly) -> int:
         chain.append(-(chain[-2] % chain[-1]))
     if chain[-1].is_zero:
         chain.pop()
-
-    def variations(signs: list[int]) -> int:
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
+    if chain[-1].degree > 0:
+        raise ValueError("Sturm count requires square-free input")
     at_pos = [1 if p.leading > 0 else -1 for p in chain]
     at_neg = [s if p.degree % 2 == 0 else -s for s, p in zip(at_pos, chain)]
-    return variations(at_neg) - variations(at_pos)
+    return _variations(at_neg) - _variations(at_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +547,13 @@ def sturm_real_root_count(f: RatPoly) -> int:
 class PositivityCertificate:
     """Why a polynomial is (or is not) strictly positive on the reals.
 
-    Rank and signature refer to the Hankel matrix of the square-free
-    part; the verdict is: even degree, positive leading and constant
-    coefficients, and signature zero (no real roots).
+    Rank and signature are those of the Hankel matrix of the square-free
+    part, that is, the numbers of distinct complex and distinct real
+    roots; they are read off one integer remainder sequence of (f, f')
+    (``count_distinct_and_real_roots``).  ``on_squarefree_part`` is true
+    when f is square-free, so that the square-free part is f itself.  The
+    verdict is: even degree, positive leading and constant coefficients,
+    and signature zero (no real roots).
     """
 
     rank: int
@@ -558,10 +572,9 @@ def is_positive_on_reals(f: RatPoly) -> PositivityCertificate:
     csign = 0 if c0 == 0 else (1 if c0 > 0 else -1)
     if f.degree == 0:
         return PositivityCertificate(0, 0, lead, csign, True, c0 > 0)
-    g = squarefree_part(f)
-    rank, sig = count_distinct_and_real_roots(g)
+    rank, sig = count_distinct_and_real_roots(f)
     verdict = f.degree % 2 == 0 and lead > 0 and csign > 0 and sig == 0
-    return PositivityCertificate(rank, sig, lead, csign, g.degree == f.degree, verdict)
+    return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict)
 
 
 POSITIVE = "positive"

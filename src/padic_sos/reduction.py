@@ -43,11 +43,10 @@ from .f2 import f2_mul
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness,
                      hensel_split, newton_refine, z2_root_status)
 from .padic import is_square_in_q2, ord2
-from .ratpoly import (POSITIVE, RatPoly, SearchDepthExceeded,
+from .ratpoly import (POSITIVE, RatPoly, SearchDepthExceeded, discriminant,
                       epsilon_below_infimum, is_positive_on_reals,
-                      is_squarefree, parametric_discriminant,
-                      perturbation_bound, positivity_trichotomy,
-                      squarefree_decomposition)
+                      is_squarefree, perturbation_bound,
+                      positivity_trichotomy, squarefree_decomposition)
 from .newton_polygon import newton_diagram
 
 METHOD_ZERO = "ZERO"
@@ -418,8 +417,10 @@ def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
 
 def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
                  refine_precision: int) -> ObstructionReport:
+    # f is integral and base monic of degree deg f, so q keeps degree
+    # deg f (its lead coefficient 4^l * lc(f) - 1 is odd) and disc(q) is
+    # the family's parametric discriminant at lambda = 4^l
     a = k0 // 2
-    pdisc = parametric_discriminant(f, -base)
     ell = max(a + 3, ell_pos, 1)
     for _ in range(64):
         q = f * (4 ** ell) - base
@@ -427,8 +428,7 @@ def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
         qprime = q.derivative()
         dv = qprime(gamma)
         v = q(gamma)
-        simple = pdisc(Fraction(4 ** ell)) != 0
-        if dv != 0 and v != 0 and simple:
+        if dv != 0 and v != 0 and is_squarefree(q):
             delta = ord2(dv)[0]
             if ord2(v)[0] >= 2 * delta + 1:
                 break
@@ -442,11 +442,11 @@ def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
     witness = RootWitness(gamma, delta, 1 << (2 * delta + 1))
     status = RootStatus(ROOT_EXISTS, witness)
     cert = Sos4Certificate(NOT_SOS4, "simple_z2_root", positivity,
-                           SimpleZ2Root(status, True))
+                           SimpleZ2Root(status))
     if not verify_certificate(g, cert):
         raise ArithmeticError("obstruction certificate failed to re-verify")
     return ObstructionReport(f, ell, gamma, delta, refined, refine_precision,
-                             g, cert, pdisc(Fraction(4 ** ell)))
+                             g, cert, discriminant(q))
 
 
 # ---------------------------------------------------------------------------

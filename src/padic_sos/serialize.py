@@ -20,6 +20,13 @@ from .ratpoly import PositivityCertificate, RatPoly
 
 SCHEMA = "padic-sos/1"
 
+# Largest exponent the human form accepts.  A term x^n makes a dense list
+# of n + 1 coefficients, so the cap bounds what a short input can cost
+# before any algorithm runs; it lies far above any degree the exact
+# kernels finish on (the Sylvester and Hankel eliminations are cubic in
+# the degree, on growing Fractions).
+MAX_EXPONENT = 10_000
+
 
 class PolyParseError(ValueError):
     pass
@@ -82,7 +89,13 @@ def parse_poly(text: str) -> RatPoly:
             raise PolyParseError(f"zero denominator in {term!r} at position {pos}") from exc
         exp = 0
         if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            digits = m.group("exp") or "1"
+            # the length test keeps int() off huge digit strings
+            if (len(digits.lstrip("0")) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise PolyParseError(
+                    f"exponent at position {pos} exceeds {MAX_EXPONENT}")
+            exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
         if end >= len(compact):
             break
@@ -92,10 +105,6 @@ def parse_poly(text: str) -> RatPoly:
         raise PolyParseError("no terms found")
     size = max(coeffs) + 1
     return RatPoly([coeffs.get(i, Fraction(0)) for i in range(size)])
-
-
-def poly_pretty(f: RatPoly) -> str:
-    return str(f)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,6 @@ def _evidence_to_json(ev) -> dict:
         out["s"] = frac_str(ev.s)
     elif isinstance(ev, certifier.SimpleZ2Root):
         out["root_status"] = root_status_to_json(ev.status)
-        out["discriminant_nonzero"] = ev.discriminant_nonzero
     elif isinstance(ev, certifier.EisensteinEvenDegree):
         out["diagram"] = diagram_to_json(ev.diagram)
     elif isinstance(ev, certifier.PureEvenDivisor):
@@ -198,7 +206,7 @@ def result_to_json(res: reduction.ReductionResult) -> dict:
         "method": res.method,
         "input": poly_to_json(res.input_poly),
         "h": poly_to_json(res.h),
-        "h_pretty": poly_pretty(res.h),
+        "h_pretty": str(res.h),
         "residual": poly_to_json(res.residual),
         "certificate": certificate_to_json(res.certificate),
         "parameters": _params_to_json(res.parameters),

@@ -12,6 +12,7 @@ from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  rule_odd_split_witness,
                                  rule_pure_even_divisor, rule_simple_z2_root,
                                  rule_two_square_split, verify_certificate)
+from padic_sos.hensel import ROOT_EXISTS, verify_root_witness
 from padic_sos.padic import is_square_in_q2
 from padic_sos.ratpoly import RatPoly
 from padic_sos.reduction import (palindromic_counterexample,
@@ -86,7 +87,8 @@ def test_rule_odd_split_witness():
 def test_rule_simple_z2_root():
     f = RatPoly([-17, 0, 1]) * X2P1
     ev = rule_simple_z2_root(f)
-    assert isinstance(ev, SimpleZ2Root) and ev.discriminant_nonzero
+    assert isinstance(ev, SimpleZ2Root) and ev.status.tag == ROOT_EXISTS
+    assert verify_root_witness(f, ev.status.witness)
     assert rule_simple_z2_root(RatPoly([3, 0, 1])) is None
     # a certified root of a non-square-free polynomial is not simple
     sq = RatPoly([-1, 1]) ** 2

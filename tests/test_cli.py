@@ -7,8 +7,8 @@ import pytest
 from padic_sos.cli import main
 from padic_sos.ratpoly import RatPoly
 from padic_sos.reduction import palindromic_counterexample
-from padic_sos.serialize import (PolyParseError, parse_poly, poly_from_json,
-                                 poly_to_json)
+from padic_sos.serialize import (MAX_EXPONENT, PolyParseError, parse_poly,
+                                 poly_from_json, poly_to_json)
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,19 @@ def test_parse_poly_errors():
         parse_poly("y + 1")
     with pytest.raises(PolyParseError):
         parse_poly('["1", "1/0"]')
+
+
+def test_parse_poly_exponent_cap(capsys):
+    assert parse_poly(f"x^{MAX_EXPONENT} + 1").degree == MAX_EXPONENT
+    assert parse_poly("x^00002") == RatPoly([0, 0, 1])
+    with pytest.raises(PolyParseError, match="exceeds"):
+        parse_poly(f"x^{MAX_EXPONENT + 1}")
+    # too many digits for int() is still a parse error, not a ValueError
+    with pytest.raises(PolyParseError, match="exceeds"):
+        parse_poly("x^" + "9" * 5000)
+    code, out, err = run_cli(capsys, "positivity", "--poly",
+                             f"x^{MAX_EXPONENT + 1} + 1")
+    assert code == 1 and out == "" and "exceeds" in err
 
 
 def test_parse_poly_fuzz_only_parse_errors():

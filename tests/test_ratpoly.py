@@ -7,8 +7,7 @@ from padic_sos.ratpoly import (RatPoly,
                                count_distinct_and_real_roots, discriminant,
                                epsilon_below_infimum, hankel_matrix,
                                is_positive_on_reals, is_squarefree,
-                               parametric_discriminant, perturbation_bound,
-                               poly_gcd, power_sums, primitive_integer_coeffs,
+                               perturbation_bound, poly_gcd, power_sums, primitive_integer_coeffs,
                                rank_signature, squarefree_decomposition,
                                sturm_real_root_count, sylvester_resultant)
 from padic_sos.reduction import palindromic_counterexample
@@ -122,24 +121,6 @@ def test_discriminant_vanishes_iff_gcd_nonconstant():
             f = f * f  # force a repeated factor
         nonconstant_gcd = poly_gcd(f, f.derivative()).degree > 0
         assert (discriminant(f) == 0) == nonconstant_gcd
-
-
-def test_parametric_discriminant():
-    assert parametric_discriminant(RatPoly([0, 1]), RatPoly([1])) == RatPoly([0, 1])
-    p = parametric_discriminant(X2P1, RatPoly())
-    assert p == RatPoly([0, 0, 0, 4])
-    assert p.leading == discriminant(X2P1)
-    rng = random.Random(7)
-    for _ in range(10):
-        f = random_poly(rng, rng.randint(2, 4))
-        if discriminant(f) == 0:
-            continue
-        g = random_poly(rng, rng.randint(0, f.degree))
-        p = parametric_discriminant(f, g)
-        assert not p.is_zero
-        assert p.leading == discriminant(f)
-    with pytest.raises(ValueError):
-        parametric_discriminant(RatPoly([0, 0, 1]), RatPoly([1]))
 
 
 def test_power_sums():

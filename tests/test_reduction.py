@@ -7,7 +7,8 @@ from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
                                  PureEvenDivisor, verify_certificate)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2
-from padic_sos.ratpoly import RatPoly, is_positive_on_reals, is_squarefree
+from padic_sos.ratpoly import (RatPoly, discriminant, is_positive_on_reals,
+                               is_squarefree)
 from padic_sos.reduction import (InconclusiveReport, NonTermination,
                                  ObstructionReport, ReductionResult,
                                  palindromic_counterexample, reduce_auto,
@@ -229,6 +230,7 @@ def test_picky_obstruction_on_square_constant():
     assert ord2(value)[0] >= rep.refine_precision
     assert ord2(value)[0] >= 2 * rep.delta + 1
     assert rep.parametric_disc_value != 0
+    assert rep.parametric_disc_value == discriminant(q)
 
 
 def test_picky_hypothesis_gates():

@@ -131,7 +131,7 @@ def test_verify_certificate_rejects_tampering():
     fake_witness = RootWitness(ev.status.witness.gamma + 1,
                                ev.status.witness.delta,
                                ev.status.witness.modulus)
-    fake = SimpleZ2Root(RootStatus("RootExists", fake_witness), True)
+    fake = SimpleZ2Root(RootStatus("RootExists", fake_witness))
     from padic_sos.hensel import verify_root_witness
     assert verify_root_witness(h, ev.status.witness)
     assert not verify_root_witness(h, fake_witness)

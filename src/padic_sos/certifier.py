@@ -190,11 +190,12 @@ def complete_square_split(f: RatPoly,
             if i < k <= m:
                 acc += a[j] * a[k]
         a[i] = (f[m + i] - acc) / (2 * a[m])
-    A = RatPoly(a)
-    c = f - A * A
-    if c.degree > 0:
-        return None
-    return A, c[0]
+    # the top m + 1 coefficients of A^2 match f by construction; the
+    # split exists when coefficients m - 1 down to 1 match too
+    for k in range(m - 1, 0, -1):
+        if f[k] != sum(a[j] * a[k - j] for j in range(k + 1)):
+            return None
+    return RatPoly(a), f[0] - a[0] * a[0]
 
 
 def _check_witness(f: RatPoly, witness: tuple[RatPoly, Fraction]) -> tuple[RatPoly, Fraction]:
@@ -217,6 +218,10 @@ def rule_odd_split_witness(f: RatPoly, a_poly: RatPoly, c) -> OddSquareSplit | N
     a_poly, c = _check_witness(f, (a_poly, c))
     if c == 0:
         raise ValueError("odd split rule needs c nonzero")
+    return _odd_split(a_poly, c)
+
+
+def _odd_split(a_poly: RatPoly, c: Fraction) -> OddSquareSplit | None:
     if a_poly.degree % 2 == 1 and is_square_in_q2(-c):
         return OddSquareSplit(a_poly, c)
     return None
@@ -241,7 +246,10 @@ def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2R
 
 def rule_two_square_split(f: RatPoly, a_poly: RatPoly, c) -> TwoSquareSplit | None:
     """SOS rule: c a nonnegative rational square makes f = A^2 + s^2."""
-    a_poly, c = _check_witness(f, (a_poly, c))
+    return _two_square(*_check_witness(f, (a_poly, c)))
+
+
+def _two_square(a_poly: RatPoly, c: Fraction) -> TwoSquareSplit | None:
     if c == 0:
         return TwoSquareSplit(a_poly, Fraction(0))
     if c < 0:
@@ -323,13 +331,15 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
             outcomes.append((conclusive_verdict, name, ev))
         return ev
 
+    # the split is checked (a witness) or exact by construction (the
+    # search), so the split rules run without their witness check
     order = [
         (NOT_SOS4, "odd_split_witness",
-         lambda: rule_odd_split_witness(f, *split) if split and split[1] != 0 else None),
+         lambda: _odd_split(*split) if split and split[1] != 0 else None),
         (NOT_SOS4, "simple_z2_root",
          lambda: rule_simple_z2_root(f, positivity.on_squarefree_part)),
         (SOS4, "two_square_split",
-         lambda: rule_two_square_split(f, *split) if split else None),
+         lambda: _two_square(*split) if split else None),
         (SOS4, "eisenstein", lambda: rule_eisenstein(f)),
         (SOS4, "pure_even_divisor", lambda: rule_pure_even_divisor(f)),
         (SOS4, "mod2_even_degrees", lambda: rule_mod2_even_degrees(f)),

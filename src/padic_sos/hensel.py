@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
+from .padic import ord2_int
 from .ratpoly import RatPoly, poly_gcd, primitive_integer_coeffs, squarefree_part
 
 ROOT_EXISTS = "RootExists"
@@ -75,19 +76,15 @@ def _certify(coeffs: list[int], dcoeffs: list[int], gamma: int,
     v = _int_eval(coeffs, gamma)
     dv = _int_eval(dcoeffs, gamma)
     if v == 0:
-        delta = None if dv == 0 else _ord2_int(dv)
+        delta = None if dv == 0 else ord2_int(dv)
         modulus = 1 if delta is None else 1 << (2 * delta + 1)
         return RootWitness(gamma, delta, modulus, on_reversal, exact=True)
     if dv == 0:
         return None
-    delta = _ord2_int(dv)
-    if _ord2_int(v) >= 2 * delta + 1:
+    delta = ord2_int(dv)
+    if ord2_int(v) >= 2 * delta + 1:
         return RootWitness(gamma, delta, 1 << (2 * delta + 1), on_reversal)
     return None
-
-
-def _ord2_int(n: int) -> int:
-    return (n & -n).bit_length() - 1
 
 
 def _descend(g: list[int], r: int) -> list[int]:
@@ -98,7 +95,7 @@ def _descend(g: list[int], r: int) -> list[int]:
             for k in range(len(h) - 2, i - 1, -1):
                 h[k] += h[k + 1]
     h = [c << i for i, c in enumerate(h)]
-    v = min(_ord2_int(c) for c in h if c)
+    v = min(ord2_int(c) for c in h if c)
     return [c >> v for c in h]
 
 
@@ -186,7 +183,7 @@ def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
         return v == 0
     if witness.delta is None or dv == 0:
         return False
-    return (_ord2_int(dv) == witness.delta
+    return (ord2_int(dv) == witness.delta
             and v % (1 << (2 * witness.delta + 1)) == 0)
 
 
@@ -201,16 +198,16 @@ def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
     dcoeffs = _int_derivative(coeffs)
     v0 = _int_eval(coeffs, gamma)
     dv0 = _int_eval(dcoeffs, gamma)
-    if dv0 == 0 or _ord2_int(dv0) != delta:
+    if dv0 == 0 or ord2_int(dv0) != delta:
         raise ValueError("derivative valuation does not match delta")
-    if v0 != 0 and _ord2_int(v0) < 2 * delta + 1:
+    if v0 != 0 and ord2_int(v0) < 2 * delta + 1:
         raise ValueError("f(gamma) is not divisible by 2^(2*delta+1)")
     work = precision + delta + 4
     big = 1 << work
     cur = gamma % big
     for _ in range(2 * work.bit_length() + 8):
         v = _int_eval(coeffs, cur)
-        if v == 0 or _ord2_int(v) >= precision + delta:
+        if v == 0 or ord2_int(v) >= precision + delta:
             break
         dv = _int_eval(dcoeffs, cur)
         unit = dv >> delta

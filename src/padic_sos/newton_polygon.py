@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .padic import ord2
+from .padic import ord2_int
 from .ratpoly import RatPoly
 
 
@@ -72,7 +72,8 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def newton_diagram(f: RatPoly) -> NewtonDiagram:
     if f.is_zero:
         raise ValueError("the zero polynomial has no Newton diagram")
-    pts = [(i, ord2(c)[0]) for i, c in enumerate(f.coeffs) if c != 0]
+    pts = [(i, ord2_int(c.numerator) - ord2_int(c.denominator))
+           for i, c in enumerate(f.coeffs) if c != 0]
     verts = _lower_hull(pts)
     segs = []
     for (x1, y1), (x2, y2) in zip(verts, verts[1:]):

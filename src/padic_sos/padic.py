@@ -17,20 +17,20 @@ from fractions import Fraction
 DEFAULT_PRECISION = 64
 
 
+def ord2_int(n: int) -> int:
+    """2-adic valuation of a nonzero integer: the index of its lowest
+    set bit (two's complement keeps it for negative n)."""
+    return (n & -n).bit_length() - 1
+
+
 def ord2(q) -> tuple[int, Fraction]:
     """Write q = 2^valuation * unit with an odd unit; q must be nonzero."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("ord2(0) is +infinity; callers must branch on zero")
     num, den = q.numerator, q.denominator
-    v = 0
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v, Fraction(num, den)
+    vn, vd = ord2_int(num), ord2_int(den)
+    return vn - vd, Fraction(num >> vn, den >> vd)
 
 
 def unit_residue(u: Fraction, modulus: int) -> int:

@@ -295,27 +295,49 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return RatPoly([Fraction(c, last[-1]) for c in last])
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b is primitive and divides a
+    over Q; by Gauss's lemma the quotient is integral, so every step of
+    the long division divides exactly."""
+    n, lb = len(b), b[-1]
+    r = list(a)
+    q = [0] * (len(a) - n + 1)
+    for k in range(len(a) - n, -1, -1):
+        c = q[k] = r[k + n - 1] // lb
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    return q
+
+
 def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
     """Yun decomposition: f = unit * prod g_i^i with the g_i monic,
-    square-free, and pairwise coprime."""
+    square-free, and pairwise coprime.
+
+    The running pair (b, c) is kept on integers, both scaled by the same
+    constant (which changes no gcd and keeps c - b' meaningful), and is
+    divided exactly by the primitive model of each gcd."""
     if f.is_zero:
         raise ValueError("zero polynomial has no square-free decomposition")
     unit = f.leading
-    f = f * (1 / unit)
     if f.degree == 0:
         return unit, []
     parts: list[tuple[RatPoly, int]] = []
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f // a
-    c = df // a - b.derivative()
+    a = primitive_integer_coeffs(f)
+    g = primitive_integer_coeffs(poly_gcd(f, f.derivative()))
+    b = _exact_quotient(a, g)
+    c = _exact_quotient([i * x for i, x in enumerate(a)][1:], g)
     i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, c)
-        if g.degree > 0:
-            parts.append((g, i))
-        b = b // g
-        c = c // g - b.derivative()
+    while len(b) > 1:
+        db = [j * x for j, x in enumerate(b)][1:]
+        c = [x - y for x, y in zip(c + [0] * (len(db) - len(c)), db)]
+        while c and c[-1] == 0:
+            c.pop()
+        monic = poly_gcd(RatPoly(b), RatPoly(c))
+        if monic.degree > 0:
+            parts.append((monic, i))
+        g = primitive_integer_coeffs(monic)
+        b, c = _exact_quotient(b, g), _exact_quotient(c, g)
         i += 1
     return unit, parts
 
@@ -631,9 +653,10 @@ def perturbation_bound(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fract
     a bound exists; the returned candidate is verified exactly and any
     smaller weight of the same g keeps positivity by convexity.
     """
-    if not is_positive_on_reals(f).verdict:
+    positivity = is_positive_on_reals(f)
+    if not positivity.verdict:
         raise ValueError("perturbation bound requires f positive on R")
-    if f.degree >= 1 and not is_squarefree(f):
+    if not positivity.on_squarefree_part:
         raise ValueError("perturbation bound requires square-free f")
     if g.degree > f.degree:
         raise ValueError("deg g must be bounded by deg f")

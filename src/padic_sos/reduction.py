@@ -43,10 +43,10 @@ from .f2 import f2_mul
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness,
                      hensel_split, newton_refine, z2_root_status)
 from .padic import is_square_in_q2, ord2
-from .ratpoly import (POSITIVE, RatPoly, SearchDepthExceeded, discriminant,
+from .ratpoly import (RatPoly, SearchDepthExceeded, discriminant,
                       epsilon_below_infimum, is_positive_on_reals,
                       is_squarefree, perturbation_bound,
-                      positivity_trichotomy, squarefree_decomposition)
+                      squarefree_decomposition)
 from .newton_polygon import newton_diagram
 
 METHOD_ZERO = "ZERO"
@@ -145,6 +145,14 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_squarefree_positive(f: RatPoly) -> None:
+    """One positivity certificate gates a route: its rank tells
+    square-freeness, its verdict strict positivity."""
+    positivity = is_positive_on_reals(f)
+    _require(positivity.on_squarefree_part, "input must be square-free")
+    _require(positivity.verdict, "input must be positive on R")
+
+
 def _dyadic_exponent(eps: Fraction) -> int:
     v, u = ord2(eps)
     if u != 1 or v > 0:
@@ -180,8 +188,7 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     valuation; the loop makes gcd(d, 2l + kd) = 1 so the difference is
     Eisenstein-irreducible of even degree."""
     _require(not f.is_zero and f.degree >= 2, "need degree >= 2")
-    _require(is_squarefree(f), "input must be square-free")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    _require_squarefree_positive(f)
     kd = ord2(f.leading)[0]
     _require(kd % 2 == 1, "k_d must be odd")
     d = f.degree
@@ -207,8 +214,7 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     route."""
     _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
              "degree must be a positive multiple of 4")
-    _require(is_squarefree(f), "input must be square-free")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    _require_squarefree_positive(f)
     kd = ord2(f.leading)[0]
     if kd % 2 == 1:
         return reduce_odd_valuation(f)
@@ -237,8 +243,7 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     provably never succeed)."""
     _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
              "need positive even degree")
-    _require(is_squarefree(f), "input must be square-free")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    _require_squarefree_positive(f)
     first = certify_sos4(f)
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first, f,
@@ -326,8 +331,7 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
              "degree must be a positive multiple of 4")
     _require(all(c.denominator == 1 for c in f.coeffs),
              "integer coefficients required")
-    _require(is_squarefree(f), "input must be square-free")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    _require_squarefree_positive(f)
     k = f.degree // 4
     base = CYCLOTOMIC ** (2 * k)
     eps0 = perturbation_bound(f, -base)
@@ -345,8 +349,7 @@ def _picky_checks(f: RatPoly) -> int:
              "degree must be 2 mod 4 (that is, 2*(2k+1))")
     _require(all(c.denominator == 1 for c in f.coeffs),
              "integer coefficients required")
-    _require(is_squarefree(f), "input must be square-free")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    _require_squarefree_positive(f)
     return (f.degree - 2) // 4
 
 
@@ -543,15 +546,18 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
     Raises ValueError for inputs that are not strictly positive on the
     reals; returns an InconclusiveReport when no route concludes.
     """
-    if f.is_zero or positivity_trichotomy(f) != POSITIVE:
+    if f.is_zero or not (positivity := is_positive_on_reals(f)).verdict:
         raise ValueError("input must be strictly positive on R")
-    unit, parts = squarefree_decomposition(f)
+    # a square-free f is its own core, as Yun's decomposition would give
     square_part = RatPoly([1])
-    core = RatPoly([unit])
-    for g_i, mult in parts:
-        square_part = square_part * g_i ** (mult // 2)
-        if mult % 2 == 1:
-            core = core * g_i
+    core = f
+    if not positivity.on_squarefree_part:
+        unit, parts = squarefree_decomposition(f)
+        core = RatPoly([unit])
+        for g_i, mult in parts:
+            square_part = square_part * g_i ** (mult // 2)
+            if mult % 2 == 1:
+                core = core * g_i
     trace: list = []
 
     def attempt(route, call):

@@ -20,11 +20,11 @@ from .ratpoly import PositivityCertificate, RatPoly
 
 SCHEMA = "padic-sos/1"
 
-# Largest exponent the human form accepts.  A term x^n makes a dense list
-# of n + 1 coefficients, so the cap bounds what a short input can cost
-# before any algorithm runs; it lies far above any degree the exact
-# kernels finish on (the Sylvester and Hankel eliminations are cubic in
-# the degree, on growing Fractions).
+# Largest exponent the human form accepts, and so the largest degree a
+# JSON array may give (at most MAX_EXPONENT + 1 entries).  A term x^n makes
+# a dense list of n + 1 coefficients, so the cap bounds what a short input
+# can cost before any algorithm runs; it lies far above any degree the
+# exact kernels finish on.
 MAX_EXPONENT = 10_000
 
 
@@ -44,6 +44,9 @@ def poly_to_json(f: RatPoly) -> list[str]:
 def poly_from_json(data) -> RatPoly:
     if not isinstance(data, list):
         raise PolyParseError("polynomial JSON must be an array of strings")
+    if len(data) > MAX_EXPONENT + 1:
+        raise PolyParseError(
+            f"polynomial JSON array has more than {MAX_EXPONENT + 1} entries")
     try:
         return RatPoly([Fraction(str(c)) for c in data])
     except (ValueError, ZeroDivisionError) as exc:

@@ -55,6 +55,18 @@ def test_parse_poly_exponent_cap(capsys):
     assert code == 1 and out == "" and "exceeds" in err
 
 
+def test_json_array_length_cap(tmp_path, capsys):
+    at_cap = ["1"] + ["0"] * (MAX_EXPONENT - 1) + ["1"]
+    assert poly_from_json(at_cap).degree == MAX_EXPONENT
+    assert parse_poly(json.dumps(at_cap)).degree == MAX_EXPONENT
+    with pytest.raises(PolyParseError, match="more than"):
+        poly_from_json(at_cap + ["1"])
+    src = tmp_path / "long.json"
+    src.write_text(json.dumps(at_cap + ["1"]))
+    code, out, err = run_cli(capsys, "positivity", "--poly-file", str(src))
+    assert code == 1 and out == "" and f"more than {MAX_EXPONENT + 1}" in err
+
+
 def test_parse_poly_fuzz_only_parse_errors():
     rng = random.Random(99)
     alphabet = "0123456789x^*/+- []\"',."

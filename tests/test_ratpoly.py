@@ -262,8 +262,10 @@ def test_perturbation_bound():
     assert is_positive_on_reals(f + g * F(1, 16)).verdict
     with pytest.raises(ValueError):
         perturbation_bound(X2P1, RatPoly([0] * 3 + [1]))  # deg g too big
-    with pytest.raises(ValueError):
-        perturbation_bound(X2P1 * X2P1, RatPoly([-1]))  # not square-free
+    with pytest.raises(ValueError, match="square-free"):
+        perturbation_bound(X2P1 * X2P1, RatPoly([-1]))
+    with pytest.raises(ValueError, match="positive on R"):
+        perturbation_bound(RatPoly([-1, 0, 1]), RatPoly([-1]))
 
 
 def test_primitive_integer_coeffs():

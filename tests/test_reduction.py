@@ -20,6 +20,7 @@ from padic_sos.reduction import (InconclusiveReport, NonTermination,
                                  square_plus_8a_minus_1)
 
 CYC = RatPoly([1, 1, 1])
+X2P1 = RatPoly([1, 0, 1])
 
 
 def check_result(f, res):
@@ -303,3 +304,46 @@ def test_reduce_auto_rejects_nonpositive():
         reduce_auto(RatPoly([-1, 0, 1]))
     with pytest.raises(ValueError):
         reduce_auto(RatPoly([0, 0, 1]))
+
+
+def test_reduce_auto_runs_yun_only_on_non_squarefree_input(monkeypatch):
+    import padic_sos.reduction as reduction
+    calls = []
+    yun = reduction.squarefree_decomposition
+
+    def recording(f):
+        calls.append(f)
+        return yun(f)
+
+    def refusing(f):
+        raise AssertionError("square-free input went through Yun")
+
+    monkeypatch.setattr(reduction, "squarefree_decomposition", refusing)
+    for f in (RatPoly([3, 0, 1]), RatPoly([7, 1, 0, 0, 1]), RatPoly([5])):
+        assert isinstance(reduce_auto(f), (ReductionResult, InconclusiveReport))
+    monkeypatch.setattr(reduction, "squarefree_decomposition", recording)
+    f = (RatPoly([1, 0, 1]) ** 2) * RatPoly([3, 0, 1])
+    res = check_result(f, reduce_auto(f))
+    assert calls == [f]
+    assert res.transform.square_part == RatPoly([1, 0, 1])
+
+
+
+@pytest.mark.parametrize("route, not_squarefree, not_positive", [
+    (reduce_odd_valuation, X2P1 ** 2, RatPoly([-2, 0, 1])),
+    (reduce_multiple_of_four, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_iterative, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_cyclotomic_power, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_twice_odd_degree, X2P1 ** 2 * RatPoly([3, 0, 1]),
+     RatPoly([-2, 0, 0, 0, 0, 0, 1])),
+])
+def test_routes_gate_on_squarefree_then_positive(route, not_squarefree, not_positive):
+    assert is_positive_on_reals(not_squarefree).verdict
+    assert is_squarefree(not_positive)
+    with pytest.raises(ValueError, match="input must be square-free"):
+        route(not_squarefree)
+    with pytest.raises(ValueError, match="input must be positive on R"):
+        route(not_positive)
+    # neither square-free nor positive: square-freeness is reported first
+    with pytest.raises(ValueError, match="input must be square-free"):
+        route(-not_squarefree)

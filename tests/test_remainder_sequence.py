@@ -1,6 +1,7 @@
 """Differential tests of the integer remainder-sequence kernel.
 
-Root counts, square-freeness, gcds and positivity certificates from the
+Root counts, square-freeness, gcds, positivity certificates and the
+square-free decomposition (Yun's algorithm on integer models) from the
 kernel are checked against the Fraction reference paths (Hankel
 rank/signature, Sturm chains, Sylvester discriminants) and against
 sympy as an independent oracle, on hypothesis-drawn rational
@@ -22,6 +23,7 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,  # noqa: E402
                                count_distinct_and_real_roots, discriminant,
                                hankel_matrix, is_positive_on_reals,
                                is_squarefree, poly_gcd, rank_signature,
+                               squarefree_decomposition,
                                sturm_real_root_count)
 
 X = sympy.Symbol("x")
@@ -93,6 +95,16 @@ def test_poly_gcd_matches_sympy(f, g, share):
     expected = from_sympy(sympy.gcd(to_sympy(f), to_sympy(g)).monic())
     assert poly_gcd(f, g) == expected
     assert poly_gcd(g, f) == expected
+
+
+@SETTINGS
+@given(polys(max_degree=8), polys(max_degree=6), st.integers(2, 3))
+def test_squarefree_decomposition_matches_sympy(f, g, mult):
+    f = f * g ** mult
+    unit, parts = squarefree_decomposition(f)
+    _, factors = sympy.sqf_list(to_sympy(f))
+    assert unit == f.leading
+    assert parts == [(from_sympy(p.monic()), m) for p, m in factors]
 
 
 @SETTINGS

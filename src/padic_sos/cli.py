@@ -2,6 +2,10 @@
 
 Exit codes: 0 for a conclusive run, 2 for inconclusive or
 non-terminating outcomes, 1 for usage or input errors.
+
+Each subcommand imports the library functions it runs, so a process
+loads only the modules its command needs (``hankel`` loads no 2-adic
+code, ``sos4-certify`` no reduction routes).
 """
 
 from __future__ import annotations
@@ -9,21 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import serialize
-from .certifier import INCONCLUSIVE, certify_sos4
-from .hensel import z2_root_status
-from .newton_polygon import newton_diagram
-from .padic import is_square_in_q2, padic_sqrt
-from .ratpoly import (RatPoly, discriminant, hankel_matrix,
-                      is_positive_on_reals, rank_signature,
-                      sturm_real_root_count)
-from .reduction import (InconclusiveReport, NonTermination, ObstructionReport,
-                        ReductionResult, palindromic_counterexample,
-                        reduce_auto, reduce_constant_three_mod_four,
-                        reduce_cyclotomic_power, reduce_iterative,
-                        reduce_multiple_of_four, reduce_odd_valuation,
-                        reduce_twice_odd_degree, square_plus_8a_minus_1)
+
+if TYPE_CHECKING:
+    from .ratpoly import RatPoly
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,6 +54,7 @@ def _emit(args, payload: dict, status: str) -> int:
 
 
 def _cmd_positivity(args) -> int:
+    from .ratpoly import is_positive_on_reals
     f = _read_poly(args)
     cert = is_positive_on_reals(f)
     return _emit(args, {"positivity": serialize.positivity_to_json(cert),
@@ -66,6 +62,7 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_hankel(args) -> int:
+    from .ratpoly import hankel_matrix, rank_signature
     f = _read_poly(args)
     matrix = hankel_matrix(f)
     rank, sig = rank_signature(matrix)
@@ -80,30 +77,35 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_sturm(args) -> int:
+    from .ratpoly import sturm_real_root_count
     f = _read_poly(args)
     return _emit(args, {"poly": serialize.poly_to_json(f),
                         "real_roots": sturm_real_root_count(f)}, "ok")
 
 
 def _cmd_discriminant(args) -> int:
+    from .ratpoly import discriminant
     f = _read_poly(args)
     return _emit(args, {"poly": serialize.poly_to_json(f),
                         "discriminant": serialize.frac_str(discriminant(f))}, "ok")
 
 
 def _cmd_newton_polygon(args) -> int:
+    from .newton_polygon import newton_diagram
     f = _read_poly(args)
     return _emit(args, {"poly": serialize.poly_to_json(f),
                         "diagram": serialize.diagram_to_json(newton_diagram(f))}, "ok")
 
 
 def _cmd_padic_square(args) -> int:
+    from .padic import is_square_in_q2
     q = Fraction(args.value)
     return _emit(args, {"value": serialize.frac_str(q),
                         "is_square_in_q2": is_square_in_q2(q)}, "ok")
 
 
 def _cmd_padic_sqrt(args) -> int:
+    from .padic import padic_sqrt
     q = Fraction(args.value)
     r = padic_sqrt(q, args.precision)
     return _emit(args, {
@@ -115,6 +117,7 @@ def _cmd_padic_sqrt(args) -> int:
 
 
 def _cmd_root_status(args) -> int:
+    from .hensel import z2_root_status
     f = _read_poly(args)
     status = z2_root_status(f)
     return _emit(args, {"poly": serialize.poly_to_json(f),
@@ -123,6 +126,7 @@ def _cmd_root_status(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certifier import INCONCLUSIVE, certify_sos4
     f = _read_poly(args)
     witness = _parse_witness(args.witness) if args.witness else None
     cert = certify_sos4(f, witness=witness)
@@ -133,6 +137,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import (InconclusiveReport, NonTermination,
+                            ObstructionReport, ReductionResult, reduce_auto,
+                            reduce_constant_three_mod_four,
+                            reduce_cyclotomic_power, reduce_iterative,
+                            reduce_multiple_of_four, reduce_odd_valuation,
+                            reduce_twice_odd_degree)
     f = _read_poly(args)
     method = args.method
     if method == "auto":
@@ -167,6 +177,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_alg9_demo(args) -> int:
+    from .reduction import (NonTermination, palindromic_counterexample,
+                            reduce_iterative)
     f, witness = palindromic_counterexample(args.k, args.N)
     outcome = reduce_iterative(f, cap=args.cap)
     payload = {"poly": serialize.poly_to_json(f),
@@ -180,6 +192,7 @@ def _cmd_alg9_demo(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .reduction import palindromic_counterexample, square_plus_8a_minus_1
     if args.g is not None:
         g = serialize.parse_poly(args.g)
         f, (a_poly, c) = square_plus_8a_minus_1(g, args.a)
@@ -196,6 +209,24 @@ def _cmd_family(args) -> int:
         "witness_a": serialize.poly_to_json(a_poly),
         "witness_c": serialize.frac_str(c),
     }, "ok")
+
+
+def _int_at_most(limit: int):
+    """argparse type: an integer no larger than ``limit``.  It bounds the
+    dense coefficient lists and moduli a short argument can ask for."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return value
+    return parse
+
+
+# palindromic_counterexample(k, N) has degree 4k + 2
+MAX_K = (serialize.MAX_EXPONENT - 2) // 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("padic-sqrt")
     p.add_argument("--value", required=True, help="exact rational")
-    p.add_argument("--precision", type=int, default=64)
+    p.add_argument("--precision", type=_int_at_most(serialize.MAX_EXPONENT),
+                   default=64)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_padic_sqrt)
 
@@ -245,14 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("alg9-demo")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_most(MAX_K), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--cap", type=int, default=40)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_alg9_demo)
 
     p = sub.add_parser("family")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int_at_most(MAX_K))
     p.add_argument("--N", type=int)
     p.add_argument("--g", help="odd-degree integer polynomial")
     p.add_argument("--a", type=int, default=1)

@@ -86,6 +86,8 @@ def padic_sqrt(q, precision: int = DEFAULT_PRECISION) -> PadicApprox:
     Returns r with r^2 congruent to q: the unit residue squared matches
     the unit part of q modulo 2^precision.
     """
+    if precision < 1:
+        raise ValueError("precision must be positive")
     q = Fraction(q)
     if q == 0:
         raise ValueError("square root of zero: represent it directly")

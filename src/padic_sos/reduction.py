@@ -241,6 +241,7 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     growing l, certifying each branch; after ``cap`` iterations return
     the per-iterate record instead of looping forever (some inputs
     provably never succeed)."""
+    _require(cap >= 0, "cap must be nonnegative")
     _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
              "need positive even degree")
     _require_squarefree_positive(f)

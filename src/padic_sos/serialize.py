@@ -11,12 +11,17 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import certifier, reduction
-from .f2 import f2_to_str
-from .hensel import RootStatus
-from .newton_polygon import NewtonDiagram
-from .ratpoly import PositivityCertificate, RatPoly
+from .ratpoly import RatPoly
+
+if TYPE_CHECKING:
+    from .certifier import Sos4Certificate
+    from .hensel import RootStatus
+    from .newton_polygon import NewtonDiagram
+    from .ratpoly import PositivityCertificate
+    from .reduction import (BranchRecord, IterateRecord, NonTermination,
+                            ObstructionReport, ReductionResult)
 
 SCHEMA = "padic-sos/1"
 
@@ -41,16 +46,31 @@ def poly_to_json(f: RatPoly) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 
+# The exact coefficient strings ``poly_to_json`` writes.  Nothing else
+# is read: a JSON float has already been rounded, and an exponent form
+# such as "1e4000000" asks for an arbitrarily large integer.
+_COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _json_coeff(index: int, c) -> Fraction:
+    if type(c) is int or (isinstance(c, str) and _COEFF.fullmatch(c)):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError) as exc:
+            # a zero denominator, or more digits than int() converts
+            raise PolyParseError(f"bad coefficient: {exc}") from exc
+    raise PolyParseError(f"bad coefficient at index {index}: expected a JSON "
+                         "integer or a string of the form [+-]digits[/digits]")
+
+
 def poly_from_json(data) -> RatPoly:
+    """Coefficients are JSON integers or exact strings ("-3/4")."""
     if not isinstance(data, list):
         raise PolyParseError("polynomial JSON must be an array of strings")
     if len(data) > MAX_EXPONENT + 1:
         raise PolyParseError(
             f"polynomial JSON array has more than {MAX_EXPONENT + 1} entries")
-    try:
-        return RatPoly([Fraction(str(c)) for c in data])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolyParseError(f"bad coefficient: {exc}") from exc
+    return RatPoly([_json_coeff(i, c) for i, c in enumerate(data)])
 
 
 _TERM = re.compile(
@@ -65,9 +85,12 @@ def parse_poly(text: str) -> RatPoly:
         raise PolyParseError("empty polynomial")
     if text.startswith("["):
         try:
-            return poly_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except ValueError as exc:  # also a JSON integer past int()'s digit limit
             raise PolyParseError(f"bad JSON array: {exc}") from exc
+        except RecursionError as exc:
+            raise PolyParseError("bad JSON array: nested too deeply") from exc
+        return poly_from_json(data)
 
     compact = text.replace(" ", "")
     coeffs: dict[int, Fraction] = {}
@@ -90,6 +113,8 @@ def parse_poly(text: str) -> RatPoly:
             coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         except ZeroDivisionError as exc:
             raise PolyParseError(f"zero denominator in {term!r} at position {pos}") from exc
+        except ValueError as exc:  # more digits than int() converts
+            raise PolyParseError(f"bad coefficient at position {pos}: {exc}") from exc
         exp = 0
         if m.group("var"):
             digits = m.group("exp") or "1"
@@ -152,28 +177,32 @@ def root_status_to_json(status: RootStatus) -> dict:
 
 
 def _evidence_to_json(ev) -> dict:
+    # dispatch on ``ev.kind``, which names one evidence class each, so
+    # encoding needs no import of the certifier
     if ev is None:
         return {"kind": "none"}
-    out: dict = {"kind": ev.kind}
-    if isinstance(ev, certifier.OddSquareSplit):
+    kind = ev.kind
+    out: dict = {"kind": kind}
+    if kind == "odd_square_split":
         out["a_poly"] = poly_to_json(ev.a_poly)
         out["c"] = frac_str(ev.c)
-    elif isinstance(ev, certifier.TwoSquareSplit):
+    elif kind == "two_square_split":
         out["a_poly"] = poly_to_json(ev.a_poly)
         out["s"] = frac_str(ev.s)
-    elif isinstance(ev, certifier.SimpleZ2Root):
+    elif kind == "simple_z2_root":
         out["root_status"] = root_status_to_json(ev.status)
-    elif isinstance(ev, certifier.EisensteinEvenDegree):
+    elif kind == "eisenstein_even_degree":
         out["diagram"] = diagram_to_json(ev.diagram)
-    elif isinstance(ev, certifier.PureEvenDivisor):
+    elif kind == "pure_even_divisor":
         out["divisor"] = ev.divisor
         out["diagram"] = diagram_to_json(ev.diagram)
-    elif isinstance(ev, certifier.Mod2EvenDegrees):
+    elif kind == "mod2_even_degrees":
+        from .f2 import f2_to_str
         out["factors"] = [{"poly": f2_to_str(p), "bits": str(p), "multiplicity": m}
                           for p, m in ev.factors]
-    elif isinstance(ev, certifier.QuadraticNonSquareDisc):
+    elif kind == "quadratic_nonsquare_disc":
         out["disc"] = frac_str(ev.disc)
-    elif isinstance(ev, certifier.HenselSplitEvenParts):
+    elif kind == "hensel_split_even_parts":
         out["scale"] = frac_str(ev.scale)
         out["g_degree"] = ev.g_degree
         out["h_degree"] = ev.h_degree
@@ -182,7 +211,7 @@ def _evidence_to_json(ev) -> dict:
     return out
 
 
-def certificate_to_json(cert: certifier.Sos4Certificate) -> dict:
+def certificate_to_json(cert: Sos4Certificate) -> dict:
     return {
         "verdict": cert.verdict,
         "rule": cert.rule,
@@ -197,14 +226,13 @@ def _params_to_json(params: dict) -> dict:
 
 
 def _trace_entry(t):
-    if isinstance(t, reduction.IterateRecord):
-        return iterate_to_json(t)
+    # a route step is a tuple; ALG9 records its failed iterates instead
     if isinstance(t, tuple):
         return list(map(str, t))
-    return str(t)
+    return iterate_to_json(t)
 
 
-def result_to_json(res: reduction.ReductionResult) -> dict:
+def result_to_json(res: ReductionResult) -> dict:
     out = {
         "method": res.method,
         "input": poly_to_json(res.input_poly),
@@ -225,8 +253,8 @@ def result_to_json(res: reduction.ReductionResult) -> dict:
     return out
 
 
-def iterate_to_json(rec: reduction.IterateRecord) -> dict:
-    def branch(b: reduction.BranchRecord) -> dict:
+def iterate_to_json(rec: IterateRecord) -> dict:
+    def branch(b: BranchRecord) -> dict:
         out = {"h": poly_to_json(b.h), "verdict": b.verdict}
         if b.certificate is not None:
             out["certificate"] = certificate_to_json(b.certificate)
@@ -238,7 +266,7 @@ def iterate_to_json(rec: reduction.IterateRecord) -> dict:
             "branch_leading": branch(rec.branch_b)}
 
 
-def nontermination_to_json(nt: reduction.NonTermination) -> dict:
+def nontermination_to_json(nt: NonTermination) -> dict:
     return {
         "cap": nt.cap,
         "l_init": nt.l_init,
@@ -247,7 +275,7 @@ def nontermination_to_json(nt: reduction.NonTermination) -> dict:
     }
 
 
-def obstruction_to_json(rep: reduction.ObstructionReport) -> dict:
+def obstruction_to_json(rep: ObstructionReport) -> dict:
     return {
         "obstruction": True,
         "input": poly_to_json(rep.input_poly),

@@ -1,12 +1,16 @@
 import json
 import random
+import sys
+import typing
 from fractions import Fraction as F
 
 import pytest
 
-from padic_sos.cli import main
+from padic_sos import certifier
+from padic_sos.cli import MAX_K, main
+from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly
-from padic_sos.reduction import palindromic_counterexample
+from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 from padic_sos.serialize import (MAX_EXPONENT, PolyParseError, parse_poly,
                                  poly_from_json, poly_to_json)
 
@@ -207,3 +211,68 @@ def test_poly_file_and_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(dst.read_text())
     assert doc["method"] == "NOS"
+
+
+def test_json_coefficients_are_exact(tmp_path, capsys):
+    assert parse_poly('[1, "-3/4", "+2", "0", -5]') == RatPoly([1, F(-3, 4), 2, 0, -5])
+    assert parse_poly('[1, 0, 1]') == RatPoly([1, 0, 1])
+    for text in ('[1.00000000000000000001, 0, 1]', '[1.5]', '["1e4000000", "0", "1"]',
+                 '["1.5"]', '["0x10"]', '["1 "]', '["1_000"]', '["\\u0661"]',
+                 '[true]', '[null]', '[[1]]', '[{}]', '[NaN]', '["-"]', '["1/"]'):
+        with pytest.raises(PolyParseError, match="index 0"):
+            parse_poly(text)
+    with pytest.raises(PolyParseError, match="index 2"):
+        parse_poly('["1", "0", 1e400]')
+    if sys.get_int_max_str_digits():  # int() refuses more digits than this
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for text in (f'[{digits}]', f'["{digits}"]', f"{digits}*x + 1"):
+            with pytest.raises(PolyParseError):
+                parse_poly(text)
+    code, out, err = run_cli(capsys, "positivity", "--poly",
+                             "[1.00000000000000000001, 0, 1]")
+    assert code == 1 and out == "" and "index 0" in err
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    with pytest.raises(PolyParseError, match="nested too deeply"):
+        parse_poly("[" * 5000)
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, "positivity", "--poly-file", str(src))
+    assert code == 1 and out == "" and "nested too deeply" in err
+
+
+def test_integer_arguments_are_bounded(capsys):
+    # family(k) has degree 4k + 2: MAX_K is the largest k within MAX_EXPONENT
+    assert 4 * MAX_K + 2 <= MAX_EXPONENT < 4 * (MAX_K + 1) + 2
+    code, out, _ = run_cli(capsys, "family", "--k", str(MAX_K), "--N", "65")
+    assert code == 0 and len(json.loads(out)["poly"]) == 4 * MAX_K + 3
+    code, out, _ = run_cli(capsys, "padic-sqrt", "--value", "17",
+                           "--precision", str(MAX_EXPONENT))
+    assert code == 0 and json.loads(out)["precision"] == MAX_EXPONENT
+    for argv, message in (
+            (["family", "--k", str(MAX_K + 1), "--N", "65"], f"at most {MAX_K}"),
+            (["alg9-demo", "--k", str(MAX_K + 1), "--N", "65"], f"at most {MAX_K}"),
+            (["padic-sqrt", "--value", "17", "--precision", str(MAX_EXPONENT + 1)],
+             f"at most {MAX_EXPONENT}"),
+            (["padic-sqrt", "--value", "17", "--precision", "0"],
+             "precision must be positive"),
+            (["reduce", "--method", "alg9", "--cap", "-1", "--poly", "x^4+x^2+3"],
+             "cap must be nonnegative"),
+            (["alg9-demo", "--k", "0", "--N", "65", "--cap", "-1"],
+             "cap must be nonnegative")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and message in err, argv
+
+
+def test_library_rejects_bad_precision_and_cap():
+    with pytest.raises(ValueError, match="precision must be positive"):
+        padic_sqrt(17, 0)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        reduce_iterative(RatPoly([3, 0, 1, 0, 1]), cap=-1)
+
+
+def test_evidence_kinds_name_one_class_each():
+    # the encoder dispatches on ``kind``
+    kinds = [cls.kind for cls in typing.get_args(certifier.Evidence)]
+    assert len(kinds) == len(set(kinds)) == 9

@@ -28,7 +28,10 @@ SOS rules
 
 The strict-positivity gate runs first: a polynomial negative somewhere
 is never a sum of squares, and nonnegative inputs with real roots are
-rejected with an explicit error rather than guessed at.
+rejected with an explicit error rather than guessed at.  A caller that
+has just gated f hands its positivity certificate in, and the gate
+reads it instead of testing f again; ``_certify_positive`` runs the
+rules behind the gate.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import f2
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, z2_root_status,
@@ -168,6 +172,11 @@ def complete_square_split(f: RatPoly,
     constant, if one exists.  A's coefficients come triangularly from
     the top half of f, so the split exists exactly when the leading
     coefficient is a rational square and the tail closes to a constant.
+
+    The recursion runs on the primitive part P (top coefficient p) in
+    integers: with A = sqrt(lc f) * B, B monic and f / lc f = B^2 + k,
+    beta_i = b_i * (4p)^(m-i) is an even integer for i < m, since the
+    denominator of b_i divides 2^(2(m-i)-1) * p^(m-i).
     """
     d = f.degree
     if d < 0 or d % 2 != 0 or d > degree_cap:
@@ -181,21 +190,22 @@ def complete_square_split(f: RatPoly,
     sn, sd = math.isqrt(lead.numerator), math.isqrt(lead.denominator)
     if sn * sn != lead.numerator or sd * sd != lead.denominator:
         return None
-    a = [Fraction(0)] * (m + 1)
-    a[m] = Fraction(sn, sd)
+    P = f.primitive_part
+    p = P[-1]
+    t = 4 * p
+    beta = [0] * m + [1]
     for i in range(m - 1, -1, -1):
-        acc = Fraction(0)
-        for j in range(i + 1, m):
-            k = m + i - j
-            if i < k <= m:
-                acc += a[j] * a[k]
-        a[i] = (f[m + i] - acc) / (2 * a[m])
-    # the top m + 1 coefficients of A^2 match f by construction; the
-    # split exists when coefficients m - 1 down to 1 match too
+        acc = sum(beta[j] * beta[m + i - j] for j in range(i + 1, m))
+        beta[i] = 2 * P[m + i] * t ** (m - i - 1) - acc // 2
+    # the top m + 1 coefficients of B^2 match f / lc f by construction;
+    # the split exists when coefficients m - 1 down to 1 match too
     for k in range(m - 1, 0, -1):
-        if f[k] != sum(a[j] * a[k - j] for j in range(k + 1)):
+        if P[k] * t ** (2 * m - k) != p * sum(beta[j] * beta[k - j]
+                                              for j in range(k + 1)):
             return None
-    return RatPoly(a), f[0] - a[0] * a[0]
+    root = Fraction(sn, sd)
+    a = RatPoly([root * Fraction(b, t ** (m - i)) for i, b in enumerate(beta)])
+    return a, f[0] - a[0] * a[0]
 
 
 def _check_witness(f: RatPoly, witness: tuple[RatPoly, Fraction]) -> tuple[RatPoly, Fraction]:
@@ -260,18 +270,26 @@ def _two_square(a_poly: RatPoly, c: Fraction) -> TwoSquareSplit | None:
     return None
 
 
-def rule_eisenstein(f: RatPoly) -> EisensteinEvenDegree | None:
-    """SOS rule: Eisenstein-irreducible of even degree."""
-    if f.degree % 2 == 0 and f.degree >= 2 and eisenstein_irreducible(f):
-        return EisensteinEvenDegree(newton_diagram(f))
+def rule_eisenstein(f: RatPoly, diagram: NewtonDiagram | None = None
+                    ) -> EisensteinEvenDegree | None:
+    """SOS rule: Eisenstein-irreducible of even degree.  ``diagram`` is
+    f's Newton diagram when the caller already has it."""
+    if f.degree % 2 != 0 or f.degree < 2:
+        return None
+    if diagram is None:
+        diagram = newton_diagram(f)
+    if eisenstein_irreducible(f, diagram):
+        return EisensteinEvenDegree(diagram)
     return None
 
 
-def rule_pure_even_divisor(f: RatPoly) -> PureEvenDivisor | None:
+def rule_pure_even_divisor(f: RatPoly, diagram: NewtonDiagram | None = None
+                           ) -> PureEvenDivisor | None:
     """SOS rule: pure diagram with even slope denominator."""
     if f.degree < 1:
         return None
-    diagram = newton_diagram(f)
+    if diagram is None:
+        diagram = newton_diagram(f)
     if not is_pure(diagram):
         return None
     e = factor_degree_divisor(diagram)
@@ -299,19 +317,23 @@ def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
 # ---------------------------------------------------------------------------
 
 def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
-                 check_all_rules: bool = False) -> Sos4Certificate:
+                 check_all_rules: bool = False,
+                 positivity: PositivityCertificate | None = None) -> Sos4Certificate:
     """Run the rule pipeline and return the first conclusive verdict.
 
     ``witness`` is an optional exact split (A, c) with f = A^2 + c; it
     is validated and handed to the split rules, which otherwise search
     for the split themselves.  With ``check_all_rules`` every rule runs
     and the pipeline asserts that no input collects both SOS4-type and
-    NOT_SOS4-type evidence.
+    NOT_SOS4-type evidence.  ``positivity`` is ``is_positive_on_reals(f)``
+    when the caller already holds it; the gate then reads it instead of
+    testing f again.
     """
     if f.is_zero:
         raise ValueError("cannot certify the zero polynomial")
     split = _check_witness(f, witness) if witness is not None else None
-    positivity = is_positive_on_reals(f)
+    if positivity is None:
+        positivity = is_positive_on_reals(f)
     if not positivity.verdict:
         kind = positivity_trichotomy(f)
         if kind == NONNEGATIVE_WITH_ROOTS:
@@ -319,10 +341,18 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
                 "input is nonnegative but has real roots; only strictly "
                 "positive polynomials are certified")
         return Sos4Certificate(NOT_SOS4, "positivity", positivity, NotPositive())
+    return _certify_positive(f, positivity, split, check_all_rules)
 
+
+def _certify_positive(f: RatPoly, positivity: PositivityCertificate,
+                      split: tuple[RatPoly, Fraction] | None,
+                      check_all_rules: bool = False) -> Sos4Certificate:
+    """The rule pipeline of ``certify_sos4`` on an f whose positivity
+    certificate ``positivity`` has a true verdict; ``split`` is a
+    checked witness or None."""
     if split is None:
         split = complete_square_split(f)
-
+    diagram = cache(lambda: newton_diagram(f))  # one for both diagram rules
     outcomes: list[tuple[str, str, Evidence]] = []
 
     def run(name, producer, conclusive_verdict):
@@ -340,8 +370,8 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
          lambda: rule_simple_z2_root(f, positivity.on_squarefree_part)),
         (SOS4, "two_square_split",
          lambda: _two_square(*split) if split else None),
-        (SOS4, "eisenstein", lambda: rule_eisenstein(f)),
-        (SOS4, "pure_even_divisor", lambda: rule_pure_even_divisor(f)),
+        (SOS4, "eisenstein", lambda: rule_eisenstein(f, diagram())),
+        (SOS4, "pure_even_divisor", lambda: rule_pure_even_divisor(f, diagram())),
         (SOS4, "mod2_even_degrees", lambda: rule_mod2_even_degrees(f)),
     ]
     result: Sos4Certificate | None = None

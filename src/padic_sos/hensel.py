@@ -21,7 +21,6 @@ Three capabilities, all exact:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
@@ -219,12 +218,13 @@ def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
 
 
 def _odd_cleared_scaled(f: RatPoly) -> tuple[list[int], int]:
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    if lcm % 2 == 0:
+    """(lcm * f, lcm) for the lcm of f's denominators, which is the
+    denominator of the content: lcm * c*P is the content's numerator
+    times P."""
+    c = f.content
+    if c.denominator % 2 == 0:
         raise ValueError("polynomial is not 2-adically integral")
-    return [int(c * lcm) for c in f.coeffs], lcm
+    return [c.numerator * x for x in f.primitive_part], c.denominator
 
 
 def _odd_cleared(f: RatPoly) -> list[int]:

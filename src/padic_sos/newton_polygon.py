@@ -70,10 +70,13 @@ def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def newton_diagram(f: RatPoly) -> NewtonDiagram:
+    """The diagram read from the model f = c*P: ord2(c_i) is
+    ord2(P_i) + ord2(c)."""
     if f.is_zero:
         raise ValueError("the zero polynomial has no Newton diagram")
-    pts = [(i, ord2_int(c.numerator) - ord2_int(c.denominator))
-           for i, c in enumerate(f.coeffs) if c != 0]
+    c = f.content
+    v = ord2_int(c.numerator) - ord2_int(c.denominator)
+    pts = [(i, ord2_int(x) + v) for i, x in enumerate(f.primitive_part) if x]
     verts = _lower_hull(pts)
     segs = []
     for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
@@ -94,12 +97,13 @@ def is_pure(diagram: NewtonDiagram, f0_nonzero: bool | None = None) -> bool:
     return f0_nonzero and diagram.is_segment
 
 
-def eisenstein_irreducible(f: RatPoly) -> bool:
+def eisenstein_irreducible(f: RatPoly, diagram: NewtonDiagram | None = None) -> bool:
     """Sufficient irreducibility test over the 2-adic field: pure with
-    segment rise coprime to the degree.  False only means "no verdict"."""
+    segment rise coprime to the degree.  False only means "no verdict".
+    ``diagram`` is f's diagram when the caller already has it."""
     if f.degree < 1:
         return False
-    d = newton_diagram(f)
+    d = newton_diagram(f) if diagram is None else diagram
     if not is_pure(d):
         return False
     (x1, y1), (x2, y2) = d.vertices[0], d.vertices[-1]

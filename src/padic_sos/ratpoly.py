@@ -1,8 +1,18 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are dense coefficient tuples of ``fractions.Fraction`` in
-ascending degree order, always stored with a nonzero top coefficient
-(the zero polynomial is the empty tuple).
+A ``RatPoly`` f is stored as content times primitive part, f = c*P:
+P is a tuple of integers in ascending degree order with gcd 1, a
+positive top coefficient and no trailing zero, and c is a nonzero
+``fractions.Fraction`` that carries the sign of f (the zero polynomial
+is c = 0 with the empty P).  The model is unique, so equality compares it
+directly, and it is the integer form every kernel works on: the
+primitive integer model of f is P times the sign of c, and the lcm of
+the coefficient denominators is the denominator of c.  By Gauss's
+lemma a product of primitive polynomials is primitive, so products and
+powers need no gcd; sums, derivatives, Taylor shifts and evaluation run
+on integers with one content gcd per result.  The Fraction coefficient
+tuple (``coeffs``, ``f[i]``, ``str``, ``hash``) is built on first use
+and cached.
 
 Root counting, square-freeness and gcds run on one fraction-free kernel:
 a sign-tracked remainder sequence of primitive integer polynomials
@@ -28,6 +38,9 @@ class SearchDepthExceeded(RuntimeError):
     """A certified halving search ran out of its configured depth."""
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -37,15 +50,27 @@ def _frac(x) -> Fraction:
 
 
 class RatPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients,
+    stored as content times primitive part (see the module docstring)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_c", "_p", "_fr")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
+        self._fr = tuple(cs)
+        if not cs:
+            self._c, self._p = _ZERO, ()
+            return
+        # the content of reduced fractions is gcd(numerators) /
+        # lcm(denominators): a prime of the gcd divides no denominator
+        g = math.gcd(*(c.numerator for c in cs))
+        if cs[-1] < 0:
+            g = -g
+        lcm = math.lcm(*(c.denominator for c in cs))
+        self._c = Fraction(g, lcm)
+        self._p = tuple(c.numerator // g * (lcm // c.denominator) for c in cs)
 
     @classmethod
     def constant(cls, c) -> "RatPoly":
@@ -56,54 +81,73 @@ class RatPoly:
         return cls([0] * k + [c])
 
     @property
+    def content(self) -> Fraction:
+        """The signed content c of f = c*P (zero for the zero polynomial)."""
+        return self._c
+
+    @property
+    def primitive_part(self) -> tuple[int, ...]:
+        """The primitive integer tuple P of f = c*P, top coefficient > 0."""
+        return self._p
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """Ascending reduced Fraction coefficients, built from the model
+        on first use and cached."""
+        fr = self._fr
+        if fr is None:
+            n, d = self._c.numerator, self._c.denominator
+            fr = self._fr = tuple(Fraction(n * x, d) for x in self._p)
+        return fr
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._p) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._p
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._p:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self[len(self._p) - 1]
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
+        if 0 <= i < len(self._p):
+            if self._fr is not None:
+                return self._fr[i]
+            return self._c * self._p[i]
+        return _ZERO
 
     def __iter__(self):
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
-            return self._coeffs == other._coeffs
+            return self._p == other._p and self._c == other._c
         if isinstance(other, (int, Fraction)):
             return self == RatPoly([other])
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._p)
 
     def __repr__(self) -> str:
         return f"RatPoly({self})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -123,18 +167,29 @@ class RatPoly:
             other = RatPoly([other])
         if not isinstance(other, RatPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        if not other._p:
+            return self
+        if not self._p:
+            return other
+        # c1 = g*a1 / (h*e1) and c2 = g*a2 / (h*e2), so
+        # c1*P1 + c2*P2 = g / (h*e1*e2) * (a1*e2*P1 + a2*e1*P2)
+        n1, d1 = self._c.numerator, self._c.denominator
+        n2, d2 = other._c.numerator, other._c.denominator
+        g, h = math.gcd(n1, n2), math.gcd(d1, d2)
+        e1, e2 = d1 // h, d2 // h
+        m1, m2 = n1 // g * e2, n2 // g * e1
+        a, b = self._p, other._p
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            a, b, m1, m2 = b, a, m2, m1
+        out = [m1 * x for x in a]
+        for i, x in enumerate(b):
+            out[i] += m2 * x
+        return _from_ints(out, g, h * e1 * e2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self._coeffs])
+        return _model(-self._c, self._p)
 
     def __sub__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -148,51 +203,57 @@ class RatPoly:
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self._coeffs])
+            if not other or not self._p:
+                return RatPoly()
+            return _model(self._c * other, self._p)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self._p or not other._p:
             return RatPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        return _model(self._c * other._c, _int_mul(self._p, other._p))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = RatPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return RatPoly([1])
+        if not self._p:
+            return self
+        result, base, k = None, self._p, n
+        while True:
+            if k & 1:
+                result = base if result is None else _int_mul(result, base)
+            k >>= 1
+            if not k:
+                break
+            base = _int_mul(base, base)
+        return _model(self._c ** n, result)
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if not isinstance(other, RatPoly) or other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self._coeffs) - len(other._coeffs) + 1, 1)
-        rem = list(self._coeffs)
-        d, lc = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
-            for i, c in enumerate(other._coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return RatPoly(q), RatPoly(rem)
+        a, b = self._p, other._p
+        steps = len(a) - len(b) + 1
+        if steps <= 0:
+            return RatPoly(), self
+        # pseudo-division on the primitive parts: lb^steps * a = q*b + r
+        n, lb = len(b), b[-1]
+        r, q = list(a), [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c = r.pop()
+            if lb != 1:
+                r = [lb * x for x in r]
+                q = [lb * x for x in q]
+            q[k] = c
+            if c:
+                for i in range(n - 1):
+                    r[k + i] -= c * b[i]
+        c1, c2, scale = self._c, other._c, lb ** steps
+        return (_from_ints(q, c1.numerator * c2.denominator,
+                           c1.denominator * c2.numerator * scale),
+                _from_ints(r, c1.numerator, c1.denominator * scale))
 
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[0]
@@ -204,26 +265,40 @@ class RatPoly:
         return self.evaluate(t)
 
     def evaluate(self, t) -> Fraction:
-        """Evaluate at a rational point by Horner's rule, exactly."""
+        """Evaluate at a rational point r/s exactly: Horner's rule on
+        s^d * P(r/s), an integer."""
         t = _frac(t)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+        if not self._p:
+            return _ZERO
+        r, s = t.numerator, t.denominator
+        acc, power = 0, 1
+        for x in reversed(self._p):
+            acc = acc * r + x * power
+            power *= s
+        return Fraction(self._c.numerator * acc,
+                        self._c.denominator * (power // s))
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _from_ints([i * x for i, x in enumerate(self._p)][1:],
+                          self._c.numerator, self._c.denominator)
 
     def shift(self, a) -> "RatPoly":
-        """Return g with g(t) = f(t + a); a linear change of variables."""
+        """Return g with g(t) = f(t + a); a linear change of variables.
+
+        For a = r/s, s^d * P(t + r/s) = U(s*t) where U(y) = Q(y + r)
+        and Q(y) = s^d * P(y/s), all integer polynomials; U comes from
+        Q by an integer Taylor shift."""
         a = _frac(a)
-        if a == 0:
+        d = len(self._p) - 1
+        if a == 0 or d < 1:
             return self
-        out = RatPoly()
-        xa = RatPoly([a, 1])
-        for c in reversed(self._coeffs):
-            out = out * xa + RatPoly([c])
-        return out
+        r, s = a.numerator, a.denominator
+        h = [x * s ** (d - i) for i, x in enumerate(self._p)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                h[k] += r * h[k + 1]
+        h = [x * s ** i for i, x in enumerate(h)]
+        return _from_ints(h, self._c.numerator, self._c.denominator * s ** d)
 
     def reverse(self) -> "RatPoly":
         """Reverse the coefficient vector over the declared degree.
@@ -231,24 +306,54 @@ class RatPoly:
         For f of degree d this is x^d * f(1/x); the result may have
         smaller degree when the constant coefficient vanishes.
         """
-        return RatPoly(tuple(reversed(self._coeffs)))
+        p = list(reversed(self._p))
+        while p and not p[-1]:
+            p.pop()
+        if p and p[-1] < 0:
+            return _model(-self._c, tuple(-x for x in p))
+        return _model(self._c, tuple(p))
+
+
+def _model(c: Fraction, p: tuple[int, ...]) -> RatPoly:
+    """The polynomial c*P for a P already in model form."""
+    f = object.__new__(RatPoly)
+    f._c, f._p, f._fr = c, p, None
+    return f
+
+
+def _from_ints(ints: list[int], num: int = 1, den: int = 1) -> RatPoly:
+    """The polynomial (num/den) * ints for any integer list: trailing
+    zeros are stripped and the signed content moves into c."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return RatPoly()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return _model(Fraction(num * g, den), tuple(ints))
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 X = RatPoly([0, 1])
 
 
 def primitive_integer_coeffs(f: RatPoly) -> list[int]:
-    """Integer coefficients of the primitive rational multiple of f.
-
-    Clears denominators and divides out the content; the result is
-    unique up to the sign of f, which is preserved.
-    """
-    if f.is_zero:
-        return []
-    lcm = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in f.coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
+    """Integer coefficients of the primitive rational multiple of f:
+    its primitive part, with the sign of f."""
+    if f.content < 0:
+        return [-x for x in f.primitive_part]
+    return list(f.primitive_part)
 
 
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -292,7 +397,9 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     if not a:
         return RatPoly()
     last = _remainder_sequence(a, b)[-1]
-    return RatPoly([Fraction(c, last[-1]) for c in last])
+    if last[-1] < 0:
+        last = [-x for x in last]
+    return _model(Fraction(1, last[-1]), tuple(last))
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -324,7 +431,7 @@ def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
         return unit, []
     parts: list[tuple[RatPoly, int]] = []
     a = primitive_integer_coeffs(f)
-    g = primitive_integer_coeffs(poly_gcd(f, f.derivative()))
+    g = poly_gcd(f, f.derivative()).primitive_part
     b = _exact_quotient(a, g)
     c = _exact_quotient([i * x for i, x in enumerate(a)][1:], g)
     i = 1
@@ -333,10 +440,10 @@ def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
         c = [x - y for x, y in zip(c + [0] * (len(db) - len(c)), db)]
         while c and c[-1] == 0:
             c.pop()
-        monic = poly_gcd(RatPoly(b), RatPoly(c))
+        monic = poly_gcd(_from_ints(list(b)), _from_ints(list(c)))
         if monic.degree > 0:
             parts.append((monic, i))
-        g = primitive_integer_coeffs(monic)
+        g = monic.primitive_part
         b, c = _exact_quotient(b, g), _exact_quotient(c, g)
         i += 1
     return unit, parts
@@ -349,8 +456,8 @@ def squarefree_part(f: RatPoly) -> RatPoly:
     if f.degree == 0:
         return RatPoly([1])
     g = poly_gcd(f, f.derivative())
-    h = f // g
-    return h * (1 / h.leading)
+    h = _exact_quotient(f.primitive_part, g.primitive_part)
+    return _model(Fraction(1, h[-1]), tuple(h))
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +696,13 @@ class PositivityCertificate:
 def is_positive_on_reals(f: RatPoly) -> PositivityCertificate:
     if f.is_zero:
         raise ValueError("zero polynomial")
-    lead = 1 if f.leading > 0 else -1
-    c0 = f[0]
-    csign = 0 if c0 == 0 else (1 if c0 > 0 else -1)
+    # the primitive part has a positive top coefficient, so the content
+    # carries the sign of f's
+    lead = 1 if f.content > 0 else -1
+    p0 = f.primitive_part[0]
+    csign = 0 if p0 == 0 else (lead if p0 > 0 else -lead)
     if f.degree == 0:
-        return PositivityCertificate(0, 0, lead, csign, True, c0 > 0)
+        return PositivityCertificate(0, 0, lead, csign, True, csign > 0)
     rank, sig = count_distinct_and_real_roots(f)
     verdict = f.degree % 2 == 0 and lead > 0 and csign > 0 and sig == 0
     return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict)
@@ -634,6 +743,12 @@ def epsilon_below_infimum(f: RatPoly, max_halvings: int = 128) -> Fraction:
     """
     if not is_positive_on_reals(f).verdict:
         raise ValueError("epsilon search requires f strictly positive on R")
+    return _epsilon_search(f, max_halvings)
+
+
+def _epsilon_search(f: RatPoly, max_halvings: int = 128) -> Fraction:
+    """The search of ``epsilon_below_infimum`` on an f already known to
+    be strictly positive on R."""
     c0 = f[0]
     e = 0
     while Fraction(1, 2 ** e) > c0:
@@ -658,6 +773,12 @@ def perturbation_bound(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fract
         raise ValueError("perturbation bound requires f positive on R")
     if not positivity.on_squarefree_part:
         raise ValueError("perturbation bound requires square-free f")
+    return _perturbation_search(f, g, max_halvings)
+
+
+def _perturbation_search(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fraction:
+    """The search of ``perturbation_bound`` on an f already known to be
+    square-free and strictly positive on R."""
     if g.degree > f.degree:
         raise ValueError("deg g must be bounded by deg f")
     if g.is_zero:

@@ -28,6 +28,13 @@ splitter f becomes a sum of five squares.  The routes:
 denominators cleared by a square, small shifts searched) and tries the
 routes in order, transporting h and the certificate back through the
 normalization.
+
+Positivity is tested once per polynomial.  Each public route gates its
+input with one ``PositivityCertificate`` and hands it to a private body
+(``_odd_valuation``, ``_multiple_of_four``, ...), which takes it as
+gated; ``reduce_auto`` gates its core once and calls the bodies.  The
+certificate in hand goes to ``certify_sos4``, which reads it instead of
+testing the same polynomial again.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ from .f2 import f2_mul
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness,
                      hensel_split, newton_refine, z2_root_status)
 from .padic import is_square_in_q2, ord2
-from .ratpoly import (RatPoly, SearchDepthExceeded, discriminant,
-                      epsilon_below_infimum, is_positive_on_reals,
-                      is_squarefree, perturbation_bound,
+from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
+                      _epsilon_search, _perturbation_search, discriminant,
+                      is_positive_on_reals, is_squarefree,
                       squarefree_decomposition)
 from .newton_polygon import newton_diagram
 
@@ -145,12 +152,14 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_squarefree_positive(f: RatPoly) -> None:
+def _require_squarefree_positive(f: RatPoly) -> PositivityCertificate:
     """One positivity certificate gates a route: its rank tells
-    square-freeness, its verdict strict positivity."""
+    square-freeness, its verdict strict positivity.  The private route
+    bodies below it take f as gated."""
     positivity = is_positive_on_reals(f)
     _require(positivity.on_squarefree_part, "input must be square-free")
     _require(positivity.verdict, "input must be positive on R")
+    return positivity
 
 
 def _dyadic_exponent(eps: Fraction) -> int:
@@ -189,10 +198,14 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     Eisenstein-irreducible of even degree."""
     _require(not f.is_zero and f.degree >= 2, "need degree >= 2")
     _require_squarefree_positive(f)
+    return _odd_valuation(f)
+
+
+def _odd_valuation(f: RatPoly) -> ReductionResult:
     kd = ord2(f.leading)[0]
     _require(kd % 2 == 1, "k_d must be odd")
     d = f.degree
-    eps = epsilon_below_infimum(f)
+    eps = _epsilon_search(f)
     l1, l2, l3, params = _valuation_bounds(f, eps)
     l = max(l1, l2, l3)
     trace = []
@@ -215,11 +228,15 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
              "degree must be a positive multiple of 4")
     _require_squarefree_positive(f)
+    return _multiple_of_four(f)
+
+
+def _multiple_of_four(f: RatPoly) -> ReductionResult:
     kd = ord2(f.leading)[0]
     if kd % 2 == 1:
-        return reduce_odd_valuation(f)
+        return _odd_valuation(f)
     d = f.degree
-    eps = epsilon_below_infimum(f)
+    eps = _epsilon_search(f)
     l1, l2, l3, params = _valuation_bounds(f, eps)
     l = max(l1, l2, l3)
     increments = 0
@@ -244,14 +261,16 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     _require(cap >= 0, "cap must be nonnegative")
     _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
              "need positive even degree")
-    _require_squarefree_positive(f)
-    first = certify_sos4(f)
+    positivity = _require_squarefree_positive(f)
+    first = certify_sos4(f, positivity=positivity)
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first, f,
                                {"note": "already a sum of four squares"})
     d = f.degree
+    # f* = x^d f(1/x) is positive too: x^d f(1/x) > 0 for x != 0, and
+    # f*(0) is the leading coefficient of f
     fstar = f.reverse()
-    eps = min(epsilon_below_infimum(f), epsilon_below_infimum(fstar))
+    eps = min(_epsilon_search(f), _epsilon_search(fstar))
     l = math.ceil(Fraction(_dyadic_exponent(eps), 2))
     l_init = l
     iterates: list[IterateRecord] = []
@@ -288,9 +307,14 @@ def reduce_constant_three_mod_four(f: RatPoly, n_limit: int = 99,
     hence Eisenstein-irreducible of even degree."""
     _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
              "need positive even degree")
-    _require(all(c.denominator == 1 for c in f.coeffs),
+    _require(f.content.denominator == 1,
              "integer coefficients required")
     _require(is_positive_on_reals(f).verdict, "input must be positive on R")
+    return _constant_three_mod_four(f, n_limit, l_limit)
+
+
+def _constant_three_mod_four(f: RatPoly, n_limit: int = 99,
+                             l_limit: int = 64) -> ReductionResult:
     c0 = f[0]
     v, u = ord2(c0)
     _require(v % 2 == 0 and u % 4 == 3,
@@ -312,11 +336,12 @@ def reduce_constant_three_mod_four(f: RatPoly, n_limit: int = 99,
                 if len(trace) < 50:
                     trace.append(("N", n, "l", ell, "rejected", "diagram"))
                 continue
-            if not is_positive_on_reals(g).verdict:
+            positivity = is_positive_on_reals(g)
+            if not positivity.verdict:
                 if len(trace) < 50:
                     trace.append(("N", n, "l", ell, "rejected", "positivity"))
                 continue
-            cert = certify_sos4(g)
+            cert = certify_sos4(g, positivity=positivity)
             params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
             return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
     raise SearchDepthExceeded(
@@ -330,12 +355,16 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
     2-adic factor has even degree."""
     _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
              "degree must be a positive multiple of 4")
-    _require(all(c.denominator == 1 for c in f.coeffs),
+    _require(f.content.denominator == 1,
              "integer coefficients required")
     _require_squarefree_positive(f)
+    return _cyclotomic_power(f)
+
+
+def _cyclotomic_power(f: RatPoly) -> ReductionResult:
     k = f.degree // 4
     base = CYCLOTOMIC ** (2 * k)
-    eps0 = perturbation_bound(f, -base)
+    eps0 = _perturbation_search(f, -base)
     ell = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
     ell = max(ell, 1)
     h = (CYCLOTOMIC ** k) * Fraction(1, 2 ** ell)
@@ -343,15 +372,6 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
     cert = certify_sos4(g)
     params = {"l": ell, "k": k, "epsilon0": eps0}
     return _finish(METHOD_GR4, f, h, cert, params)
-
-
-def _picky_checks(f: RatPoly) -> int:
-    _require(not f.is_zero and f.degree >= 2 and (f.degree - 2) % 4 == 0,
-             "degree must be 2 mod 4 (that is, 2*(2k+1))")
-    _require(all(c.denominator == 1 for c in f.coeffs),
-             "integer coefficients required")
-    _require_squarefree_positive(f)
-    return (f.degree - 2) // 4
 
 
 def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
@@ -364,11 +384,21 @@ def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
     the same family is certifiably NOT a sum of four squares: the
     scaled difference has a simple 2-adic root near 2^(l+a), returned
     as a verified obstruction."""
-    k = _picky_checks(f)
+    _require(not f.is_zero and f.degree >= 2 and (f.degree - 2) % 4 == 0,
+             "degree must be 2 mod 4 (that is, 2*(2k+1))")
+    _require(f.content.denominator == 1,
+             "integer coefficients required")
+    _require_squarefree_positive(f)
+    return _twice_odd_degree(f, refine_precision)
+
+
+def _twice_odd_degree(f: RatPoly, refine_precision: int = 64
+                      ) -> ReductionResult | ObstructionReport:
+    k = (f.degree - 2) // 4
     d = f.degree
     k0 = ord2(f[0])[0]
     base = (CYCLOTOMIC ** (2 * k)) * RatPoly.monomial(2) if k else RatPoly.monomial(2)
-    eps0 = perturbation_bound(f, -base)
+    eps0 = _perturbation_search(f, -base)
     ell_pos = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
 
     if is_square_in_q2(f[0]):
@@ -478,7 +508,7 @@ def square_plus_8a_minus_1(g: RatPoly, a: int) -> tuple[RatPoly, tuple[RatPoly, 
     square, splitting f into two coprime odd-degree factors)."""
     _require(a >= 1, "a must be a positive integer")
     _require(g.degree >= 1 and g.degree % 2 == 1, "g must have odd degree")
-    _require(all(c.denominator == 1 for c in g.coeffs),
+    _require(g.content.denominator == 1,
              "g must have integer coefficients")
     c = Fraction(8 * a - 1)
     return g * g + RatPoly([c]), (g, c)
@@ -505,10 +535,10 @@ ALWAYS_SQUARE_NOTE = (
 
 def _square_clearing_scale(f: RatPoly) -> int:
     """Smallest positive D with D^2 * f integral (falls back to the
-    full denominator lcm when it is too large to factor quickly)."""
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    full denominator lcm when it is too large to factor quickly).  The
+    lcm of the coefficient denominators is the denominator of the
+    content."""
+    lcm = f.content.denominator
     if lcm == 1:
         return 1
     if lcm > 10 ** 12:
@@ -549,7 +579,9 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
     """
     if f.is_zero or not (positivity := is_positive_on_reals(f)).verdict:
         raise ValueError("input must be strictly positive on R")
-    # a square-free f is its own core, as Yun's decomposition would give
+    # a square-free f is its own core, as Yun's decomposition would give;
+    # otherwise the core f / square_part^2 is square-free and positive
+    # too, and one certificate of its own gates it
     square_part = RatPoly([1])
     core = f
     if not positivity.on_squarefree_part:
@@ -559,6 +591,7 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
             square_part = square_part * g_i ** (mult // 2)
             if mult % 2 == 1:
                 core = core * g_i
+        positivity = is_positive_on_reals(core)
     trace: list = []
 
     def attempt(route, call):
@@ -570,7 +603,7 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
         trace.append((route, f"succeeded ({res.method})"))
         return res
 
-    first = certify_sos4(core)
+    first = certify_sos4(core, positivity=positivity)
     trace.append(("certify", first.verdict))
     if first.verdict == SOS4:
         residual = f
@@ -581,11 +614,11 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
 
     kd = ord2(core.leading)[0]
     if kd % 2 == 1:
-        res = attempt("alg6", lambda: reduce_odd_valuation(core))
+        res = attempt("alg6", lambda: _odd_valuation(core))
         if res:
             return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
     if core.degree % 4 == 0 and core.degree >= 4:
-        res = attempt("algn", lambda: reduce_multiple_of_four(core))
+        res = attempt("algn", lambda: _multiple_of_four(core))
         if res:
             return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
 
@@ -597,14 +630,14 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
             scale = _square_clearing_scale(shifted)
             candidate = shifted * (scale * scale)
             res = attempt(f"nos@shift={shift}",
-                          lambda c=candidate: reduce_constant_three_mod_four(c))
+                          lambda c=candidate: _constant_three_mod_four(c))
             if res:
                 return _transport(res, f, square_part, scale, shift, tuple(trace))
 
     if core.degree % 4 == 0 and core.degree >= 4:
         scale = _square_clearing_scale(core)
         res = attempt("gr4",
-                      lambda: reduce_cyclotomic_power(core * (scale * scale)))
+                      lambda: _cyclotomic_power(core * (scale * scale)))
         if res:
             return _transport(res, f, square_part, scale, Fraction(0), tuple(trace))
 
@@ -619,7 +652,7 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
             scale = _square_clearing_scale(shifted)
             candidate = shifted * (scale * scale)
             res = attempt(f"picky@shift={shift}",
-                          lambda c=candidate: reduce_twice_odd_degree(c))
+                          lambda c=candidate: _twice_odd_degree(c))
             if isinstance(res, ReductionResult):
                 return _transport(res, f, square_part, scale, shift, tuple(trace))
 

@@ -9,7 +9,9 @@ versioned under the top-level key ``schema`` as ``padic-sos/1``.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -32,9 +34,43 @@ SCHEMA = "padic-sos/1"
 # exact kernels finish on.
 MAX_EXPONENT = 10_000
 
+# Bits of the largest all-integer input the parser accepts: MAX_EXPONENT + 1
+# coefficients at int()'s digit limit (None when that limit is off).  A
+# RatPoly keeps f = c*P with P integral, and denominators enlarge P: its
+# coefficient i is n_i * (L / d_i) / gcd(n) for f_i = n_i / d_i and
+# L = lcm(d), at most bits(n_i) + bits(L) - bits(d_i) + 1 bits.  So
+# 10001 coefficients 1/p over distinct primes make every P_i about
+# 150,000 bits.  An input whose sum of bits(n_i) + bits(L) - bits(d_i)
+# exceeds MAX_MODEL_BITS is refused; for integer input that sum is the
+# bits of its coefficients, so no all-integer input is refused.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+MAX_MODEL_BITS = ((MAX_EXPONENT + 1) * (10 ** _INT_DIGITS - 1).bit_length()
+                  if _INT_DIGITS else None)
+
 
 class PolyParseError(ValueError):
     pass
+
+
+def _bounded_poly(coeffs: list[Fraction]) -> RatPoly:
+    """RatPoly(coeffs), refused past MAX_MODEL_BITS.  L grows one
+    denominator at a time and every step bounds the final sum from
+    below, so a refused input never builds its whole lcm."""
+    if MAX_MODEL_BITS is not None:
+        nonzero = [c for c in coeffs if c]
+        base = sum(c.numerator.bit_length() - c.denominator.bit_length()
+                   for c in nonzero)
+        lcm = 1
+        for c in nonzero:
+            grown = math.lcm(lcm, c.denominator)
+            if grown != lcm:
+                lcm = grown
+                if base + len(nonzero) * lcm.bit_length() > MAX_MODEL_BITS:
+                    raise PolyParseError(
+                        "coefficients too large once their denominators are "
+                        f"cleared: more than {MAX_MODEL_BITS} bits, the size "
+                        "of the largest all-integer input")
+    return RatPoly(coeffs)
 
 
 def frac_str(q) -> str:
@@ -70,7 +106,7 @@ def poly_from_json(data) -> RatPoly:
     if len(data) > MAX_EXPONENT + 1:
         raise PolyParseError(
             f"polynomial JSON array has more than {MAX_EXPONENT + 1} entries")
-    return RatPoly([_json_coeff(i, c) for i, c in enumerate(data)])
+    return _bounded_poly([_json_coeff(i, c) for i, c in enumerate(data)])
 
 
 _TERM = re.compile(
@@ -132,7 +168,7 @@ def parse_poly(text: str) -> RatPoly:
     if not coeffs:
         raise PolyParseError("no terms found")
     size = max(coeffs) + 1
-    return RatPoly([coeffs.get(i, Fraction(0)) for i in range(size)])
+    return _bounded_poly([coeffs.get(i, Fraction(0)) for i in range(size)])
 
 
 # ---------------------------------------------------------------------------

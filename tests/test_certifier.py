@@ -174,3 +174,45 @@ def test_verdict_invariant_under_integer_shift():
         for n in range(-2, 3):
             cert = certify_sos4(f.shift(n), witness=(A.shift(n), c))
             assert cert.verdict == NOT_SOS4
+
+
+def test_one_newton_diagram_per_certification(monkeypatch):
+    import padic_sos.certifier as certifier
+    calls = []
+    original = certifier.newton_diagram
+
+    def recording(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(certifier, "newton_diagram", recording)
+    cases = [RatPoly([2, 0, 1]), RatPoly([6, 0, 0, 0, 1]), ALWAYS_SQUARE,
+             RatPoly([3, 1, 1, 1, 1])]
+    for f in cases:
+        calls.clear()
+        cert = certify_sos4(f, check_all_rules=True)
+        # the Eisenstein and pure-divisor rules both ran on one diagram
+        assert calls == [f]
+        if cert.rule in ("eisenstein", "pure_even_divisor"):
+            assert cert.evidence.diagram == original(f)
+
+
+def test_certify_reads_a_positivity_certificate_in_hand(monkeypatch):
+    import padic_sos.certifier as certifier
+    from padic_sos.ratpoly import is_positive_on_reals
+    cases = [RatPoly([3, 0, 1]), RatPoly([2, 0, 1]), ALWAYS_SQUARE,
+             RatPoly([-1, 0, 1]), square_plus_8a_minus_1(RatPoly([0, 1]), 1)[0]]
+    held = [is_positive_on_reals(f) for f in cases]
+    fresh = [certify_sos4(f) for f in cases]
+    square = RatPoly([0, 0, 1])
+    square_positivity = is_positive_on_reals(square)
+
+    def refusing(f):
+        raise AssertionError("a held certificate was recomputed")
+
+    monkeypatch.setattr(certifier, "is_positive_on_reals", refusing)
+    for f, positivity, cert in zip(cases, held, fresh):
+        assert certify_sos4(f, positivity=positivity) == cert
+    # the gate's messages stay: nonnegative with a real root is refused
+    with pytest.raises(ValueError, match="real roots"):
+        certify_sos4(square, positivity=square_positivity)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import typing
@@ -11,8 +12,8 @@ from padic_sos.cli import MAX_K, main
 from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
-from padic_sos.serialize import (MAX_EXPONENT, PolyParseError, parse_poly,
-                                 poly_from_json, poly_to_json)
+from padic_sos.serialize import (MAX_EXPONENT, MAX_MODEL_BITS, PolyParseError,
+                                 parse_poly, poly_from_json, poly_to_json)
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,69 @@ def test_json_array_length_cap(tmp_path, capsys):
     src.write_text(json.dumps(at_cap + ["1"]))
     code, out, err = run_cli(capsys, "positivity", "--poly-file", str(src))
     assert code == 1 and out == "" and f"more than {MAX_EXPONENT + 1}" in err
+
+
+def _primes(n):
+    sieve = bytearray([1]) * 120_000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 347):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return [i for i, is_prime in enumerate(sieve) if is_prime][:n]
+
+
+def _model_bits(entries):
+    """The size the parser bounds: sum of bits(n) + bits(lcm) - bits(d)
+    over the nonzero coefficients n/d."""
+    cs = [F(c) for c in entries if F(c)]
+    lcm = math.lcm(*(c.denominator for c in cs))
+    return sum(c.numerator.bit_length() + lcm.bit_length() - c.denominator.bit_length()
+               for c in cs)
+
+
+# the bound follows int()'s digit limit, and there is none without one
+bounded_model = pytest.mark.skipif(MAX_MODEL_BITS is None,
+                                   reason="int() has no digit limit")
+
+
+@bounded_model
+def test_model_bound_is_the_largest_all_integer_input():
+    assert MAX_MODEL_BITS == (MAX_EXPONENT + 1) * (10 ** sys.get_int_max_str_digits()
+                                                   - 1).bit_length()
+
+
+@bounded_model
+def test_model_bound_just_past_the_cap(capsys, tmp_path):
+    # two coprime denominators of about 7000 bits each make every cleared
+    # numerator about 14286 bits; one integer entry tunes the sum exactly
+    entries = [f"1/{3 ** 4000}", f"1/{5 ** 3422}"] + ["1"] * (MAX_EXPONENT - 1)
+    gap = MAX_MODEL_BITS - _model_bits(entries)
+    assert 0 < gap < 14_000
+    entries[-1] = str(2 ** gap)
+    assert _model_bits(entries) == MAX_MODEL_BITS
+    f = poly_from_json(entries)
+    assert f.degree == MAX_EXPONENT and f.leading == 2 ** gap
+    entries[-1] = str(2 ** (gap + 1))
+    with pytest.raises(PolyParseError, match="denominators are cleared"):
+        poly_from_json(entries)
+    src = tmp_path / "past.json"
+    src.write_text(json.dumps(entries))
+    code, out, err = run_cli(capsys, "newton-polygon", "--poly-file", str(src))
+    assert code == 1 and out == "" and f"more than {MAX_MODEL_BITS} bits" in err
+
+
+@bounded_model
+def test_model_bound_on_prime_denominators():
+    primes = _primes(MAX_EXPONENT + 1)
+    entries = [f"1/{p}" for p in primes[:3000]]
+    assert poly_from_json(entries) == RatPoly([F(1, p) for p in primes[:3000]])
+    human = " + ".join(f"1/{p}*x^{i}" for i, p in enumerate(primes[:3000]))
+    assert parse_poly(human) == poly_from_json(entries)
+    # all 10001 primes: every cleared numerator would be 150,000 bits
+    with pytest.raises(PolyParseError, match="denominators are cleared"):
+        poly_from_json([f"1/{p}" for p in primes])
+    with pytest.raises(PolyParseError, match="denominators are cleared"):
+        parse_poly(" + ".join(f"1/{p}*x^{i}" for i, p in enumerate(primes)))
 
 
 def test_parse_poly_fuzz_only_parse_errors():

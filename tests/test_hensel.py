@@ -224,3 +224,19 @@ def test_reduce_mod2():
     assert reduce_mod2(RatPoly([F(1, 3), 1])) == 0b11
     with pytest.raises(ValueError):
         reduce_mod2(RatPoly([F(1, 2), 1]))
+
+
+def test_odd_clearing_reads_the_content_denominator():
+    import math
+    from padic_sos.hensel import _odd_cleared_scaled, reduce_mod2
+    rng = random.Random(5)
+    for _ in range(200):
+        f = RatPoly([F(rng.randint(-50, 50), rng.choice((1, 3, 5, 9, 15, 21)))
+                     for _ in range(rng.randint(1, 7))])
+        if f.is_zero:
+            continue
+        lcm = math.lcm(*(c.denominator for c in f.coeffs))
+        assert _odd_cleared_scaled(f) == ([int(c * lcm) for c in f.coeffs], lcm)
+    assert _odd_cleared_scaled(RatPoly([F(1, 3), F(2, 5), 7])) == ([5, 6, 105], 15)
+    with pytest.raises(ValueError, match="not 2-adically integral"):
+        reduce_mod2(RatPoly([F(1, 6), 1]))

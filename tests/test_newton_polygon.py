@@ -116,3 +116,16 @@ def test_eisenstein_implies_no_certified_z2_root():
     for f in cases:
         if f.degree >= 2 and eisenstein_irreducible(f):
             assert z2_root_status(f).tag != ROOT_EXISTS
+
+
+def test_diagram_from_the_model_matches_coefficient_valuations():
+    from padic_sos.padic import ord2
+    rng = random.Random(7)
+    for _ in range(200):
+        cs = [F(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 8, 12, 96)))
+              for _ in range(rng.randint(1, 9))]
+        f = RatPoly(cs)
+        if f.is_zero:
+            continue
+        d = newton_diagram(f)
+        assert d.points == tuple((i, ord2(c)[0]) for i, c in enumerate(f.coeffs) if c)

@@ -329,6 +329,54 @@ def test_reduce_auto_runs_yun_only_on_non_squarefree_input(monkeypatch):
 
 
 
+@pytest.fixture
+def gated(monkeypatch):
+    """Every polynomial ``is_positive_on_reals`` is called on, in order,
+    whichever module calls it."""
+    import padic_sos.certifier as certifier
+    import padic_sos.ratpoly as ratpoly
+    import padic_sos.reduction as reduction
+    calls = []
+    original = ratpoly.is_positive_on_reals
+
+    def recording(f):
+        calls.append(f)
+        return original(f)
+
+    for module in (ratpoly, certifier, reduction):
+        monkeypatch.setattr(module, "is_positive_on_reals", recording)
+    return calls
+
+
+@pytest.mark.parametrize("coeffs, method", [
+    ([3, 0, 1], "NOS"), ([5, 1, 0, 0, 2], "ALG6"), ([3, 1, 0, 0, 4], "ALGN"),
+    ([2, 1, 3, 0, 1], "ALGN"), ([1, 0, 2], "ZERO"), ([9, 0, 0, 4, 0, 0, 4], None),
+])
+def test_reduce_auto_gates_a_squarefree_core_once(gated, coeffs, method):
+    f = RatPoly(coeffs)
+    res = reduce_auto(f)
+    assert getattr(res, "method", None) == method
+    # f is its own core: one gate, before any route, and ALG6 / ALGN /
+    # the certifier take it as gated
+    assert gated[0] == f and gated.count(f) == 1
+
+
+def test_reduce_auto_gates_input_and_yun_core_once_each(gated):
+    core = RatPoly([3, 0, 1])
+    f = X2P1 ** 2 * core
+    check_result(f, reduce_auto(f))
+    assert gated[:2] == [f, core]
+    assert gated.count(f) == 1 and gated.count(core) == 1
+
+
+def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):
+    f = RatPoly([3, 1, 0, 0, 4])
+    assert f.reverse() != f
+    reduce_iterative(f, cap=3)
+    assert gated[0] == f and gated.count(f) == 1
+    assert f.reverse() not in gated
+
+
 @pytest.mark.parametrize("route, not_squarefree, not_positive", [
     (reduce_odd_valuation, X2P1 ** 2, RatPoly([-2, 0, 1])),
     (reduce_multiple_of_four, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
@@ -347,3 +395,20 @@ def test_routes_gate_on_squarefree_then_positive(route, not_squarefree, not_posi
     # neither square-free nor positive: square-freeness is reported first
     with pytest.raises(ValueError, match="input must be square-free"):
         route(-not_squarefree)
+
+
+def test_square_clearing_scale_reads_the_content_denominator():
+    from padic_sos.reduction import _square_clearing_scale
+    rng = random.Random(3)
+    for _ in range(200):
+        f = RatPoly([F(rng.randint(-30, 30), rng.choice((1, 2, 4, 8, 12, 18, 45, 50)))
+                     for _ in range(rng.randint(1, 6))])
+        if f.is_zero:
+            continue
+        scale = _square_clearing_scale(f)
+        assert (f * scale ** 2).content.denominator == 1
+        # smallest: no proper divisor clears f with its square
+        assert all((f * (scale // p) ** 2).content.denominator != 1
+                   for p in (2, 3, 5) if scale % p == 0)
+    assert _square_clearing_scale(RatPoly([F(1, 12), 1])) == 6
+    assert _square_clearing_scale(RatPoly([F(1, 10 ** 13 + 37), 1])) == 10 ** 13 + 37

@@ -38,6 +38,7 @@ _EXPORTS = {
                   "square_plus_8a_minus_1"),
     "serialize": ("parse_poly",),
     "f2": (),
+    "zpoly": (),
     "cli": (),
 }
 

@@ -42,8 +42,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import f2
-from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, z2_root_status,
-                     verify_root_witness)
+from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,
+                     verify_root_witness, z2_root_status)
 from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
 from .padic import is_square_in_q2
@@ -165,9 +165,7 @@ class Sos4Certificate:
 # Splitting f = A^2 + c
 # ---------------------------------------------------------------------------
 
-def complete_square_split(f: RatPoly,
-                          degree_cap: int = SPLIT_SEARCH_DEGREE_CAP
-                          ) -> tuple[RatPoly, Fraction] | None:
+def complete_square_split(f: RatPoly) -> tuple[RatPoly, Fraction] | None:
     """The unique split f = A^2 + c with deg A = deg f / 2 and c a
     constant, if one exists.  A's coefficients come triangularly from
     the top half of f, so the split exists exactly when the leading
@@ -179,7 +177,7 @@ def complete_square_split(f: RatPoly,
     denominator of b_i divides 2^(2(m-i)-1) * p^(m-i).
     """
     d = f.degree
-    if d < 0 or d % 2 != 0 or d > degree_cap:
+    if d < 0 or d % 2 != 0 or d > SPLIT_SEARCH_DEGREE_CAP:
         return None
     if d == 0:
         return None
@@ -428,13 +426,13 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
     if isinstance(ev, TwoSquareSplit):
         return (cert.verdict == SOS4
                 and f == ev.a_poly * ev.a_poly + RatPoly([ev.s * ev.s]))
-    if isinstance(ev, EisensteinEvenDegree):
-        return (cert.verdict == SOS4 and f.degree % 2 == 0
-                and eisenstein_irreducible(f))
-    if isinstance(ev, PureEvenDivisor):
+    if isinstance(ev, (EisensteinEvenDegree, PureEvenDivisor)):
         diagram = newton_diagram(f)
-        return (cert.verdict == SOS4 and is_pure(diagram)
-                and factor_degree_divisor(diagram) == ev.divisor
+        if cert.verdict != SOS4 or ev.diagram != diagram:
+            return False
+        if isinstance(ev, EisensteinEvenDegree):
+            return f.degree % 2 == 0 and eisenstein_irreducible(f, diagram)
+        return (is_pure(diagram) and factor_degree_divisor(diagram) == ev.divisor
                 and ev.divisor % 2 == 0)
     if isinstance(ev, Mod2EvenDegrees):
         fresh = rule_mod2_even_degrees(f)
@@ -459,6 +457,17 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
             return False
         if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
             return False
+        # the recorded split is the lift of [scaled] = (bits / x^2) * x^2
+        # to the recorded power-of-two modulus
+        precision = ev.modulus.bit_length() - 1
+        if precision < 1 or ev.modulus != 1 << precision:
+            return False
+        try:
+            factors = hensel_split(scaled, bits >> 2, 0b100, precision)
+        except ValueError:  # the scaled model is not odd-cleared integral
+            return False
+        if (len(factors.g) - 1, len(factors.h) - 1) != (ev.g_degree, ev.h_degree):
+            return False
         return (ev.root_status.tag == NO_ROOT
-                and z2_root_status(scaled).tag == NO_ROOT)
+                and ev.root_status == z2_root_status(scaled))
     return False

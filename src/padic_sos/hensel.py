@@ -1,6 +1,7 @@
 """Hensel lifting over the 2-adic integers and certified root status.
 
-Three capabilities, all exact:
+Three capabilities, all exact and all on integer coefficient lists with
+the ``zpoly`` kernel's arithmetic:
 
 * ``hensel_split``: lift a coprime factorization modulo 2 to one
   modulo 2^m, doubling the precision each round with Bezout cofactors
@@ -14,15 +15,18 @@ Three capabilities, all exact:
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
   negative valuation.  The tree ends on square-free input, and a
-  repeated factor sends it to the square-free part;
+  repeated factor sends it to the square-free part, the exact quotient
+  of the primitive model by that of gcd(f, f');
 * ``newton_refine``: push a certified witness to any target precision
   by Newton iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
+from . import zpoly
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
 from .padic import ord2_int
 from .ratpoly import RatPoly, poly_gcd, primitive_integer_coeffs, squarefree_part
@@ -59,21 +63,10 @@ class RootStatus:
     witness: RootWitness | None
 
 
-def _int_eval(coeffs: list[int], t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _int_derivative(coeffs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
 def _certify(coeffs: list[int], dcoeffs: list[int], gamma: int,
              on_reversal: bool) -> RootWitness | None:
-    v = _int_eval(coeffs, gamma)
-    dv = _int_eval(dcoeffs, gamma)
+    v = zpoly.evaluate(coeffs, gamma)
+    dv = zpoly.evaluate(dcoeffs, gamma)
     if v == 0:
         delta = None if dv == 0 else ord2_int(dv)
         modulus = 1 if delta is None else 1 << (2 * delta + 1)
@@ -88,13 +81,8 @@ def _certify(coeffs: list[int], dcoeffs: list[int], gamma: int,
 
 def _descend(g: list[int], r: int) -> list[int]:
     """g(r + 2y) divided by the power of 2 in its content."""
-    h = list(g)
-    if r:  # Taylor shift y -> y + 1
-        for i in range(len(h) - 1):
-            for k in range(len(h) - 2, i - 1, -1):
-                h[k] += h[k + 1]
-    h = [c << i for i, c in enumerate(h)]
-    v = min(ord2_int(c) for c in h if c)
+    h = [c << i for i, c in enumerate(zpoly.taylor_shift(g, r))]
+    v = ord2_int(math.gcd(*h))
     return [c >> v for c in h]
 
 
@@ -104,12 +92,13 @@ def _lift(base: list[int], g: list[int], c: int, j: int, r: int,
     / 2^v, until gamma = c + 2^j*y passes ``_certify`` on ``base``: each
     step doubles the precision of g(y) = 0 and keeps ord2(base'(gamma)),
     so the classical condition is reached."""
-    dbase = _int_derivative(base)
-    dg = _int_derivative(g)
+    dbase = zpoly.diff(base)
+    dg = zpoly.diff(g)
     y, k = r, 1
     while (witness := _certify(base, dbase, c + (y << j), on_reversal)) is None:
         k *= 2
-        y = (y - _int_eval(g, y) * pow(_int_eval(dg, y), -1, 1 << k)) % (1 << k)
+        m = 1 << k
+        y = (y - zpoly.evaluate(g, y) * pow(zpoly.evaluate(dg, y), -1, m)) % m
     return witness
 
 
@@ -162,7 +151,8 @@ def z2_root_status(f: RatPoly) -> RootStatus:
         if gcd.degree < 1:
             witness = next(walk)
         else:
-            witness = next(_root_tree(primitive_integer_coeffs(f // gcd), 0))
+            part = zpoly.divide(coeffs, gcd.primitive_part)[0]
+            witness = next(_root_tree(part, 0))
             if witness is not None:
                 witness = replace(witness, on_squarefree_part=True)
     return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)
@@ -176,14 +166,15 @@ def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
     coeffs = primitive_integer_coeffs(f)
     if witness.on_reversal:
         coeffs = list(reversed(coeffs))
-    v = _int_eval(coeffs, witness.gamma)
-    dv = _int_eval(_int_derivative(coeffs), witness.gamma)
+    v = zpoly.evaluate(coeffs, witness.gamma)
+    dv = zpoly.evaluate(zpoly.diff(coeffs), witness.gamma)
+    delta = None if dv == 0 else ord2_int(dv)
+    if (witness.delta, witness.modulus) != (
+            delta, 1 if delta is None else 1 << (2 * delta + 1)):
+        return False
     if witness.exact:
         return v == 0
-    if witness.delta is None or dv == 0:
-        return False
-    return (ord2_int(dv) == witness.delta
-            and v % (1 << (2 * witness.delta + 1)) == 0)
+    return delta is not None and v % witness.modulus == 0
 
 
 def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
@@ -194,9 +185,9 @@ def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
     ord2(f'(gamma)) = delta on the odd-cleared integer model.
     """
     coeffs = _odd_cleared(f)
-    dcoeffs = _int_derivative(coeffs)
-    v0 = _int_eval(coeffs, gamma)
-    dv0 = _int_eval(dcoeffs, gamma)
+    dcoeffs = zpoly.diff(coeffs)
+    v0 = zpoly.evaluate(coeffs, gamma)
+    dv0 = zpoly.evaluate(dcoeffs, gamma)
     if dv0 == 0 or ord2_int(dv0) != delta:
         raise ValueError("derivative valuation does not match delta")
     if v0 != 0 and ord2_int(v0) < 2 * delta + 1:
@@ -205,10 +196,10 @@ def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
     big = 1 << work
     cur = gamma % big
     for _ in range(2 * work.bit_length() + 8):
-        v = _int_eval(coeffs, cur)
+        v = zpoly.evaluate(coeffs, cur)
         if v == 0 or ord2_int(v) >= precision + delta:
             break
-        dv = _int_eval(dcoeffs, cur)
+        dv = zpoly.evaluate(dcoeffs, cur)
         unit = dv >> delta
         step = (v >> delta) * pow(unit, -1, big) % big
         cur = (cur - step) % big
@@ -252,54 +243,6 @@ class HenselFactors:
     scale: int
 
 
-def _pmod(coeffs: list[int], m: int) -> list[int]:
-    out = [c % m for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _padd(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _pmod(out, m)
-
-
-def _psub(a: list[int], b: list[int], m: int) -> list[int]:
-    return _padd(a, [-c for c in b], m)
-
-
-def _pmul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _pmod(out, m)
-
-
-def _pdivmod_monic(a: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    # g monic over Z/m, so division needs no inversions
-    a = list(a)
-    dg = len(g) - 1
-    if len(a) - 1 < dg:
-        return [], _pmod(a, m)
-    q = [0] * (len(a) - dg)
-    for k in range(len(a) - 1, dg - 1, -1):
-        factor = a[k] % m
-        if factor:
-            q[k - dg] = factor
-            for i, c in enumerate(g):
-                a[k - dg + i] = (a[k - dg + i] - factor * c) % m
-    return _pmod(q, m), _pmod(a, m)
-
-
 def _bits_to_poly(bits: int) -> list[int]:
     return [(bits >> i) & 1 for i in range(bits.bit_length())]
 
@@ -328,23 +271,22 @@ def hensel_split(f: RatPoly, g1: int, h1: int, precision: int = 64) -> HenselFac
     while k < precision:
         k = 2 * k
         m = 1 << k
-        e = _psub(coeffs, _pmul(g, h, m), m)
-        _, dg = _pdivmod_monic(_pmul(b, e, m), g, m)
-        dh, rem = _pdivmod_monic(_psub(e, _pmul(h, dg, m), m), g, m)
+        e = zpoly.mod(zpoly.sub(coeffs, zpoly.mul(g, h)), m)
+        _, dg = zpoly.divide(zpoly.mul(b, e), g, m)
+        dh, rem = zpoly.divide(zpoly.sub(e, zpoly.mul(h, dg)), g, m)
         if rem:
             raise ArithmeticError("lifting step left a nonzero remainder")
-        g = _padd(g, dg, m)
-        h = _padd(h, dh, m)
+        g = zpoly.mod(zpoly.add(g, dg), m)
+        h = zpoly.mod(zpoly.add(h, dh), m)
         # refresh the Bezout identity at the doubled precision:
         # a' = a - a*err + q2*h, b' = b + r2 with -b*err = q2*g + r2
-        err = _psub(_padd(_pmul(a, g, m), _pmul(b, h, m), m), [1], m)
-        q2, r2 = _pdivmod_monic(_pmul([(-c) % m for c in b], err, m), g, m)
-        a = _padd(_psub(a, _pmul(a, err, m), m), _pmul(q2, h, m), m)
-        b = _padd(b, r2, m)
+        err = zpoly.mod(zpoly.sub(zpoly.add(zpoly.mul(a, g), zpoly.mul(b, h)), [1]), m)
+        q2, r2 = zpoly.divide(zpoly.mul([-c for c in b], err), g, m)
+        a = zpoly.mod(zpoly.add(zpoly.sub(a, zpoly.mul(a, err)), zpoly.mul(q2, h)), m)
+        b = zpoly.mod(zpoly.add(b, r2), m)
     modulus = 1 << precision
-    g = _pmod(g, modulus)
-    h = _pmod(h, modulus)
-    check = _psub(_pmod(coeffs, modulus), _pmul(g, h, modulus), modulus)
-    if check:
+    g = zpoly.mod(g, modulus)
+    h = zpoly.mod(h, modulus)
+    if zpoly.mod(zpoly.sub(coeffs, zpoly.mul(g, h)), modulus):
         raise ArithmeticError("lifted factors do not multiply back to f")
     return HenselFactors(tuple(g), tuple(h), modulus, precision, scale)

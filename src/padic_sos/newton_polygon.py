@@ -7,7 +7,7 @@ used downstream:
 * generalized Eisenstein criterion: a polynomial with nonzero constant
   term whose diagram is one segment of slope k/deg, gcd(k, deg) = 1,
   is irreducible over the 2-adic field;
-* slope-denominator divisibility:.for a pure polynomial whose single
+* slope-denominator divisibility: for a pure polynomial whose single
   segment has slope with reduced denominator e, every irreducible
   factor over the 2-adic field has degree divisible by e.  (Factor
   diagrams are segments of the same slope between lattice points, so
@@ -85,16 +85,12 @@ def newton_diagram(f: RatPoly) -> NewtonDiagram:
     return NewtonDiagram(tuple(pts), tuple(verts), tuple(segs))
 
 
-def is_pure(diagram: NewtonDiagram, f0_nonzero: bool | None = None) -> bool:
+def is_pure(diagram: NewtonDiagram) -> bool:
     """Nonzero constant term and a single-segment hull.
 
-    A single point (constant polynomial excluded by construction never
-    happens here for degree >= 1 with one nonzero coefficient at x^d)
-    is not a segment; a one-coefficient monomial diagram is not pure.
-    """
-    if f0_nonzero is None:
-        f0_nonzero = diagram.constant_term_present
-    return f0_nonzero and diagram.is_segment
+    A one-coefficient diagram (a constant, or a monomial c*x^d) has no
+    segment, so it is not pure."""
+    return diagram.constant_term_present and diagram.is_segment
 
 
 def eisenstein_irreducible(f: RatPoly, diagram: NewtonDiagram | None = None) -> bool:

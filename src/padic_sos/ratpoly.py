@@ -10,9 +10,11 @@ primitive integer model of f is P times the sign of c, and the lcm of
 the coefficient denominators is the denominator of c.  By Gauss's
 lemma a product of primitive polynomials is primitive, so products and
 powers need no gcd; sums, derivatives, Taylor shifts and evaluation run
-on integers with one content gcd per result.  The Fraction coefficient
-tuple (``coeffs``, ``f[i]``, ``str``, ``hash``) is built on first use
-and cached.
+on integers with one content gcd per result.  The integer arithmetic
+on P (products, sums, derivatives, Taylor shifts and the exact
+quotients of Yun's decomposition) is the ``zpoly`` kernel's.  The
+Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``, ``hash``) is
+built on first use and cached.
 
 Root counting, square-freeness and gcds run on one fraction-free kernel:
 a sign-tracked remainder sequence of primitive integer polynomials
@@ -32,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from . import zpoly
 
 
 class SearchDepthExceeded(RuntimeError):
@@ -178,13 +182,7 @@ class RatPoly:
         g, h = math.gcd(n1, n2), math.gcd(d1, d2)
         e1, e2 = d1 // h, d2 // h
         m1, m2 = n1 // g * e2, n2 // g * e1
-        a, b = self._p, other._p
-        if len(a) < len(b):
-            a, b, m1, m2 = b, a, m2, m1
-        out = [m1 * x for x in a]
-        for i, x in enumerate(b):
-            out[i] += m2 * x
-        return _from_ints(out, g, h * e1 * e2)
+        return _from_ints(zpoly.add(self._p, other._p, m1, m2), g, h * e1 * e2)
 
     __radd__ = __add__
 
@@ -210,7 +208,7 @@ class RatPoly:
             return NotImplemented
         if not self._p or not other._p:
             return RatPoly()
-        return _model(self._c * other._c, _int_mul(self._p, other._p))
+        return _model(self._c * other._c, tuple(zpoly.mul(self._p, other._p)))
 
     __rmul__ = __mul__
 
@@ -224,12 +222,12 @@ class RatPoly:
         result, base, k = None, self._p, n
         while True:
             if k & 1:
-                result = base if result is None else _int_mul(result, base)
+                result = base if result is None else zpoly.mul(result, base)
             k >>= 1
             if not k:
                 break
-            base = _int_mul(base, base)
-        return _model(self._c ** n, result)
+            base = zpoly.mul(base, base)
+        return _model(self._c ** n, tuple(result))
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if not isinstance(other, RatPoly) or other.is_zero:
@@ -279,8 +277,8 @@ class RatPoly:
                         self._c.denominator * (power // s))
 
     def derivative(self) -> "RatPoly":
-        return _from_ints([i * x for i, x in enumerate(self._p)][1:],
-                          self._c.numerator, self._c.denominator)
+        return _from_ints(zpoly.diff(self._p), self._c.numerator,
+                          self._c.denominator)
 
     def shift(self, a) -> "RatPoly":
         """Return g with g(t) = f(t + a); a linear change of variables.
@@ -293,10 +291,7 @@ class RatPoly:
         if a == 0 or d < 1:
             return self
         r, s = a.numerator, a.denominator
-        h = [x * s ** (d - i) for i, x in enumerate(self._p)]
-        for i in range(d):
-            for k in range(d - 1, i - 1, -1):
-                h[k] += r * h[k + 1]
+        h = zpoly.taylor_shift([x * s ** (d - i) for i, x in enumerate(self._p)], r)
         h = [x * s ** i for i, x in enumerate(h)]
         return _from_ints(h, self._c.numerator, self._c.denominator * s ** d)
 
@@ -306,9 +301,7 @@ class RatPoly:
         For f of degree d this is x^d * f(1/x); the result may have
         smaller degree when the constant coefficient vanishes.
         """
-        p = list(reversed(self._p))
-        while p and not p[-1]:
-            p.pop()
+        p = zpoly.trim(list(reversed(self._p)))
         if p and p[-1] < 0:
             return _model(-self._c, tuple(-x for x in p))
         return _model(self._c, tuple(p))
@@ -324,8 +317,7 @@ def _model(c: Fraction, p: tuple[int, ...]) -> RatPoly:
 def _from_ints(ints: list[int], num: int = 1, den: int = 1) -> RatPoly:
     """The polynomial (num/den) * ints for any integer list: trailing
     zeros are stripped and the signed content moves into c."""
-    while ints and not ints[-1]:
-        ints.pop()
+    zpoly.trim(ints)
     if not ints:
         return RatPoly()
     g = math.gcd(*ints)
@@ -334,15 +326,6 @@ def _from_ints(ints: list[int], num: int = 1, den: int = 1) -> RatPoly:
     if g != 1:
         ints = [x // g for x in ints]
     return _model(Fraction(num * g, den), tuple(ints))
-
-
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 X = RatPoly([0, 1])
@@ -402,28 +385,14 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return _model(Fraction(1, last[-1]), tuple(last))
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials where b is primitive and divides a
-    over Q; by Gauss's lemma the quotient is integral, so every step of
-    the long division divides exactly."""
-    n, lb = len(b), b[-1]
-    r = list(a)
-    q = [0] * (len(a) - n + 1)
-    for k in range(len(a) - n, -1, -1):
-        c = q[k] = r[k + n - 1] // lb
-        if c:
-            for i in range(n):
-                r[k + i] -= c * b[i]
-    return q
-
-
 def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
     """Yun decomposition: f = unit * prod g_i^i with the g_i monic,
     square-free, and pairwise coprime.
 
     The running pair (b, c) is kept on integers, both scaled by the same
     constant (which changes no gcd and keeps c - b' meaningful), and is
-    divided exactly by the primitive model of each gcd."""
+    divided exactly by the primitive model of each gcd (by Gauss's lemma
+    every step of that long division divides exactly)."""
     if f.is_zero:
         raise ValueError("zero polynomial has no square-free decomposition")
     unit = f.leading
@@ -432,19 +401,16 @@ def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
     parts: list[tuple[RatPoly, int]] = []
     a = primitive_integer_coeffs(f)
     g = poly_gcd(f, f.derivative()).primitive_part
-    b = _exact_quotient(a, g)
-    c = _exact_quotient([i * x for i, x in enumerate(a)][1:], g)
+    b = zpoly.divide(a, g)[0]
+    c = zpoly.divide(zpoly.diff(a), g)[0]
     i = 1
     while len(b) > 1:
-        db = [j * x for j, x in enumerate(b)][1:]
-        c = [x - y for x, y in zip(c + [0] * (len(db) - len(c)), db)]
-        while c and c[-1] == 0:
-            c.pop()
-        monic = poly_gcd(_from_ints(list(b)), _from_ints(list(c)))
+        c = zpoly.sub(c, zpoly.diff(b))
+        monic = poly_gcd(_from_ints(b), _from_ints(c))
         if monic.degree > 0:
             parts.append((monic, i))
         g = monic.primitive_part
-        b, c = _exact_quotient(b, g), _exact_quotient(c, g)
+        b, c = zpoly.divide(b, g)[0], zpoly.divide(c, g)[0]
         i += 1
     return unit, parts
 
@@ -456,7 +422,7 @@ def squarefree_part(f: RatPoly) -> RatPoly:
     if f.degree == 0:
         return RatPoly([1])
     g = poly_gcd(f, f.derivative())
-    h = _exact_quotient(f.primitive_part, g.primitive_part)
+    h = zpoly.divide(f.primitive_part, g.primitive_part)[0]
     return _model(Fraction(1, h[-1]), tuple(h))
 
 
@@ -635,7 +601,7 @@ def count_distinct_and_real_roots(f: RatPoly) -> tuple[int, int]:
     if f.degree < 1:
         raise ValueError("root counts need degree >= 1")
     a = primitive_integer_coeffs(f)
-    da = [i * c for i, c in enumerate(a)][1:]
+    da = zpoly.diff(a)
     content = math.gcd(*da)
     seq = _remainder_sequence(a, [c // content for c in da])
     at_pos = [1 if p[-1] > 0 else -1 for p in seq]
@@ -712,6 +678,9 @@ POSITIVE = "positive"
 NONNEGATIVE_WITH_ROOTS = "nonnegative_with_roots"
 NEGATIVE_SOMEWHERE = "negative_somewhere"
 
+# halvings the two certified epsilon searches try before giving up
+MAX_HALVINGS = 128
+
 
 def positivity_trichotomy(f: RatPoly) -> str:
     """Classify a nonzero polynomial as strictly positive on the reals,
@@ -735,7 +704,7 @@ def positivity_trichotomy(f: RatPoly) -> str:
     return NONNEGATIVE_WITH_ROOTS
 
 
-def epsilon_below_infimum(f: RatPoly, max_halvings: int = 128) -> Fraction:
+def epsilon_below_infimum(f: RatPoly) -> Fraction:
     """A certified dyadic epsilon with f - epsilon still positive on R.
 
     Halving search starting from the largest power of two at most
@@ -743,25 +712,25 @@ def epsilon_below_infimum(f: RatPoly, max_halvings: int = 128) -> Fraction:
     """
     if not is_positive_on_reals(f).verdict:
         raise ValueError("epsilon search requires f strictly positive on R")
-    return _epsilon_search(f, max_halvings)
+    return _epsilon_search(f)
 
 
-def _epsilon_search(f: RatPoly, max_halvings: int = 128) -> Fraction:
+def _epsilon_search(f: RatPoly) -> Fraction:
     """The search of ``epsilon_below_infimum`` on an f already known to
     be strictly positive on R."""
     c0 = f[0]
     e = 0
     while Fraction(1, 2 ** e) > c0:
         e += 1
-    for exp in range(e, e + max_halvings):
+    for exp in range(e, e + MAX_HALVINGS):
         eps = Fraction(1, 2 ** exp)
         if is_positive_on_reals(f - eps).verdict:
             return eps
     raise SearchDepthExceeded(
-        f"no verified epsilon above 2^-{e + max_halvings} for {f}")
+        f"no verified epsilon above 2^-{e + MAX_HALVINGS} for {f}")
 
 
-def perturbation_bound(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fraction:
+def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
     """A verified dyadic eps0 > 0 with f + eps0*g positive on R.
 
     f must be square-free and positive on R and deg g <= deg f, so such
@@ -773,17 +742,17 @@ def perturbation_bound(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fract
         raise ValueError("perturbation bound requires f positive on R")
     if not positivity.on_squarefree_part:
         raise ValueError("perturbation bound requires square-free f")
-    return _perturbation_search(f, g, max_halvings)
+    return _perturbation_search(f, g)
 
 
-def _perturbation_search(f: RatPoly, g: RatPoly, max_halvings: int = 128) -> Fraction:
+def _perturbation_search(f: RatPoly, g: RatPoly) -> Fraction:
     """The search of ``perturbation_bound`` on an f already known to be
     square-free and strictly positive on R."""
     if g.degree > f.degree:
         raise ValueError("deg g must be bounded by deg f")
     if g.is_zero:
         return Fraction(1)
-    for exp in range(0, max_halvings):
+    for exp in range(0, MAX_HALVINGS):
         eps = Fraction(1, 2 ** exp)
         cand = f + g * eps
         if not cand.is_zero and is_positive_on_reals(cand).verdict:

@@ -31,8 +31,10 @@ normalization.
 
 Positivity is tested once per polynomial.  Each public route gates its
 input with one ``PositivityCertificate`` and hands it to a private body
-(``_odd_valuation``, ``_multiple_of_four``, ...), which takes it as
-gated; ``reduce_auto`` gates its core once and calls the bodies.  The
+(``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``, ...),
+which takes it as gated; ``reduce_auto`` gates its core once and calls
+the bodies, the shifted ones (NOS, PICKY) through one loop over
+``SHIFTS``.  The
 certificate in hand goes to ``certify_sos4``, which reads it instead of
 testing the same polynomial again.
 """
@@ -65,6 +67,12 @@ METHOD_GR4 = "GR4"
 METHOD_PICKY = "PICKY"
 
 CYCLOTOMIC = RatPoly([1, 1, 1])
+
+# the NOS search grid: odd N from 3 to NOS_N_LIMIT, l from 1 to NOS_L_LIMIT
+NOS_N_LIMIT = 99
+NOS_L_LIMIT = 64
+# bits to which an obstruction's root is refined
+REFINE_PRECISION = 64
 
 
 @dataclass(frozen=True)
@@ -198,26 +206,7 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     Eisenstein-irreducible of even degree."""
     _require(not f.is_zero and f.degree >= 2, "need degree >= 2")
     _require_squarefree_positive(f)
-    return _odd_valuation(f)
-
-
-def _odd_valuation(f: RatPoly) -> ReductionResult:
-    kd = ord2(f.leading)[0]
-    _require(kd % 2 == 1, "k_d must be odd")
-    d = f.degree
-    eps = _epsilon_search(f)
-    l1, l2, l3, params = _valuation_bounds(f, eps)
-    l = max(l1, l2, l3)
-    trace = []
-    while math.gcd(d, 2 * l + kd) != 1:
-        trace.append(("l", l, "gcd", math.gcd(d, 2 * l + kd)))
-        l += 1
-        if len(trace) > 4 * d + 8:
-            raise ArithmeticError("gcd loop failed to terminate")
-    h = RatPoly([Fraction(1, 2 ** l)])
-    cert = certify_sos4(f - h * h)
-    params.update({"l": l})
-    return _finish(METHOD_ALG6, f, h, cert, params, tuple(trace))
+    return _gcd_route(f, 1)
 
 
 def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
@@ -228,29 +217,43 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
              "degree must be a positive multiple of 4")
     _require_squarefree_positive(f)
-    return _multiple_of_four(f)
+    return _gcd_route(f, 2)
 
 
-def _multiple_of_four(f: RatPoly) -> ReductionResult:
+def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
+    """The body of ALG6 (``target`` 1) and ALGN (``target`` 2): subtract
+    2^(-2l) for the first l from the valuation bounds on with
+    gcd(d, 2l + kd) = target."""
     kd = ord2(f.leading)[0]
     if kd % 2 == 1:
-        return _odd_valuation(f)
-    d = f.degree
+        target = 1  # odd kd takes ALG6 on the ALGN route too
+    else:
+        _require(target == 2, "k_d must be odd")
     eps = _epsilon_search(f)
     l1, l2, l3, params = _valuation_bounds(f, eps)
-    l = max(l1, l2, l3)
-    increments = 0
-    trace = []
-    while math.gcd(d, 2 * l + kd) != 2:
-        trace.append(("l", l, "gcd", math.gcd(d, 2 * l + kd)))
-        l += 1
-        increments += 1
-        if increments > 2 * d:
-            raise ArithmeticError("gcd loop failed to terminate")
+    l, trace = _gcd_steps(f.degree, kd, max(l1, l2, l3), target)
     h = RatPoly([Fraction(1, 2 ** l)])
     cert = certify_sos4(f - h * h)
-    params.update({"l": l, "gcd_increments": increments})
+    params["l"] = l
+    if target == 1:
+        return _finish(METHOD_ALG6, f, h, cert, params, tuple(trace))
+    params["gcd_increments"] = len(trace)
     return _finish(METHOD_ALGN, f, h, cert, params, tuple(trace))
+
+
+def _gcd_steps(d: int, kd: int, l: int, target: int) -> tuple[int, list]:
+    """The first l' >= l with gcd(d, 2l' + kd) = target, and a trace
+    entry per l passed over.  For even d, as l moves through d/2
+    consecutive values 2l + kd meets every residue class mod d of the
+    parity of kd; a target of that parity is met within d/2 steps, far
+    inside the guard."""
+    trace = []
+    while math.gcd(d, 2 * l + kd) != target:
+        trace.append(("l", l, "gcd", math.gcd(d, 2 * l + kd)))
+        l += 1
+        if len(trace) > 2 * d:
+            raise ArithmeticError("gcd loop failed to terminate")
+    return l, trace
 
 
 def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTermination:
@@ -284,23 +287,20 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
             return BranchRecord(h, candidate, None, str(exc))
 
     for _ in range(cap):
-        rec_a = branch(RatPoly([Fraction(1, 2 ** l)]))
-        if rec_a.verdict == SOS4:
-            return _finish(METHOD_ALG9, f, rec_a.h, rec_a.certificate,
-                           {"l": l, "l_init": l_init, "epsilon": eps},
-                           tuple(iterates))
-        rec_b = branch(RatPoly.monomial(d // 2, Fraction(1, 2 ** l)))
-        if rec_b.verdict == SOS4:
-            return _finish(METHOD_ALG9, f, rec_b.h, rec_b.certificate,
-                           {"l": l, "l_init": l_init, "epsilon": eps},
-                           tuple(iterates))
-        iterates.append(IterateRecord(l, rec_a, rec_b))
+        records = []
+        for k in (0, d // 2):  # branch a, h = 2^(-l); branch b, h = 2^(-l)x^(d/2)
+            rec = branch(RatPoly.monomial(k, Fraction(1, 2 ** l)))
+            if rec.verdict == SOS4:
+                return _finish(METHOD_ALG9, f, rec.h, rec.certificate,
+                               {"l": l, "l_init": l_init, "epsilon": eps},
+                               tuple(iterates))
+            records.append(rec)
+        iterates.append(IterateRecord(l, *records))
         l += 1
     return NonTermination(cap, l_init, eps, tuple(iterates))
 
 
-def reduce_constant_three_mod_four(f: RatPoly, n_limit: int = 99,
-                                   l_limit: int = 64) -> ReductionResult:
+def reduce_constant_three_mod_four(f: RatPoly) -> ReductionResult:
     """Constant term 2^(2a)(4k+3): search odd N and l so that
     f - (x^(d/2)/2^l + 2^a/N)^2 is positive with Newton diagram exactly
     the segment (0, 2a+1)-(d, -2l) free of interior lattice points,
@@ -310,11 +310,10 @@ def reduce_constant_three_mod_four(f: RatPoly, n_limit: int = 99,
     _require(f.content.denominator == 1,
              "integer coefficients required")
     _require(is_positive_on_reals(f).verdict, "input must be positive on R")
-    return _constant_three_mod_four(f, n_limit, l_limit)
+    return _constant_three_mod_four(f)
 
 
-def _constant_three_mod_four(f: RatPoly, n_limit: int = 99,
-                             l_limit: int = 64) -> ReductionResult:
+def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
     c0 = f[0]
     v, u = ord2(c0)
     _require(v % 2 == 0 and u % 4 == 3,
@@ -323,8 +322,8 @@ def _constant_three_mod_four(f: RatPoly, n_limit: int = 99,
     d = f.degree
     tried = 0
     trace = []
-    for n in range(3, n_limit + 1, 2):
-        for ell in range(1, l_limit + 1):
+    for n in range(3, NOS_N_LIMIT + 1, 2):
+        for ell in range(1, NOS_L_LIMIT + 1):
             tried += 1
             if math.gcd(2 * a + 1 + 2 * ell, d) != 1:
                 continue
@@ -345,8 +344,8 @@ def _constant_three_mod_four(f: RatPoly, n_limit: int = 99,
             params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
             return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
     raise SearchDepthExceeded(
-        f"no (N, l) candidate accepted up to N={n_limit}, l={l_limit}; "
-        f"last tried (N, l) = ({n_limit}, {l_limit})")
+        f"no (N, l) candidate accepted up to N={NOS_N_LIMIT}, l={NOS_L_LIMIT}; "
+        f"last tried (N, l) = ({NOS_N_LIMIT}, {NOS_L_LIMIT})")
 
 
 def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
@@ -374,8 +373,7 @@ def _cyclotomic_power(f: RatPoly) -> ReductionResult:
     return _finish(METHOD_GR4, f, h, cert, params)
 
 
-def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
-                            ) -> ReductionResult | ObstructionReport:
+def reduce_twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     """Degree 2(2k+1): subtract 2^(-2l)(x^2+x+1)^(2k)x^2.
 
     With f(0) not a 2-adic square the scaled difference Hensel-splits
@@ -389,11 +387,10 @@ def reduce_twice_odd_degree(f: RatPoly, refine_precision: int = 64
     _require(f.content.denominator == 1,
              "integer coefficients required")
     _require_squarefree_positive(f)
-    return _twice_odd_degree(f, refine_precision)
+    return _twice_odd_degree(f)
 
 
-def _twice_odd_degree(f: RatPoly, refine_precision: int = 64
-                      ) -> ReductionResult | ObstructionReport:
+def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     k = (f.degree - 2) // 4
     d = f.degree
     k0 = ord2(f[0])[0]
@@ -402,7 +399,7 @@ def _twice_odd_degree(f: RatPoly, refine_precision: int = 64
     ell_pos = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
 
     if is_square_in_q2(f[0]):
-        return _obstruction(f, k, k0, ell_pos, base, refine_precision)
+        return _obstruction(f, k, k0, ell_pos, base)
 
     if k == 0:
         bound = max(Fraction(2), Fraction(ell_pos), Fraction(k0 + 5, 2))
@@ -449,8 +446,8 @@ def _twice_odd_degree(f: RatPoly, refine_precision: int = 64
                     "hensel_h_degree": len(factors.h) - 1})
 
 
-def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
-                 refine_precision: int) -> ObstructionReport:
+def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int,
+                 base: RatPoly) -> ObstructionReport:
     # f is integral and base monic of degree deg f, so q keeps degree
     # deg f (its lead coefficient 4^l * lc(f) - 1 is odd) and disc(q) is
     # the family's parametric discriminant at lambda = 4^l
@@ -469,7 +466,7 @@ def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
         ell += 1
     else:
         raise ArithmeticError("no certifiable obstruction witness found")
-    refined = newton_refine(q, gamma, delta, refine_precision)
+    refined = newton_refine(q, gamma, delta, REFINE_PRECISION)
     g = f - base * Fraction(1, 4 ** ell)
     positivity = is_positive_on_reals(g)
     _require(positivity.verdict, "obstruction residual lost positivity")
@@ -479,7 +476,7 @@ def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int, base: RatPoly,
                            SimpleZ2Root(status))
     if not verify_certificate(g, cert):
         raise ArithmeticError("obstruction certificate failed to re-verify")
-    return ObstructionReport(f, ell, gamma, delta, refined, refine_precision,
+    return ObstructionReport(f, ell, gamma, delta, refined, REFINE_PRECISION,
                              g, cert, discriminant(q))
 
 
@@ -518,13 +515,9 @@ def square_plus_8a_minus_1(g: RatPoly, a: int) -> tuple[RatPoly, tuple[RatPoly, 
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-INTEGER_SHIFTS = (Fraction(0), Fraction(-1), Fraction(1), Fraction(-2),
-                  Fraction(2), Fraction(-3), Fraction(3), Fraction(-4),
-                  Fraction(4))
-HALF_SHIFTS = (Fraction(-1, 2), Fraction(1, 2), Fraction(-3, 2),
-               Fraction(3, 2), Fraction(-2), Fraction(2))
-SHIFT_SET = INTEGER_SHIFTS + tuple(s for s in HALF_SHIFTS
-                                   if s not in INTEGER_SHIFTS)
+# the changes of variables x -> x + shift that reduce_auto searches
+SHIFTS = tuple(Fraction(s) for s in ("0", "-1", "1", "-2", "2", "-3", "3", "-4",
+                                     "4", "-1/2", "1/2", "-3/2", "3/2"))
 
 ALWAYS_SQUARE_NOTE = (
     "every tested shift evaluates to a 2-adic square, so no change of "
@@ -570,8 +563,13 @@ def _transport(result: ReductionResult, f: RatPoly, square_part: RatPoly,
                            trace + result.trace, transform)
 
 
-def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
-                ) -> ReductionResult | InconclusiveReport:
+def _is_square_times_three_mod_four(value: Fraction) -> bool:
+    """value = 2^(2a) * u with u = 3 mod 4: the constant term NOS needs."""
+    v, u = ord2(value)
+    return v % 2 == 0 and (u.numerator * u.denominator) % 4 == 3
+
+
+def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     """Normalize and try every certified route in order.
 
     Raises ValueError for inputs that are not strictly positive on the
@@ -612,27 +610,32 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
                                core, {}, tuple(trace),
                                Transform(square_part, Fraction(1), Fraction(0)))
 
+    def by_shift(route, applies, body):
+        """Run ``body`` on the square-cleared core(x + shift) for each
+        shift whose core value passes ``applies``."""
+        for shift in SHIFTS:
+            if applies(core(shift)):
+                shifted = core.shift(shift)
+                scale = _square_clearing_scale(shifted)
+                res = attempt(f"{route}@shift={shift}",
+                              lambda: body(shifted * (scale * scale)))
+                if res:
+                    return _transport(res, f, square_part, scale, shift, tuple(trace))
+        return None
+
     kd = ord2(core.leading)[0]
     if kd % 2 == 1:
-        res = attempt("alg6", lambda: _odd_valuation(core))
+        res = attempt("alg6", lambda: _gcd_route(core, 1))
         if res:
             return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
     if core.degree % 4 == 0 and core.degree >= 4:
-        res = attempt("algn", lambda: _multiple_of_four(core))
+        res = attempt("algn", lambda: _gcd_route(core, 2))
         if res:
             return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
 
-    for shift in shifts:
-        value = core(shift)
-        v, u = ord2(value)
-        if v % 2 == 0 and (u.numerator * u.denominator) % 4 == 3:
-            shifted = core.shift(shift)
-            scale = _square_clearing_scale(shifted)
-            candidate = shifted * (scale * scale)
-            res = attempt(f"nos@shift={shift}",
-                          lambda c=candidate: _constant_three_mod_four(c))
-            if res:
-                return _transport(res, f, square_part, scale, shift, tuple(trace))
+    if res := by_shift("nos", _is_square_times_three_mod_four,
+                       _constant_three_mod_four):
+        return res
 
     if core.degree % 4 == 0 and core.degree >= 4:
         scale = _square_clearing_scale(core)
@@ -641,21 +644,13 @@ def reduce_auto(f: RatPoly, shifts: tuple[Fraction, ...] = SHIFT_SET
         if res:
             return _transport(res, f, square_part, scale, Fraction(0), tuple(trace))
 
-    shifts_all_square = False
-    if core.degree >= 2 and (core.degree - 2) % 4 == 0:
-        shifts_all_square = True
-        for shift in shifts:
-            if is_square_in_q2(core(shift)):
-                continue
-            shifts_all_square = False
-            shifted = core.shift(shift)
-            scale = _square_clearing_scale(shifted)
-            candidate = shifted * (scale * scale)
-            res = attempt(f"picky@shift={shift}",
-                          lambda c=candidate: _twice_odd_degree(c))
-            if isinstance(res, ReductionResult):
-                return _transport(res, f, square_part, scale, shift, tuple(trace))
-
+    picky = core.degree >= 2 and (core.degree - 2) % 4 == 0
+    if picky and (res := by_shift("picky", lambda v: not is_square_in_q2(v),
+                                  _twice_odd_degree)):
+        return res
+    # PICKY needs a shift whose value is not a 2-adic square; none was tried
+    shifts_all_square = picky and not any(
+        step[0].startswith("picky@") for step in trace)
     note = ALWAYS_SQUARE_NOTE if shifts_all_square else (
         "no certified route applies to this input")
     return InconclusiveReport(note, tuple(trace), first)

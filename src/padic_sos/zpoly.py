@@ -1,0 +1,106 @@
+"""Integer polynomials as ascending lists of Python ints.
+
+The one integer-polynomial kernel of the package: ``ratpoly`` runs its
+primitive parts on it and ``hensel`` its root tree, Newton steps and
+lifting modulo 2^k.  A polynomial is a list ``a`` with ``a[i]`` the
+coefficient of x^i; results carry no trailing zero, and the zero
+polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
+m is ordinary integer arithmetic followed by ``mod``.  The module
+imports nothing from the package, so any module can use it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+Poly = Sequence[int]
+
+
+def trim(a: list[int]) -> list[int]:
+    """Drop trailing zeros from ``a`` in place and return it."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def add(a: Poly, b: Poly, s: int = 1, t: int = 1) -> list[int]:
+    """s*a + t*b."""
+    if len(a) < len(b):
+        a, b, s, t = b, a, t, s
+    out = [s * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += t * c
+    return trim(out)
+
+
+def sub(a: Poly, b: Poly) -> list[int]:
+    return add(a, b, 1, -1)
+
+
+def mul(a: Poly, b: Poly) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return trim(out)
+
+
+def mod(a: Poly, m: int) -> list[int]:
+    """Coefficients reduced into [0, m)."""
+    return trim([c % m for c in a])
+
+
+def diff(a: Poly) -> list[int]:
+    """The derivative."""
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def evaluate(a: Poly, t: int) -> int:
+    """a(t) by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
+def taylor_shift(a: Poly, r: int) -> list[int]:
+    """a(x + r), with the leading coefficient of a.  The loop shifts by
+    one; another r goes through Q(y) = a(r*y), since Q(y + 1) =
+    a(r*y + r) gives the coefficients of a(x + r) times r^i, which divide
+    exactly."""
+    if r == 0:
+        return list(a)
+    h = list(a) if r == 1 else [c * r ** i for i, c in enumerate(a)]
+    n = len(h)
+    for i in range(n - 1):
+        for k in range(n - 2, i - 1, -1):
+            h[k] += h[k + 1]
+    if r != 1:
+        h = [c // r ** i for i, c in enumerate(h)]
+    return h
+
+
+def divide(a: Poly, b: Poly, m: int = 0) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b whose
+    leading coefficient divides the top coefficient at every step: b
+    monic, or b dividing a exactly over Z (then r is empty).  With a
+    modulus m and b monic, each quotient digit is taken mod m, so
+    a = q*b + r (mod m) with q and r reduced into [0, m)."""
+    n, lb = len(b), b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - n + 1, 0)
+    for k in range(len(a) - n, -1, -1):
+        c = r[k + n - 1] // lb
+        if m:
+            c %= m
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    del r[n - 1:]
+    if m:
+        return mod(q, m), mod(r, m)
+    return trim(q), trim(r)

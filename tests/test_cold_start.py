@@ -115,6 +115,16 @@ def test_command_loads_only_what_it_runs(command, absent):
     assert loaded.isdisjoint(f"padic_sos.{m}" for m in absent), loaded
 
 
+def test_zpoly_imports_no_package_module():
+    proc = _python("-c", """
+import sys
+import padic_sos.zpoly
+print(" ".join(sorted(m for m in sys.modules if m.startswith("padic_sos"))))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["padic_sos", "padic_sos.zpoly"]
+
+
 def test_module_entry_point_matches_in_process_main():
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))

@@ -46,7 +46,6 @@ def test_is_pure():
     assert not is_pure(newton_diagram(RatPoly([4, 2, 0, 1])))
     # no constant term: not pure even though the hull is a segment
     assert not is_pure(newton_diagram(RatPoly([0, 1, 1])))
-    assert not is_pure(newton_diagram(RatPoly([0, 1, 1])), f0_nonzero=False)
 
 
 def test_eisenstein_irreducible():

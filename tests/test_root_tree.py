@@ -11,19 +11,20 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 
-from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, _certify, _int_derivative,
-                              _int_eval, verify_root_witness, z2_root_status)
+from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, _certify, verify_root_witness,
+                              z2_root_status)
 from padic_sos.ratpoly import RatPoly, primitive_integer_coeffs
 from padic_sos.reduction import palindromic_counterexample
+from padic_sos.zpoly import diff, evaluate
 
 UNKNOWN = "Unknown"
 
 
 def _sieve(coeffs, budget, even_only, on_reversal, max_candidates):
-    dcoeffs = _int_derivative(coeffs)
+    dcoeffs = diff(coeffs)
     if even_only:
         level = 1
-        candidates = [0] if _int_eval(coeffs, 0) % 2 == 0 else []
+        candidates = [0] if evaluate(coeffs, 0) % 2 == 0 else []
     else:
         level = 0
         candidates = [0]
@@ -35,7 +36,7 @@ def _sieve(coeffs, budget, even_only, on_reversal, max_candidates):
         survivors = []
         for c in candidates:
             for t in (c, c + step):
-                if _int_eval(coeffs, t) % modulus != 0:
+                if evaluate(coeffs, t) % modulus != 0:
                     continue
                 if _certify(coeffs, dcoeffs, t, on_reversal) is not None:
                     return ROOT_EXISTS

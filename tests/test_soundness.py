@@ -13,14 +13,16 @@ import random
 from fractions import Fraction as F
 
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
-                                 OddSquareSplit, SimpleZ2Root,
+                                 EisensteinEvenDegree, HenselSplitEvenParts,
+                                 OddSquareSplit, PureEvenDivisor, SimpleZ2Root,
                                  TwoSquareSplit, certify_sos4,
                                  verify_certificate)
 from padic_sos.hensel import RootStatus, RootWitness
+from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2
 from padic_sos.ratpoly import RatPoly, discriminant, is_positive_on_reals
 from padic_sos.reduction import (InconclusiveReport, ReductionResult,
-                                 reduce_auto)
+                                 reduce_auto, reduce_twice_odd_degree)
 
 
 def random_nonvanishing_pair(rng, degree):
@@ -135,6 +137,38 @@ def test_verify_certificate_rejects_tampering():
     from padic_sos.hensel import verify_root_witness
     assert verify_root_witness(h, ev.status.witness)
     assert not verify_root_witness(h, fake_witness)
+    witness = ev.status.witness
+    for tampered in (dict(modulus=2 * witness.modulus), dict(delta=witness.delta + 1)):
+        assert not verify_root_witness(h, dataclasses.replace(witness, **tampered))
+
+    # a diagram taken from another polynomial
+    e = RatPoly([2, 0, 1])
+    cert = certify_sos4(e)
+    assert isinstance(cert.evidence, EisensteinEvenDegree)
+    assert verify_certificate(e, cert)
+    bad = dataclasses.replace(cert, evidence=EisensteinEvenDegree(
+        newton_diagram(RatPoly([2, 0, 0, 0, 1]))))
+    assert not verify_certificate(e, bad)
+    p = RatPoly([12, 0, 0, 0, 1])
+    cert = certify_sos4(p)
+    assert isinstance(cert.evidence, PureEvenDivisor)
+    assert verify_certificate(p, cert)
+    bad = dataclasses.replace(cert, evidence=PureEvenDivisor(
+        2, newton_diagram(RatPoly([2, 0, 1]))))
+    assert not verify_certificate(p, bad)
+
+    # Hensel-split degrees and modulus that the lift does not give
+    res = reduce_twice_odd_degree(RatPoly([3, 1, 0, 0, 0, 0, 1]))
+    ev = res.certificate.evidence
+    assert isinstance(ev, HenselSplitEvenParts)
+    assert verify_certificate(res.residual, res.certificate)
+    for tampered in (dict(g_degree=99, h_degree=7, modulus=3), dict(g_degree=99),
+                     dict(h_degree=7), dict(modulus=3), dict(modulus=2 ** 64 + 1),
+                     dict(root_status=RootStatus("NoRoot", witness)),
+                     dict(scale=ev.scale / 2)):
+        bad = dataclasses.replace(res.certificate,
+                                  evidence=dataclasses.replace(ev, **tampered))
+        assert not verify_certificate(res.residual, bad), tampered
 
 
 def test_dispatcher_covers_generic_positive_inputs():

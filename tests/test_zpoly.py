@@ -1,0 +1,92 @@
+"""Differential tests of the integer-polynomial kernel ``zpoly``.
+
+The oracle is sympy's ``Poly`` over ZZ: on hypothesis-drawn ascending
+integer lists every ``zpoly`` function must give the coefficients
+sympy gives.  Division by a monic divisor modulo 2^k is checked through
+its defining identity, and the ALG6 / ALGN gcd loop of ``reduction``
+by brute force against its termination guard.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from padic_sos import zpoly  # noqa: E402
+from padic_sos.reduction import _gcd_steps  # noqa: E402
+
+X = sympy.Symbol("x")
+
+ints = st.integers(-10 ** 6, 10 ** 6)
+polys = st.lists(ints, max_size=12).map(zpoly.trim)
+nonzero = st.lists(ints, min_size=1, max_size=6).filter(lambda a: a[-1] != 0)
+
+
+def to_sympy(a):
+    return sympy.Poly(list(reversed(a)) or [0], X, domain=sympy.ZZ)
+
+
+def from_sympy(p):
+    return zpoly.trim([int(c) for c in reversed(p.all_coeffs())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys)
+def test_ring_operations_match_sympy(a, b):
+    assert zpoly.add(a, b) == from_sympy(to_sympy(a) + to_sympy(b))
+    assert zpoly.add(a, b, 3, -7) == from_sympy(3 * to_sympy(a) - 7 * to_sympy(b))
+    assert zpoly.sub(a, b) == from_sympy(to_sympy(a) - to_sympy(b))
+    assert zpoly.mul(a, b) == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.integers(-50, 50))
+def test_diff_eval_and_taylor_shift_match_sympy(a, r):
+    p = to_sympy(a)
+    assert zpoly.diff(a) == from_sympy(p.diff(X))
+    assert zpoly.evaluate(a, r) == p.eval(r)
+    assert zpoly.taylor_shift(a, r) == from_sympy(p.compose(to_sympy([r, 1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, nonzero)
+def test_exact_division_matches_exquo(q, b):
+    a = zpoly.mul(q, b)
+    quotient = from_sympy(to_sympy(a).exquo(to_sympy(b)))
+    assert quotient == q
+    assert zpoly.divide(a, b) == (quotient, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.lists(ints, max_size=6), st.integers(1, 80))
+def test_monic_division_mod_power_of_two(a, low, k):
+    m = 1 << k
+    g = low + [1]
+    q, r = zpoly.divide(a, g, m)
+    assert len(r) < len(g)
+    assert all(0 <= c < m for c in q + r)
+    assert zpoly.mod(zpoly.sub(a, zpoly.add(zpoly.mul(q, g), r)), m) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(1, 10 ** 20))
+def test_mod_reduces_into_range(a, m):
+    reduced = zpoly.mod(a, m)
+    assert all(0 <= c < m for c in reduced)
+    assert all(c % m == 0 for c in zpoly.sub(a, reduced))
+
+
+def test_gcd_loop_never_reaches_its_guard():
+    # ALG6 runs on odd kd with target 1, ALGN on even kd and d = 0 mod 4
+    # with target 2; positive inputs have even degree
+    for d in range(2, 201, 2):
+        for kd in range(-40, 41):
+            target = 1 if kd % 2 else 2
+            if target == 2 and d % 4:
+                continue
+            for start in range(-20, 61):
+                l, trace = _gcd_steps(d, kd, start, target)
+                assert len(trace) == l - start <= d // 2

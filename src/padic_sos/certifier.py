@@ -37,7 +37,6 @@ rules behind the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -51,28 +50,29 @@ from .ratpoly import (NEGATIVE_SOMEWHERE, NONNEGATIVE_WITH_ROOTS,
                       PositivityCertificate, RatPoly, is_positive_on_reals,
                       is_squarefree, positivity_trichotomy,
                       primitive_integer_coeffs)
+from .record import Record
 
 SOS4 = "SOS4"
 NOT_SOS4 = "NOT_SOS4"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 SPLIT_SEARCH_DEGREE_CAP = 20
+# the 2-adic precision of every HenselSplitEvenParts lift
+HENSEL_SPLIT_PRECISION = 64
 
 
 # ---------------------------------------------------------------------------
 # Evidence payloads
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NotPositive:
+class NotPositive(Record):
     """Condition fails before any 2-adic reasoning: f is negative
     somewhere on the real line."""
 
     kind = "not_positive"
 
 
-@dataclass(frozen=True)
-class OddSquareSplit:
+class OddSquareSplit(Record):
     """f = a_poly^2 + c, deg a_poly odd, -c a square in Q_2."""
 
     a_poly: RatPoly
@@ -80,16 +80,14 @@ class OddSquareSplit:
     kind = "odd_square_split"
 
 
-@dataclass(frozen=True)
-class SimpleZ2Root:
+class SimpleZ2Root(Record):
     """A certified 2-adic root of a square-free polynomial."""
 
     status: RootStatus
     kind = "simple_z2_root"
 
 
-@dataclass(frozen=True)
-class TwoSquareSplit:
+class TwoSquareSplit(Record):
     """f = a_poly^2 + s^2 exactly (s = 0 covers perfect squares)."""
 
     a_poly: RatPoly
@@ -97,16 +95,14 @@ class TwoSquareSplit:
     kind = "two_square_split"
 
 
-@dataclass(frozen=True)
-class EisensteinEvenDegree:
+class EisensteinEvenDegree(Record):
     """Irreducible of even degree by the generalized Eisenstein test."""
 
     diagram: NewtonDiagram
     kind = "eisenstein_even_degree"
 
 
-@dataclass(frozen=True)
-class PureEvenDivisor:
+class PureEvenDivisor(Record):
     """Pure diagram with even slope denominator e: all factor degrees
     are multiples of e."""
 
@@ -115,8 +111,7 @@ class PureEvenDivisor:
     kind = "pure_even_divisor"
 
 
-@dataclass(frozen=True)
-class Mod2EvenDegrees:
+class Mod2EvenDegrees(Record):
     """Unit leading coefficient and every irreducible factor of the
     mod-2 image of even degree (bit-packed factors with
     multiplicities)."""
@@ -125,8 +120,7 @@ class Mod2EvenDegrees:
     kind = "mod2_even_degrees"
 
 
-@dataclass(frozen=True)
-class QuadraticNonSquareDisc:
+class QuadraticNonSquareDisc(Record):
     """Degree two with discriminant not a square in Q_2, hence
     irreducible there; used by the reduction routines."""
 
@@ -134,8 +128,7 @@ class QuadraticNonSquareDisc:
     kind = "quadratic_nonsquare_disc"
 
 
-@dataclass(frozen=True)
-class HenselSplitEvenParts:
+class HenselSplitEvenParts(Record):
     """After scaling, f splits as g*h with [g] a power of an
     irreducible quadratic mod 2 (all factors of g have even degree)
     and h an irreducible quadratic because f has no 2-adic root."""
@@ -153,8 +146,7 @@ Evidence = (NotPositive | OddSquareSplit | SimpleZ2Root | TwoSquareSplit
             | QuadraticNonSquareDisc | HenselSplitEvenParts)
 
 
-@dataclass(frozen=True)
-class Sos4Certificate:
+class Sos4Certificate(Record):
     verdict: str
     rule: str | None
     positivity: PositivityCertificate
@@ -458,12 +450,12 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
             return False
         # the recorded split is the lift of [scaled] = (bits / x^2) * x^2
-        # to the recorded power-of-two modulus
-        precision = ev.modulus.bit_length() - 1
-        if precision < 1 or ev.modulus != 1 << precision:
+        # to 2^HENSEL_SPLIT_PRECISION; the lift's cost grows with the
+        # modulus, so no other one is accepted
+        if ev.modulus != 1 << HENSEL_SPLIT_PRECISION:
             return False
         try:
-            factors = hensel_split(scaled, bits >> 2, 0b100, precision)
+            factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
         except ValueError:  # the scaled model is not odd-cleared integral
             return False
         if (len(factors.g) - 1, len(factors.h) - 1) != (ev.g_degree, ev.h_degree):

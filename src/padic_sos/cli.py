@@ -229,68 +229,96 @@ def _int_at_most(limit: int):
 MAX_K = (serialize.MAX_EXPONENT - 2) // 4
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padic-sos",
-        description="2-adic certificates and reductions for sums of squares "
-                    "of rational polynomials")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_poly_args(p):
+    p.add_argument("--poly", help="polynomial, human form or JSON array")
+    p.add_argument("--poly-file", help="file containing the polynomial")
+    p.add_argument("--out", help="write the JSON document here instead of stdout")
 
-    def add_poly_args(p):
-        p.add_argument("--poly", help="polynomial, human form or JSON array")
-        p.add_argument("--poly-file", help="file containing the polynomial")
-        p.add_argument("--out", help="write the JSON document here instead of stdout")
 
-    for name, fn in [("positivity", _cmd_positivity), ("hankel", _cmd_hankel),
-                     ("sturm", _cmd_sturm), ("discriminant", _cmd_discriminant),
-                     ("newton-polygon", _cmd_newton_polygon)]:
-        p = sub.add_parser(name)
-        add_poly_args(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("padic-square")
+def _add_square_args(p):
     p.add_argument("--value", required=True, help="exact rational")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_padic_square)
 
-    p = sub.add_parser("padic-sqrt")
+
+def _add_sqrt_args(p):
     p.add_argument("--value", required=True, help="exact rational")
     p.add_argument("--precision", type=_int_at_most(serialize.MAX_EXPONENT),
                    default=64)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_padic_sqrt)
 
-    p = sub.add_parser("root-status")
-    add_poly_args(p)
-    p.set_defaults(fn=_cmd_root_status)
 
-    p = sub.add_parser("sos4-certify")
-    add_poly_args(p)
+def _add_certify_args(p):
+    _add_poly_args(p)
     p.add_argument("--witness", help="split witness 'A-poly:c'")
-    p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("reduce")
-    add_poly_args(p)
+
+def _add_reduce_args(p):
+    _add_poly_args(p)
     p.add_argument("--method", default="auto",
                    choices=["auto", "alg6", "algn", "alg9", "nos", "gr4", "picky"])
     p.add_argument("--cap", type=int, default=40)
-    p.set_defaults(fn=_cmd_reduce)
 
-    p = sub.add_parser("alg9-demo")
+
+def _add_alg9_demo_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--cap", type=int, default=40)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_alg9_demo)
 
-    p = sub.add_parser("family")
+
+def _add_family_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K))
     p.add_argument("--N", type=int)
     p.add_argument("--g", help="odd-degree integer polynomial")
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_family)
 
+
+# subcommand -> (what it runs, what adds its arguments), in --help order
+_COMMANDS = {
+    "positivity": (_cmd_positivity, _add_poly_args),
+    "hankel": (_cmd_hankel, _add_poly_args),
+    "sturm": (_cmd_sturm, _add_poly_args),
+    "discriminant": (_cmd_discriminant, _add_poly_args),
+    "newton-polygon": (_cmd_newton_polygon, _add_poly_args),
+    "padic-square": (_cmd_padic_square, _add_square_args),
+    "padic-sqrt": (_cmd_padic_sqrt, _add_sqrt_args),
+    "root-status": (_cmd_root_status, _add_poly_args),
+    "sos4-certify": (_cmd_certify, _add_certify_args),
+    "reduce": (_cmd_reduce, _add_reduce_args),
+    "alg9-demo": (_cmd_alg9_demo, _add_alg9_demo_args),
+    "family": (_cmd_family, _add_family_args),
+}
+
+
+class _LazyCommand:
+    """Stands in for a subcommand's parser, which is built with its
+    arguments only when argparse hands it the rest of the command line
+    (a call, ``--help`` or an error).  A process builds the parser of
+    the one subcommand it runs; building all twelve was most of
+    ``build_parser``'s time, chiefly in argparse's message-catalogue
+    lookups."""
+
+    def __init__(self, *, run, add_arguments, **parser_kwargs):
+        self.run, self.add_arguments = run, add_arguments
+        self.parser_kwargs = parser_kwargs  # what add_parser passes: prog
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self.parser_kwargs)
+        self.add_arguments(parser)
+        parser.set_defaults(fn=self.run)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="padic-sos",
+        description="2-adic certificates and reductions for sums of squares "
+                    "of rational polynomials")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_LazyCommand)
+    for name, (run, add_arguments) in _COMMANDS.items():
+        sub.add_parser(name, run=run, add_arguments=add_arguments)
     return parser
 
 

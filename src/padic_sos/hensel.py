@@ -24,12 +24,12 @@ the ``zpoly`` kernel's arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import zpoly
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
 from .padic import ord2_int
 from .ratpoly import RatPoly, poly_gcd, primitive_integer_coeffs, squarefree_part
+from .record import Record, replace
 
 ROOT_EXISTS = "RootExists"
 NO_ROOT = "NoRoot"
@@ -40,8 +40,7 @@ SQUAREFREE_CHECK_NODES = 4
 _PAUSED = "paused"
 
 
-@dataclass(frozen=True)
-class RootWitness:
+class RootWitness(Record):
     """Residue gamma with f(gamma) = 0 mod 2^(2*delta+1) and
     ord2(f'(gamma)) = delta, taken on the primitive integer model;
     ``on_reversal`` marks witnesses for reciprocal (negative-valuation)
@@ -57,8 +56,7 @@ class RootWitness:
     on_squarefree_part: bool = False
 
 
-@dataclass(frozen=True)
-class RootStatus:
+class RootStatus(Record):
     tag: str
     witness: RootWitness | None
 
@@ -231,8 +229,7 @@ def reduce_mod2(f: RatPoly) -> int:
 # Lifting a coprime factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HenselFactors:
+class HenselFactors(Record):
     """g monic with g*h = scale*f mod modulus; ``scale`` is the odd
     denominator-clearing multiplier (1 for integer input)."""
 

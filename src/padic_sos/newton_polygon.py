@@ -16,24 +16,22 @@ used downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .padic import ord2_int
 from .ratpoly import RatPoly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     start: tuple[int, int]
     end: tuple[int, int]
     slope: Fraction
     lattice_length: int
 
 
-@dataclass(frozen=True)
-class NewtonDiagram:
+class NewtonDiagram(Record):
     """Lower hull of the valuation points of a polynomial.
 
     ``points`` lists (i, ord2(c_i)) for nonzero c_i only; zero

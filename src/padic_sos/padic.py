@@ -11,8 +11,9 @@ the derivative has valuation exactly 1 there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 DEFAULT_PRECISION = 64
 
@@ -57,8 +58,7 @@ def is_square_in_q2(q) -> bool:
     return unit_residue(u, 8) == 1
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class PadicApprox(Record):
     """A p-adic number known to finite precision: p^valuation * unit
     with the unit residue known modulo p^precision.  Zero is flagged
     explicitly and never encoded as a zero residue."""
@@ -69,7 +69,8 @@ class PadicApprox:
     precision: int = DEFAULT_PRECISION
     is_zero: bool = False
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.is_zero:
             return
         if self.precision < 1:

@@ -31,11 +31,11 @@ searches complete the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import zpoly
+from .record import Record
 
 
 class SearchDepthExceeded(RuntimeError):
@@ -638,8 +638,7 @@ def sturm_real_root_count(f: RatPoly) -> int:
 # Positivity on the real line
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(Record):
     """Why a polynomial is (or is not) strictly positive on the reals.
 
     Rank and signature are those of the Hankel matrix of the square-free

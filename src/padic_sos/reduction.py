@@ -42,12 +42,12 @@ testing the same polynomial again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .certifier import (NOT_SOS4, SOS4, HenselSplitEvenParts,
-                        QuadraticNonSquareDisc, SimpleZ2Root, Sos4Certificate,
-                        certify_sos4, verify_certificate)
+from .certifier import (HENSEL_SPLIT_PRECISION, NOT_SOS4, SOS4,
+                        HenselSplitEvenParts, QuadraticNonSquareDisc,
+                        SimpleZ2Root, Sos4Certificate, certify_sos4,
+                        verify_certificate)
 from .f2 import f2_mul
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness,
                      hensel_split, newton_refine, z2_root_status)
@@ -56,6 +56,7 @@ from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
                       _epsilon_search, _perturbation_search, discriminant,
                       is_positive_on_reals, is_squarefree,
                       squarefree_decomposition)
+from .record import Record
 from .newton_polygon import newton_diagram
 
 METHOD_ZERO = "ZERO"
@@ -75,8 +76,7 @@ NOS_L_LIMIT = 64
 REFINE_PRECISION = 64
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(Record):
     """How a result on the normalized core transports to the input:
     residual(x) * scale^2 = square_part(x)^2 * core_residual(x - shift).
     """
@@ -91,8 +91,7 @@ class Transform:
                 and self.shift == 0)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     method: str
     input_poly: RatPoly
     h: RatPoly
@@ -104,8 +103,7 @@ class ReductionResult:
     transform: Transform = Transform()
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(Record):
     h: RatPoly
     candidate: RatPoly
     certificate: Sos4Certificate | None
@@ -116,23 +114,20 @@ class BranchRecord:
         return self.certificate.verdict if self.certificate else "ERROR"
 
 
-@dataclass(frozen=True)
-class IterateRecord:
+class IterateRecord(Record):
     l: int
     branch_a: BranchRecord
     branch_b: BranchRecord
 
 
-@dataclass(frozen=True)
-class NonTermination:
+class NonTermination(Record):
     cap: int
     l_init: int
     epsilon: Fraction
     iterates: tuple[IterateRecord, ...]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """The subtraction family provably fails: for the exhibited l the
     difference f - 2^(-2l)(x^2+x+1)^(2k)x^2 is positive yet has a
     certified simple 2-adic root, so it is not a sum of four squares."""
@@ -148,8 +143,7 @@ class ObstructionReport:
     parametric_disc_value: Fraction
 
 
-@dataclass(frozen=True)
-class InconclusiveReport:
+class InconclusiveReport(Record):
     note: str
     trace: tuple = ()
     certificate: Sos4Certificate | None = None
@@ -428,7 +422,7 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     g1 = 1
     for _ in range(2 * k):
         g1 = f2_mul(g1, 0b111)
-    factors = hensel_split(q, g1, 0b100, precision=64)
+    factors = hensel_split(q, g1, 0b100, HENSEL_SPLIT_PRECISION)
     status = z2_root_status(q)
     if status.tag != NO_ROOT:
         raise ArithmeticError(

@@ -256,6 +256,40 @@ def test_error_exit_codes(capsys):
     assert code == 1
 
 
+# each subcommand's options besides -h, as its --help lists them
+COMMAND_OPTIONS = {
+    "positivity": ["--poly", "--poly-file", "--out"],
+    "hankel": ["--poly", "--poly-file", "--out"],
+    "sturm": ["--poly", "--poly-file", "--out"],
+    "discriminant": ["--poly", "--poly-file", "--out"],
+    "newton-polygon": ["--poly", "--poly-file", "--out"],
+    "padic-square": ["--value", "--out"],
+    "padic-sqrt": ["--value", "--precision", "--out"],
+    "root-status": ["--poly", "--poly-file", "--out"],
+    "sos4-certify": ["--poly", "--poly-file", "--out", "--witness"],
+    "reduce": ["--poly", "--poly-file", "--out", "--method", "--cap"],
+    "alg9-demo": ["--k", "--N", "--cap", "--out"],
+    "family": ["--k", "--N", "--g", "--a", "--out"],
+}
+
+
+def test_help_and_usage_errors(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and "{" + ",".join(COMMAND_OPTIONS) + "}" in out
+    for command, options in COMMAND_OPTIONS.items():
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and out.startswith(f"usage: padic-sos {command} [-h]")
+        listed = [line.split()[0] for line in out.split("options:")[1].splitlines()
+                  if line.strip().startswith("-")]
+        assert listed == ["-h,", *options], command
+    for argv in ([], ["frobnicate"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out and err.startswith("usage: padic-sos [-h]")
+    code, _, err = run_cli(capsys, "padic-sqrt", "--value", "17", "--precision", "x")
+    assert code == 1 and err.startswith("usage: padic-sos padic-sqrt [-h]")
+    assert "argument --precision: invalid int value: 'x'" in err
+
+
 def test_output_is_deterministic(capsys):
     runs = []
     for _ in range(2):

@@ -115,14 +115,30 @@ def test_command_loads_only_what_it_runs(command, absent):
     assert loaded.isdisjoint(f"padic_sos.{m}" for m in absent), loaded
 
 
-def test_zpoly_imports_no_package_module():
-    proc = _python("-c", """
+@pytest.mark.parametrize("leaf", ["zpoly", "record"])
+def test_leaf_module_imports_no_package_module(leaf):
+    proc = _python("-c", f"""
 import sys
-import padic_sos.zpoly
+import padic_sos.{leaf}
 print(" ".join(sorted(m for m in sys.modules if m.startswith("padic_sos"))))
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["padic_sos", "padic_sos.zpoly"]
+    assert proc.stdout.split() == ["padic_sos", f"padic_sos.{leaf}"]
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # one process runs every command in turn and, after each, names any
+    # of the modules that defining records with dataclasses imported
+    proc = _python("-c", """
+import contextlib, io, json, sys
+from padic_sos.cli import main
+for command, args in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([command, *args])
+    print(command, *(m for m in ("dataclasses", "inspect") if m in sys.modules))
+""", json.dumps(COMMANDS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == list(COMMANDS)
 
 
 def test_module_entry_point_matches_in_process_main():

@@ -8,12 +8,12 @@ re-verify.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, _certify, verify_root_witness,
                               z2_root_status)
 from padic_sos.ratpoly import RatPoly, primitive_integer_coeffs
+from padic_sos.record import replace
 from padic_sos.reduction import palindromic_counterexample
 from padic_sos.zpoly import diff, evaluate
 

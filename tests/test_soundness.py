@@ -8,19 +8,20 @@ over Q_2.  A verdict contradicting the construction is a soundness bug
 no matter what the rules say; INCONCLUSIVE is always acceptable.
 """
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
+from padic_sos import certifier
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, HenselSplitEvenParts,
                                  OddSquareSplit, PureEvenDivisor, SimpleZ2Root,
                                  TwoSquareSplit, certify_sos4,
                                  verify_certificate)
-from padic_sos.hensel import RootStatus, RootWitness
+from padic_sos.hensel import RootStatus, RootWitness, hensel_split
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2
 from padic_sos.ratpoly import RatPoly, discriminant, is_positive_on_reals
+from padic_sos.record import replace
 from padic_sos.reduction import (InconclusiveReport, ReductionResult,
                                  reduce_auto, reduce_twice_odd_degree)
 
@@ -104,7 +105,7 @@ def test_dispatcher_runs_clean_on_random_corpus():
     assert reduced >= 30, (reduced, inconclusive)
 
 
-def test_verify_certificate_rejects_tampering():
+def test_verify_certificate_rejects_tampering(monkeypatch):
     f = RatPoly([7, 0, 1])
     cert = certify_sos4(f)
     assert cert.verdict == NOT_SOS4
@@ -112,7 +113,7 @@ def test_verify_certificate_rejects_tampering():
     ev = cert.evidence
     assert isinstance(ev, OddSquareSplit)
     # wrong constant in the split
-    bad = dataclasses.replace(cert, evidence=OddSquareSplit(ev.a_poly, ev.c + 1))
+    bad = replace(cert, evidence=OddSquareSplit(ev.a_poly, ev.c + 1))
     assert not verify_certificate(f, bad)
     # certificate presented for a different polynomial
     assert not verify_certificate(RatPoly([15, 0, 1]), cert)
@@ -120,8 +121,7 @@ def test_verify_certificate_rejects_tampering():
     g = RatPoly([1, 0, 1])
     cert = certify_sos4(g)
     assert isinstance(cert.evidence, TwoSquareSplit)
-    bad = dataclasses.replace(
-        cert, evidence=TwoSquareSplit(cert.evidence.a_poly, F(2)))
+    bad = replace(cert, evidence=TwoSquareSplit(cert.evidence.a_poly, F(2)))
     assert not verify_certificate(g, bad)
 
     h = RatPoly([-17, 0, 1]) * RatPoly([1, 0, 1])
@@ -139,21 +139,21 @@ def test_verify_certificate_rejects_tampering():
     assert not verify_root_witness(h, fake_witness)
     witness = ev.status.witness
     for tampered in (dict(modulus=2 * witness.modulus), dict(delta=witness.delta + 1)):
-        assert not verify_root_witness(h, dataclasses.replace(witness, **tampered))
+        assert not verify_root_witness(h, replace(witness, **tampered))
 
     # a diagram taken from another polynomial
     e = RatPoly([2, 0, 1])
     cert = certify_sos4(e)
     assert isinstance(cert.evidence, EisensteinEvenDegree)
     assert verify_certificate(e, cert)
-    bad = dataclasses.replace(cert, evidence=EisensteinEvenDegree(
+    bad = replace(cert, evidence=EisensteinEvenDegree(
         newton_diagram(RatPoly([2, 0, 0, 0, 1]))))
     assert not verify_certificate(e, bad)
     p = RatPoly([12, 0, 0, 0, 1])
     cert = certify_sos4(p)
     assert isinstance(cert.evidence, PureEvenDivisor)
     assert verify_certificate(p, cert)
-    bad = dataclasses.replace(cert, evidence=PureEvenDivisor(
+    bad = replace(cert, evidence=PureEvenDivisor(
         2, newton_diagram(RatPoly([2, 0, 1]))))
     assert not verify_certificate(p, bad)
 
@@ -162,13 +162,23 @@ def test_verify_certificate_rejects_tampering():
     ev = res.certificate.evidence
     assert isinstance(ev, HenselSplitEvenParts)
     assert verify_certificate(res.residual, res.certificate)
+    lifts = []
+
+    def recording_split(f, g1, h1, precision):
+        lifts.append(precision)
+        return hensel_split(f, g1, h1, precision)
+
+    monkeypatch.setattr(certifier, "hensel_split", recording_split)
     for tampered in (dict(g_degree=99, h_degree=7, modulus=3), dict(g_degree=99),
                      dict(h_degree=7), dict(modulus=3), dict(modulus=2 ** 64 + 1),
+                     dict(modulus=2 ** 32), dict(modulus=2 ** 2 ** 16),
                      dict(root_status=RootStatus("NoRoot", witness)),
                      dict(scale=ev.scale / 2)):
-        bad = dataclasses.replace(res.certificate,
-                                  evidence=dataclasses.replace(ev, **tampered))
+        bad = replace(res.certificate, evidence=replace(ev, **tampered))
         assert not verify_certificate(res.residual, bad), tampered
+    # any modulus but the recorded 2^64 is refused before a lift, whose
+    # cost would grow with it
+    assert set(lifts) == {64}
 
 
 def test_dispatcher_covers_generic_positive_inputs():

@@ -47,9 +47,9 @@ from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
 from .padic import is_square_in_q2
 from .ratpoly import (NEGATIVE_SOMEWHERE, NONNEGATIVE_WITH_ROOTS,
-                      PositivityCertificate, RatPoly, is_positive_on_reals,
-                      is_squarefree, positivity_trichotomy,
-                      primitive_integer_coeffs)
+                      PositivityCertificate, RatPoly, _from_ints,
+                      is_positive_on_reals, is_squarefree,
+                      positivity_trichotomy, primitive_integer_coeffs)
 from .record import Record
 
 SOS4 = "SOS4"
@@ -193,8 +193,8 @@ def complete_square_split(f: RatPoly) -> tuple[RatPoly, Fraction] | None:
         if P[k] * t ** (2 * m - k) != p * sum(beta[j] * beta[k - j]
                                               for j in range(k + 1)):
             return None
-    root = Fraction(sn, sd)
-    a = RatPoly([root * Fraction(b, t ** (m - i)) for i, b in enumerate(beta)])
+    # A = sqrt(lc f) * B with b_i = beta_i / t^(m-i) = beta_i * t^i / t^m
+    a = _from_ints([b * t ** i for i, b in enumerate(beta)], sn, sd * t ** m)
     return a, f[0] - a[0] * a[0]
 
 

@@ -16,15 +16,18 @@ quotients of Yun's decomposition) is the ``zpoly`` kernel's.  The
 Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``, ``hash``) is
 built on first use and cached.
 
-Root counting, square-freeness and gcds run on one fraction-free kernel:
-a sign-tracked remainder sequence of primitive integer polynomials
-(``_remainder_sequence``).  Run on (f, f') it gives the numbers of
-distinct complex and distinct real roots (the rank and signature of the
-Hankel form of f), and with them strict positivity on the reals; run on
-(f, g) its last term is the gcd.  The Fraction reference paths stay for
-the documents that print them and as test oracles: power sums, the
-Hankel matrix and its exact rank/signature, Sturm chains, and Sylvester
-resultants and discriminants.  Certified "epsilon below the infimum"
+Root counting, square-freeness, gcds, Sturm counts and resultants run
+on one fraction-free kernel: a Sturm-signed subresultant sequence of
+integer polynomials (``_remainder_sequence``), whose normal steps divide
+by a divisor known in advance and whose other steps divide by the
+content.  Run on (f, f') it gives the numbers of distinct complex and
+distinct real roots (the rank and signature of the Hankel form of f),
+and with them strict positivity on the reals and the Sturm count of a
+square-free f; run on (f, g) its last term is the gcd, and a scalar
+folded along it is the resultant Res(f, g) (the Sylvester determinant)
+and so the discriminant Res(f, f').  The Fraction paths left are the
+ones the ``hankel`` document prints: power sums, the Hankel matrix and
+its exact rank/signature.  Certified "epsilon below the infimum"
 searches complete the module.
 """
 
@@ -78,11 +81,12 @@ class RatPoly:
 
     @classmethod
     def constant(cls, c) -> "RatPoly":
-        return cls([c])
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "RatPoly":
-        return cls([0] * k + [c])
+        c = _frac(c)
+        return _model(c, (0,) * k + (1,)) if c else RatPoly()
 
     @property
     def content(self) -> Fraction:
@@ -168,7 +172,7 @@ class RatPoly:
 
     def __add__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
+            other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
         if not other._p:
@@ -191,7 +195,7 @@ class RatPoly:
 
     def __sub__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            other = RatPoly([other])
+            other = RatPoly.constant(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self + (-other)
@@ -339,50 +343,85 @@ def primitive_integer_coeffs(f: RatPoly) -> list[int]:
     return list(f.primitive_part)
 
 
-def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
-    """Fraction-free Sturm-type remainder sequence a, b, r_2, ..., r_k.
+def _remainder_sequence(a: list[int], b: list[int]
+                        ) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Sturm-signed subresultant sequence a, b, r_2, ..., r_k.
 
     ``a`` and ``b`` are ascending integer coefficient lists with
-    deg a >= deg b.  Each new term is minus a positive multiple of the
-    remainder of the two before it: pseudo-division that scales by
-    |lc(b)| instead of lc(b) keeps the multiplier positive, and dividing
-    by the positive content keeps the numbers small.  So every term has
+    deg a >= deg b and b nonzero.  Each new term r is minus a positive
+    multiple of the remainder of the two before it, so every term has
     the sign of the matching term of the Sturm sequence over Q, and the
     last term is gcd(a, b) up to a nonzero factor.
+
+    Pseudo-division scales by |lc(b)| instead of lc(b), which keeps the
+    multiplier positive.  Two kinds of step (Brown-Traub, JACM 1971):
+
+    * normal, deg a = deg b + 1 with a remainder of degree deg b - 1:
+      the pseudo-remainder comes in one pass and divides exactly by
+      lc(a)^2 (subresultant theorem), or by 1 on the first step of a run;
+    * any other step (degree gaps, equal degrees and defective
+      remainders, which sparse inputs produce): sparse pseudo-division,
+      scaling only at nonzero quotient digits, then division by the
+      content, which starts a new run.
+
+    Returns the terms and, for each term r_i (i >= 2), the step
+    (g, t, e) that made it: with a, b the two terms before it,
+    a mod b = -(s / |lc b|^e) * r_i where s = g * lc(a)^t.
     """
-    seq = [a]
+    seq, steps, first = [a], [], True
     while b:
         seq.append(b)
         n = len(b)
+        if n == 1:
+            break
         lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
-        r = list(a)
-        for k in range(len(a) - n, -1, -1):
-            c = sb * r.pop()
-            if c:
-                r = [lb * x for x in r]
-                for i in range(n - 1):
-                    r[k + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-        if r:
-            content = math.gcd(*r)
-            r = [-x // content for x in r]
+        normal = len(a) == n + 1
+        if normal:
+            # r = lb^2*a - (lb*c1*x + c0)*b, the top two terms cancel
+            c1 = sb * a[-1]
+            c0 = sb * (lb * a[-2] - c1 * b[-2])
+            u, v = lb * lb, lb * c1
+            r = [u * a[0] - c0 * b[0]]
+            r += [u * a[i] - v * b[i - 1] - c0 * b[i] for i in range(1, n - 1)]
+            e = 2
+        else:
+            r, e = list(a), 0
+            for k in range(len(a) - n, -1, -1):
+                c = sb * r.pop()
+                if c:
+                    e += 1
+                    if lb != 1:
+                        r = [lb * x for x in r]
+                    for i in range(n - 1):
+                        r[k + i] -= c * b[i]
+        if normal and r[-1]:
+            t = 0 if first else 2
+            s = a[-1] ** t
+            r = [-x // s for x in r]
+            steps.append((1, t, 2))
+            first = False
+        else:
+            zpoly.trim(r)
+            if r:
+                g = math.gcd(*r)
+                r = [-x // g for x in r]
+                steps.append((g, 0, e))
+            first = True
         a, b = b, r
-    return seq
+    return seq, steps
 
 
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic greatest common divisor: the last term of the integer
-    remainder sequence of the primitive models of f and g."""
+    """Monic greatest common divisor: the primitive part of the last
+    term of the integer remainder sequence of the primitive models of f
+    and g, made monic."""
     a, b = primitive_integer_coeffs(f), primitive_integer_coeffs(g)
     if len(a) < len(b):
         a, b = b, a
     if not a:
         return RatPoly()
-    last = _remainder_sequence(a, b)[-1]
-    if last[-1] < 0:
-        last = [-x for x in last]
-    return _model(Fraction(1, last[-1]), tuple(last))
+    last = _from_ints(_remainder_sequence(a, b)[0][-1]).primitive_part
+    return _model(Fraction(1, last[-1]), last)
 
 
 def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
@@ -430,54 +469,53 @@ def squarefree_part(f: RatPoly) -> RatPoly:
 # Resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+def _resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) for integer lists with deg a >= deg b >= 0, b nonzero,
+    folded along the remainder sequence with
 
+        Res(A, B) = (-1)^(mn) * lc(B)^(m-k) * Res(B, A mod B)
+        Res(B, q*C) = q^n * Res(B, C),  Res(B, c) = c^n for a constant c,
 
-def _sylvester_rows(fc: Sequence[Fraction], gc: Sequence[Fraction]) -> list[list[Fraction]]:
-    # fc, gc descending, declared degrees m = len(fc)-1, n = len(gc)-1
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * i + list(fc) + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + list(gc) + [Fraction(0)] * (size - n - 1 - i))
-    return rows
+    (m, n, k the degrees of A, B and A mod B) and A mod B =
+    -(g*lc(A)^t / |lc B|^e) * C from the step that made C.  The powers
+    of each |lc| are summed as exponents first: along a normal run they
+    cancel, so no large intermediate power is formed."""
+    seq, steps = _remainder_sequence(a, b)
+    if len(seq[-1]) > 1:
+        return 0
+    sign, num, den = 1, 1, 1
+    exps = [0] * len(seq)
+    for i, (g, t, e) in enumerate(steps):
+        m, n, k = len(seq[i]) - 1, len(seq[i + 1]) - 1, len(seq[i + 2]) - 1
+        if (m * n + n + (m - k if seq[i + 1][-1] < 0 else 0)) % 2:
+            sign = -sign
+        num *= g ** n
+        exps[i] += t * n
+        exps[i + 1] += m - k - e * n
+    c, p = seq[-1][0], len(seq[-2]) - 1
+    if c < 0 and p % 2:
+        sign = -sign
+    exps[-1] += p
+    for term, x in zip(seq, exps):
+        if x > 0:
+            num *= abs(term[-1]) ** x
+        elif x < 0:
+            den *= abs(term[-1]) ** -x
+    return sign * (num // den)
 
 
 def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Determinant of the Sylvester matrix of (f, g)."""
+    """Res(f, g), the determinant of the Sylvester matrix of (f, g),
+    from the remainder sequence of the primitive parts: with f = c*P
+    and g = d*Q, Res(f, g) = c^deg g * d^deg f * Res(P, Q)."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant of the zero polynomial is undefined")
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    if f.degree == 0 and g.degree == 0:
-        return Fraction(1)
-    return _det_fraction(_sylvester_rows(fc, gc))
+    m, n = f.degree, g.degree
+    if m < n:
+        r = sylvester_resultant(g, f)
+        return -r if m * n % 2 else r
+    return (f.content ** n * g.content ** m
+            * _resultant(list(f.primitive_part), list(g.primitive_part)))
 
 
 def discriminant(f: RatPoly) -> Fraction:
@@ -603,7 +641,7 @@ def count_distinct_and_real_roots(f: RatPoly) -> tuple[int, int]:
     a = primitive_integer_coeffs(f)
     da = zpoly.diff(a)
     content = math.gcd(*da)
-    seq = _remainder_sequence(a, [c // content for c in da])
+    seq = _remainder_sequence(a, [c // content for c in da])[0]
     at_pos = [1 if p[-1] > 0 else -1 for p in seq]
     at_neg = [s if len(p) % 2 == 1 else -s for s, p in zip(at_pos, seq)]
     return len(a) - len(seq[-1]), _variations(at_neg) - _variations(at_pos)
@@ -615,23 +653,17 @@ def _variations(signs: list[int]) -> int:
 
 
 def sturm_real_root_count(f: RatPoly) -> int:
-    """Count real roots of a square-free f by Sturm sign variations at
-    -infinity and +infinity, with the chain and its square-free check
-    on Fractions.  Independent of the integer remainder sequence."""
+    """Number of real roots of a square-free f: the signature of
+    ``count_distinct_and_real_roots``, when the rank shows that f is
+    square-free (rank = deg f)."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return 0
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
-    if chain[-1].degree > 0:
+    rank, sig = count_distinct_and_real_roots(f)
+    if rank != f.degree:
         raise ValueError("Sturm count requires square-free input")
-    at_pos = [1 if p.leading > 0 else -1 for p in chain]
-    at_neg = [s if p.degree % 2 == 0 else -s for s, p in zip(at_pos, chain)]
-    return _variations(at_neg) - _variations(at_pos)
+    return sig
 
 
 # ---------------------------------------------------------------------------

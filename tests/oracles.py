@@ -1,0 +1,171 @@
+"""Independent reference implementations for the ratpoly kernel.
+
+The library computes root counts, gcds, Sturm counts, resultants and
+discriminants on one Sturm-signed subresultant sequence.  These are the
+slower paths it replaced, kept here as oracles:
+
+* the primitive remainder sequence, which divides every term by its
+  content, with the root counts and the monic gcd read off it;
+* the Sturm chain over Fractions (``RatPoly.__mod__``);
+* the Sylvester matrix with a Fraction elimination determinant and a
+  cofactor expansion.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
+                               primitive_integer_coeffs)
+
+
+def primitive_remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """Fraction-free Sturm-type remainder sequence a, b, r_2, ..., r_k
+    for deg a >= deg b.  Each new term is minus the primitive part of
+    the pseudo-remainder of the two before it, where pseudo-division
+    scales by |lc(b)| so that the multiplier stays positive: every term
+    has the sign of the matching term of the Sturm sequence over Q, and
+    the last term is gcd(a, b) up to a nonzero factor."""
+    seq = [a]
+    while b:
+        seq.append(b)
+        n = len(b)
+        lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        r = list(a)
+        for k in range(len(a) - n, -1, -1):
+            c = sb * r.pop()
+            if c:
+                r = [lb * x for x in r]
+                for i in range(n - 1):
+                    r[k + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+        if r:
+            content = math.gcd(*r)
+            r = [-x // content for x in r]
+        a, b = b, r
+    return seq
+
+
+def variations(signs: list[int]) -> int:
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def root_counts(f: RatPoly) -> tuple[int, int]:
+    """(distinct complex roots, distinct real roots) of f from the
+    primitive remainder sequence of (f, f')."""
+    a = primitive_integer_coeffs(f)
+    da = [i * c for i, c in enumerate(a)][1:]
+    content = math.gcd(*da)
+    seq = primitive_remainder_sequence(a, [c // content for c in da])
+    at_pos = [1 if p[-1] > 0 else -1 for p in seq]
+    at_neg = [s if len(p) % 2 == 1 else -s for s, p in zip(at_pos, seq)]
+    return len(a) - len(seq[-1]), variations(at_neg) - variations(at_pos)
+
+
+def positivity_certificate(f: RatPoly) -> PositivityCertificate:
+    """``is_positive_on_reals`` on the primitive sequence's root counts."""
+    lead = 1 if f.leading > 0 else -1
+    csign = (f[0] > 0) - (f[0] < 0)
+    if f.degree == 0:
+        return PositivityCertificate(0, 0, lead, csign, True, csign > 0)
+    rank, sig = root_counts(f)
+    verdict = f.degree % 2 == 0 and lead > 0 and csign > 0 and sig == 0
+    return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict)
+
+
+def monic_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
+    """The monic gcd: the last term of the primitive remainder sequence."""
+    a, b = primitive_integer_coeffs(f), primitive_integer_coeffs(g)
+    if len(a) < len(b):
+        a, b = b, a
+    if not a:
+        return RatPoly()
+    last = primitive_remainder_sequence(a, b)[-1]
+    return RatPoly([Fraction(x, last[-1]) for x in last])
+
+
+def sturm_chain_count(f: RatPoly) -> int:
+    """Real roots of a square-free f by Sturm sign variations at -infinity
+    and +infinity, with the chain and its square-free check on Fractions."""
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if f.degree == 0:
+        return 0
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    if chain[-1].degree > 0:
+        raise ValueError("Sturm count requires square-free input")
+    at_pos = [1 if p.leading > 0 else -1 for p in chain]
+    at_neg = [s if p.degree % 2 == 0 else -s for s, p in zip(at_pos, chain)]
+    return variations(at_neg) - variations(at_pos)
+
+
+def sylvester_rows(f: RatPoly, g: RatPoly) -> list[list[Fraction]]:
+    """The Sylvester matrix of (f, g): deg g rows of f's coefficients,
+    then deg f rows of g's, descending."""
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    m, n = len(fc) - 1, len(gc) - 1
+    rows = []
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (n - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (m - 1 - i))
+    return rows
+
+
+def naive_det(rows) -> Fraction:
+    """Determinant by cofactor expansion along the first row; exponential,
+    for small matrices."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += (-1) ** j * rows[0][j] * naive_det(minor)
+    return total
+
+
+def det_fraction(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fractions."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
+    """Determinant of the Sylvester matrix of two nonzero polynomials."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("resultant of the zero polynomial is undefined")
+    return det_fraction(sylvester_rows(f, g))
+
+
+def discriminant(f: RatPoly) -> Fraction:
+    """Res(f, f') on the Sylvester determinant."""
+    return sylvester_resultant(f, f.derivative())

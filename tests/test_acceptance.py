@@ -17,8 +17,9 @@ from padic_sos.hensel import ROOT_EXISTS, hensel_split, z2_root_status
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2, ord2, padic_sqrt, unit_residue
 from padic_sos.ratpoly import (RatPoly, count_distinct_and_real_roots,
-                               discriminant, is_positive_on_reals,
-                               is_squarefree, sturm_real_root_count)
+                               discriminant, hankel_matrix,
+                               is_positive_on_reals, is_squarefree,
+                               rank_signature, sturm_real_root_count)
 from padic_sos.reduction import (NonTermination, ObstructionReport,
                                  ReductionResult,
                                  palindromic_counterexample, reduce_auto,
@@ -196,6 +197,7 @@ def test_criterion_08_hankel_matches_sturm():
         if f.degree != deg or discriminant(f) == 0:
             continue
         rank, sig = count_distinct_and_real_roots(f)
+        assert (rank, sig) == rank_signature(hankel_matrix(f))
         assert rank == deg
         assert sig == sturm_real_root_count(f)
         done += 1

@@ -4,16 +4,19 @@ import random
 import sys
 import typing
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import oracles
 from padic_sos import certifier
 from padic_sos.cli import MAX_K, main
 from padic_sos.padic import padic_sqrt
-from padic_sos.ratpoly import RatPoly
+from padic_sos.ratpoly import RatPoly, hankel_matrix
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 from padic_sos.serialize import (MAX_EXPONENT, MAX_MODEL_BITS, PolyParseError,
-                                 parse_poly, poly_from_json, poly_to_json)
+                                 dumps, frac_str, parse_poly, poly_from_json,
+                                 poly_to_json, positivity_to_json)
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +247,42 @@ def test_small_commands(capsys):
 
     code, out, _ = run_cli(capsys, "root-status", "--poly", "x^2-17")
     assert json.loads(out)["root_status"]["tag"] == "RootExists"
+
+
+def reference_documents(f: RatPoly) -> dict[str, tuple[int, str, str]]:
+    """(exit code, stdout, stderr) of the four Q-side reference commands
+    on f, with every number from ``oracles``."""
+    poly = poly_to_json(f)
+    rank, sig = oracles.root_counts(f)
+    docs = {
+        "positivity": {"positivity": positivity_to_json(oracles.positivity_certificate(f)),
+                       "poly": poly},
+        "hankel": {"poly": poly, "rank": rank, "signature": sig,
+                   "distinct_roots": rank, "distinct_real_roots": sig,
+                   "matrix": [[frac_str(x) for x in row] for row in hankel_matrix(f)]},
+        "discriminant": {"poly": poly, "discriminant": frac_str(oracles.discriminant(f))},
+    }
+    runs = {name: (0, dumps(doc) + "\n", "") for name, doc in docs.items()}
+    try:
+        runs["sturm"] = (0, dumps({"poly": poly, "real_roots": oracles.sturm_chain_count(f)})
+                         + "\n", "")
+    except ValueError as exc:
+        runs["sturm"] = (1, "", f"error: {exc}\n")
+    return runs
+
+
+def test_reference_documents_match_the_oracles(capsys, monkeypatch):
+    """The cli-cold corpus polynomials and degree-24 inputs, positive or
+    not, square-free or not."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import corpus
+    polys = [item.poly for item, _ in corpus.cli_documents(31, 1)]
+    rng = random.Random(24)
+    plain = corpus.plain(rng, 24)
+    polys += [plain, corpus.square_part(rng, 24), plain - 10 ** 6]
+    for f in polys:
+        for command, expected in reference_documents(f).items():
+            assert run_cli(capsys, command, "--poly", str(f)) == expected, (command, f)
 
 
 def test_error_exit_codes(capsys):

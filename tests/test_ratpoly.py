@@ -12,36 +12,10 @@ from padic_sos.ratpoly import (RatPoly,
                                sturm_real_root_count, sylvester_resultant)
 from padic_sos.reduction import palindromic_counterexample
 
+from oracles import naive_det, sturm_chain_count, sylvester_rows
+
 X2P1 = RatPoly([1, 0, 1])
 FKN, _ = palindromic_counterexample(0, 65)
-
-
-def naive_det(rows):
-    # cofactor expansion, independent of the elimination in the library
-    n = len(rows)
-    if n == 0:
-        return F(1)
-    if n == 1:
-        return rows[0][0]
-    total = F(0)
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * naive_det(minor)
-    return total
-
-
-def sylvester_rows(f, g):
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    m, n = len(fc) - 1, len(gc) - 1
-    rows = []
-    for i in range(n):
-        rows.append([F(0)] * i + fc + [F(0)] * (n - 1 - i))
-    for i in range(m):
-        rows.append([F(0)] * i + gc + [F(0)] * (m - 1 - i))
-    return rows
 
 
 def random_poly(rng, degree, lo=-9, hi=9):
@@ -195,8 +169,9 @@ def test_hankel_signature_agrees_with_sturm():
         if discriminant(f) == 0:
             continue
         rank, sig = count_distinct_and_real_roots(f)
+        assert (rank, sig) == rank_signature(hankel_matrix(f))
         assert rank == f.degree
-        assert sig == sturm_real_root_count(f)
+        assert sig == sturm_real_root_count(f) == sturm_chain_count(f)
         done += 1
 
 

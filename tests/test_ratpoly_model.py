@@ -315,7 +315,10 @@ def test_scalar_operations_match_the_oracle(a, q):
     agree(f * q, ref * q)
     agree(q * f, q * ref)
     agree(f + q, ref + q)
+    agree(f - q, ref - q)
     agree(q - f, q - ref)
+    agree(RatPoly.constant(q), FracPoly.constant(q))
+    agree(RatPoly.monomial(len(a), q), FracPoly.monomial(len(a), q))
     assert (f == q) == (ref == q)
 
 
@@ -368,5 +371,10 @@ def test_constructors_and_zero():
     f = RatPoly([Fraction(-6, 35), Fraction(4, 21)])
     assert (f.content, f.primitive_part) == (Fraction(2, 105), (-9, 10))
     assert ((-f).content, (-f).primitive_part) == (Fraction(-2, 105), (-9, 10))
-    with pytest.raises(TypeError):
-        RatPoly([1.5])
+    agree(RatPoly.constant(0), FracPoly())
+    agree(RatPoly.monomial(4, 0), FracPoly())
+    for build in (lambda: RatPoly([1.5]), lambda: RatPoly.constant(1.5),
+                  lambda: RatPoly.monomial(2, 1.5), lambda: RatPoly([1]) + 1.5,
+                  lambda: RatPoly([1]) - 1.5):
+        with pytest.raises(TypeError):
+            build()

@@ -6,25 +6,36 @@ odd-multiplicity irreducible factor over the 2-adic field has even
 degree.  Full 2-adic factorization is out of reach here, so the
 certifier runs a pipeline of sound sufficient rules and returns SOS4,
 NOT_SOS4, or an honest INCONCLUSIVE, always with machine-checkable
-evidence:
+evidence.
 
-NOT rules
-  * odd square split: f = A^2 + c with deg A odd and -c a 2-adic
-    square makes f a product of two coprime odd-degree 2-adic factors,
-    one of which contributes an odd-degree factor of odd multiplicity;
-  * simple 2-adic root: a certified root of a square-free polynomial
-    is a linear factor of multiplicity one.
+Each evidence class names the rule that produces it and the verdict
+it concludes (class attributes ``rule`` and ``verdict`` beside the
+serialized ``kind``), and ``Sos4Certificate.of`` builds every
+certificate from them:
 
-SOS rules
-  * two-square split: f = A^2 + s^2 with rational s is literally a sum
-    of two squares;
-  * Eisenstein: an even-degree polynomial certified irreducible by its
-    Newton diagram;
-  * pure even divisor: a pure diagram whose slope denominator is even
-    forces every 2-adic factor degree to be even;
-  * mod-2 even degrees: with a unit leading coefficient, if every
-    irreducible factor of the mod-2 image has even degree then so does
-    every monic 2-adic factor (reductions preserve degrees).
+NOT_SOS4
+  * ``NotPositive`` / positivity: f is negative somewhere on the reals;
+  * ``OddSquareSplit`` / odd_split_witness: f = A^2 + c with deg A odd
+    and -c a 2-adic square makes f a product of two coprime odd-degree
+    2-adic factors, one of which contributes an odd-degree factor of
+    odd multiplicity;
+  * ``SimpleZ2Root`` / simple_z2_root: a certified root of a
+    square-free polynomial is a linear factor of multiplicity one.
+
+SOS4
+  * ``TwoSquareSplit`` / two_square_split: f = A^2 + s^2 with rational
+    s is literally a sum of two squares;
+  * ``EisensteinEvenDegree`` / eisenstein: an even-degree polynomial
+    certified irreducible by its Newton diagram;
+  * ``PureEvenDivisor`` / pure_even_divisor: a pure diagram whose slope
+    denominator is even forces every 2-adic factor degree to be even;
+  * ``Mod2EvenDegrees`` / mod2_even_degrees: with a unit leading
+    coefficient, if every irreducible factor of the mod-2 image has
+    even degree then so does every monic 2-adic factor (reductions
+    preserve degrees);
+  * ``QuadraticNonSquareDisc`` / quadratic_nonsquare_disc and
+    ``HenselSplitEvenParts`` / hensel_split_even_parts: built by the
+    reduction routes, not by the pipeline.
 
 The strict-positivity gate runs first: a polynomial negative somewhere
 is never a sum of squares, and nonnegative inputs with real roots are
@@ -32,6 +43,15 @@ rejected with an explicit error rather than guessed at.  A caller that
 has just gated f hands its positivity certificate in, and the gate
 reads it instead of testing f again; ``_certify_positive`` runs the
 rules behind the gate.
+
+``verify_certificate`` accepts a certificate only when its verdict and
+rule are the ones its evidence class names (INCONCLUSIVE: no rule, no
+evidence) and its positivity certificate is f's own.  It re-runs the
+deterministic rules (Eisenstein, pure even divisor, mod-2 even degrees,
+the quadratic discriminant) on f and the odd split rule on the
+recorded split, and asks for the evidence back; it re-checks a root
+witness with ``hensel.verify_root_witness`` and a Hensel split against
+a fresh lift.
 """
 
 from __future__ import annotations
@@ -69,7 +89,7 @@ class NotPositive(Record):
     """Condition fails before any 2-adic reasoning: f is negative
     somewhere on the real line."""
 
-    kind = "not_positive"
+    kind, rule, verdict = "not_positive", "positivity", NOT_SOS4
 
 
 class OddSquareSplit(Record):
@@ -77,14 +97,14 @@ class OddSquareSplit(Record):
 
     a_poly: RatPoly
     c: Fraction
-    kind = "odd_square_split"
+    kind, rule, verdict = "odd_square_split", "odd_split_witness", NOT_SOS4
 
 
 class SimpleZ2Root(Record):
     """A certified 2-adic root of a square-free polynomial."""
 
     status: RootStatus
-    kind = "simple_z2_root"
+    kind, rule, verdict = "simple_z2_root", "simple_z2_root", NOT_SOS4
 
 
 class TwoSquareSplit(Record):
@@ -92,14 +112,14 @@ class TwoSquareSplit(Record):
 
     a_poly: RatPoly
     s: Fraction
-    kind = "two_square_split"
+    kind, rule, verdict = "two_square_split", "two_square_split", SOS4
 
 
 class EisensteinEvenDegree(Record):
     """Irreducible of even degree by the generalized Eisenstein test."""
 
     diagram: NewtonDiagram
-    kind = "eisenstein_even_degree"
+    kind, rule, verdict = "eisenstein_even_degree", "eisenstein", SOS4
 
 
 class PureEvenDivisor(Record):
@@ -108,7 +128,7 @@ class PureEvenDivisor(Record):
 
     divisor: int
     diagram: NewtonDiagram
-    kind = "pure_even_divisor"
+    kind, rule, verdict = "pure_even_divisor", "pure_even_divisor", SOS4
 
 
 class Mod2EvenDegrees(Record):
@@ -117,7 +137,7 @@ class Mod2EvenDegrees(Record):
     multiplicities)."""
 
     factors: tuple[tuple[int, int], ...]
-    kind = "mod2_even_degrees"
+    kind, rule, verdict = "mod2_even_degrees", "mod2_even_degrees", SOS4
 
 
 class QuadraticNonSquareDisc(Record):
@@ -125,7 +145,7 @@ class QuadraticNonSquareDisc(Record):
     irreducible there; used by the reduction routines."""
 
     disc: Fraction
-    kind = "quadratic_nonsquare_disc"
+    kind, rule, verdict = "quadratic_nonsquare_disc", "quadratic_nonsquare_disc", SOS4
 
 
 class HenselSplitEvenParts(Record):
@@ -138,7 +158,7 @@ class HenselSplitEvenParts(Record):
     h_degree: int
     modulus: int
     root_status: RootStatus
-    kind = "hensel_split_even_parts"
+    kind, rule, verdict = "hensel_split_even_parts", "hensel_split_even_parts", SOS4
 
 
 Evidence = (NotPositive | OddSquareSplit | SimpleZ2Root | TwoSquareSplit
@@ -151,6 +171,15 @@ class Sos4Certificate(Record):
     rule: str | None
     positivity: PositivityCertificate
     evidence: Evidence | None
+
+    @classmethod
+    def of(cls, positivity: PositivityCertificate,
+           evidence: Evidence | None) -> Sos4Certificate:
+        """The certificate ``evidence`` concludes: its class's verdict and
+        rule, or INCONCLUSIVE without evidence."""
+        if evidence is None:
+            return cls(INCONCLUSIVE, None, positivity, None)
+        return cls(evidence.verdict, evidence.rule, positivity, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +331,16 @@ def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
     return None
 
 
+def quadratic_nonsquare_disc(f: RatPoly) -> QuadraticNonSquareDisc | None:
+    """SOS evidence for a quadratic whose discriminant is not a 2-adic
+    square, so that it is irreducible over Q_2; the reduction routes
+    build it, the pipeline does not run it."""
+    if f.degree != 2:
+        return None
+    disc = f[1] * f[1] - 4 * f[2] * f[0]
+    return None if is_square_in_q2(disc) else QuadraticNonSquareDisc(disc)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -330,7 +369,7 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
             raise ValueError(
                 "input is nonnegative but has real roots; only strictly "
                 "positive polynomials are certified")
-        return Sos4Certificate(NOT_SOS4, "positivity", positivity, NotPositive())
+        return Sos4Certificate.of(positivity, NotPositive())
     return _certify_positive(f, positivity, split, check_all_rules)
 
 
@@ -343,43 +382,26 @@ def _certify_positive(f: RatPoly, positivity: PositivityCertificate,
     if split is None:
         split = complete_square_split(f)
     diagram = cache(lambda: newton_diagram(f))  # one for both diagram rules
-    outcomes: list[tuple[str, str, Evidence]] = []
-
-    def run(name, producer, conclusive_verdict):
-        ev = producer()
-        if ev is not None:
-            outcomes.append((conclusive_verdict, name, ev))
-        return ev
-
     # the split is checked (a witness) or exact by construction (the
     # search), so the split rules run without their witness check
-    order = [
-        (NOT_SOS4, "odd_split_witness",
-         lambda: _odd_split(*split) if split and split[1] != 0 else None),
-        (NOT_SOS4, "simple_z2_root",
-         lambda: rule_simple_z2_root(f, positivity.on_squarefree_part)),
-        (SOS4, "two_square_split",
-         lambda: _two_square(*split) if split else None),
-        (SOS4, "eisenstein", lambda: rule_eisenstein(f, diagram())),
-        (SOS4, "pure_even_divisor", lambda: rule_pure_even_divisor(f, diagram())),
-        (SOS4, "mod2_even_degrees", lambda: rule_mod2_even_degrees(f)),
-    ]
-    result: Sos4Certificate | None = None
-    for verdict, name, producer in order:
-        ev = run(name, producer, verdict)
-        if ev is not None and result is None:
-            result = Sos4Certificate(verdict, name, positivity, ev)
+    producers = (
+        lambda: _odd_split(*split) if split and split[1] != 0 else None,
+        lambda: rule_simple_z2_root(f, positivity.on_squarefree_part),
+        lambda: _two_square(*split) if split else None,
+        lambda: rule_eisenstein(f, diagram()),
+        lambda: rule_pure_even_divisor(f, diagram()),
+        lambda: rule_mod2_even_degrees(f),
+    )
+    found: list[Evidence] = []
+    for produce in producers:
+        if (ev := produce()) is not None:
             if not check_all_rules:
-                return result
-    if check_all_rules and outcomes:
-        verdicts = {v for v, _, _ in outcomes}
-        if verdicts == {SOS4, NOT_SOS4}:
-            raise AssertionError(
-                f"conflicting evidence on {f}: " +
-                ", ".join(f"{n}->{v}" for v, n, _ in outcomes))
-    if result is not None:
-        return result
-    return Sos4Certificate(INCONCLUSIVE, None, positivity, None)
+                return Sos4Certificate.of(positivity, ev)
+            found.append(ev)
+    if len({ev.verdict for ev in found}) > 1:
+        raise AssertionError(f"conflicting evidence on {f}: " +
+                             ", ".join(f"{ev.rule}->{ev.verdict}" for ev in found))
+    return Sos4Certificate.of(positivity, next(iter(found), None))
 
 
 # ---------------------------------------------------------------------------
@@ -389,77 +411,65 @@ def _certify_positive(f: RatPoly, positivity: PositivityCertificate,
 def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
     """Recheck a certificate's evidence against f from scratch.
 
-    Recomputes the defining conditions of the evidence kind; used by
-    the acceptance suite to confirm that stored certificates re-verify
-    after serialization round trips.
+    The verdict and rule must be the ones the evidence class names (no
+    evidence: INCONCLUSIVE, no rule), and the positivity certificate
+    f's own.  A deterministic rule is re-run on f and must give the
+    evidence back; the other kinds re-check their defining conditions.
+    Used by the acceptance suite to confirm that stored certificates
+    re-verify after serialization round trips.
     """
     positivity = is_positive_on_reals(f)
-    if positivity != cert.positivity:
-        return False
     ev = cert.evidence
-    if cert.verdict == INCONCLUSIVE:
-        return ev is None
-    if cert.verdict == SOS4 and not positivity.verdict:
+    if not isinstance(ev, Evidence | None) or cert != Sos4Certificate.of(positivity, ev):
+        return False
+    if ev is None:
+        return True
+    if ev.verdict == SOS4 and not positivity.verdict:
         return False
     if isinstance(ev, NotPositive):
-        return (cert.verdict == NOT_SOS4
-                and positivity_trichotomy(f) == NEGATIVE_SOMEWHERE)
+        return positivity_trichotomy(f) == NEGATIVE_SOMEWHERE
     if isinstance(ev, OddSquareSplit):
-        return (cert.verdict == NOT_SOS4
-                and f == ev.a_poly * ev.a_poly + RatPoly([ev.c])
-                and ev.a_poly.degree % 2 == 1
-                and ev.c != 0 and is_square_in_q2(-ev.c))
+        try:
+            return rule_odd_split_witness(f, ev.a_poly, ev.c) == ev
+        except ValueError:  # not a split of f, or c = 0
+            return False
     if isinstance(ev, SimpleZ2Root):
-        return (cert.verdict == NOT_SOS4
-                and ev.status.tag == ROOT_EXISTS
+        return (ev.status.tag == ROOT_EXISTS
                 and ev.status.witness is not None
                 and verify_root_witness(f, ev.status.witness)
                 and is_squarefree(f))
     if isinstance(ev, TwoSquareSplit):
-        return (cert.verdict == SOS4
-                and f == ev.a_poly * ev.a_poly + RatPoly([ev.s * ev.s]))
-    if isinstance(ev, (EisensteinEvenDegree, PureEvenDivisor)):
-        diagram = newton_diagram(f)
-        if cert.verdict != SOS4 or ev.diagram != diagram:
-            return False
-        if isinstance(ev, EisensteinEvenDegree):
-            return f.degree % 2 == 0 and eisenstein_irreducible(f, diagram)
-        return (is_pure(diagram) and factor_degree_divisor(diagram) == ev.divisor
-                and ev.divisor % 2 == 0)
+        return f == ev.a_poly * ev.a_poly + RatPoly([ev.s * ev.s])
+    if isinstance(ev, EisensteinEvenDegree):
+        return rule_eisenstein(f) == ev
+    if isinstance(ev, PureEvenDivisor):
+        return rule_pure_even_divisor(f) == ev
     if isinstance(ev, Mod2EvenDegrees):
-        fresh = rule_mod2_even_degrees(f)
-        return (cert.verdict == SOS4 and fresh is not None
-                and fresh.factors == ev.factors)
+        return rule_mod2_even_degrees(f) == ev
     if isinstance(ev, QuadraticNonSquareDisc):
-        if cert.verdict != SOS4 or f.degree != 2:
-            return False
-        disc = f[1] * f[1] - 4 * f[2] * f[0]
-        return disc == ev.disc and not is_square_in_q2(disc)
-    if isinstance(ev, HenselSplitEvenParts):
-        if cert.verdict != SOS4:
-            return False
-        scaled = f * ev.scale
-        coeffs = primitive_integer_coeffs(scaled)
-        if not coeffs or coeffs[-1] % 2 == 0:
-            return False
-        bits = f2.f2_from_coeffs(coeffs)
-        facs = dict(f2.f2_factor(bits))
-        # mod 2 the split reads (irreducible quadratic)^k * x^2
-        if facs.get(2, 0) != 2:
-            return False
-        if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
-            return False
-        # the recorded split is the lift of [scaled] = (bits / x^2) * x^2
-        # to 2^HENSEL_SPLIT_PRECISION; the lift's cost grows with the
-        # modulus, so no other one is accepted
-        if ev.modulus != 1 << HENSEL_SPLIT_PRECISION:
-            return False
-        try:
-            factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
-        except ValueError:  # the scaled model is not odd-cleared integral
-            return False
-        if (len(factors.g) - 1, len(factors.h) - 1) != (ev.g_degree, ev.h_degree):
-            return False
-        return (ev.root_status.tag == NO_ROOT
-                and ev.root_status == z2_root_status(scaled))
-    return False
+        return quadratic_nonsquare_disc(f) == ev
+    # the one kind left: HenselSplitEvenParts
+    scaled = f * ev.scale
+    coeffs = primitive_integer_coeffs(scaled)
+    if not coeffs or coeffs[-1] % 2 == 0:
+        return False
+    bits = f2.f2_from_coeffs(coeffs)
+    facs = dict(f2.f2_factor(bits))
+    # mod 2 the split reads (irreducible quadratic)^k * x^2
+    if facs.get(2, 0) != 2:
+        return False
+    if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
+        return False
+    # the recorded split is the lift of [scaled] = (bits / x^2) * x^2
+    # to 2^HENSEL_SPLIT_PRECISION; the lift's cost grows with the
+    # modulus, so no other one is accepted
+    if ev.modulus != 1 << HENSEL_SPLIT_PRECISION:
+        return False
+    try:
+        factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
+    except ValueError:  # the scaled model is not odd-cleared integral
+        return False
+    if (len(factors.g) - 1, len(factors.h) - 1) != (ev.g_degree, ev.h_degree):
+        return False
+    return (ev.root_status.tag == NO_ROOT
+            and ev.root_status == z2_root_status(scaled))

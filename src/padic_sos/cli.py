@@ -24,6 +24,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
+# Largest degree ``hankel`` takes.  Its document is the degree x degree
+# matrix of power sums, whose entries grow with their index: on dense
+# inputs with small coefficients one call took about 1 s and wrote 2-8 MB
+# at degree 200, and 4.5 s and 36 MB at degree 256 (2-vCPU x86-64 VM).
+MAX_HANKEL_DEGREE = 200
+
 
 def _read_poly(args) -> RatPoly:
     if args.poly_file:
@@ -62,10 +68,15 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_hankel(args) -> int:
-    from .ratpoly import hankel_matrix, rank_signature
+    from .ratpoly import count_distinct_and_real_roots, hankel_matrix
     f = _read_poly(args)
+    if f.degree > MAX_HANKEL_DEGREE:
+        raise ValueError(f"hankel needs degree at most {MAX_HANKEL_DEGREE} (it prints "
+                         f"the degree x degree matrix of power sums), got {f.degree}")
     matrix = hankel_matrix(f)
-    rank, sig = rank_signature(matrix)
+    # the rank and signature of the Hankel matrix count f's distinct
+    # complex and real roots, which the subresultant sequence gives exactly
+    rank, sig = count_distinct_and_real_roots(f)
     return _emit(args, {
         "poly": serialize.poly_to_json(f),
         "matrix": [[serialize.frac_str(x) for x in row] for row in matrix],
@@ -136,59 +147,33 @@ def _cmd_certify(args) -> int:
                  status)
 
 
-def _cmd_reduce(args) -> int:
-    from .reduction import (InconclusiveReport, NonTermination,
-                            ObstructionReport, ReductionResult, reduce_auto,
-                            reduce_constant_three_mod_four,
-                            reduce_cyclotomic_power, reduce_iterative,
-                            reduce_multiple_of_four, reduce_odd_valuation,
-                            reduce_twice_odd_degree)
-    f = _read_poly(args)
-    method = args.method
-    if method == "auto":
-        outcome = reduce_auto(f)
-    elif method == "alg6":
-        outcome = reduce_odd_valuation(f)
-    elif method == "algn":
-        outcome = reduce_multiple_of_four(f)
-    elif method == "alg9":
-        outcome = reduce_iterative(f, cap=args.cap)
-    elif method == "nos":
-        outcome = reduce_constant_three_mod_four(f)
-    elif method == "gr4":
-        outcome = reduce_cyclotomic_power(f)
-    elif method == "picky":
-        outcome = reduce_twice_odd_degree(f)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method}")
+# --method -> the reduction function it runs
+_REDUCE_METHODS = {
+    "auto": "reduce_auto",
+    "alg6": "reduce_odd_valuation",
+    "algn": "reduce_multiple_of_four",
+    "alg9": "reduce_iterative",
+    "nos": "reduce_constant_three_mod_four",
+    "gr4": "reduce_cyclotomic_power",
+    "picky": "reduce_twice_odd_degree",
+}
 
-    if isinstance(outcome, ReductionResult):
-        return _emit(args, serialize.result_to_json(outcome), "ok")
-    if isinstance(outcome, NonTermination):
-        return _emit(args, serialize.nontermination_to_json(outcome),
-                     "non-termination")
-    if isinstance(outcome, ObstructionReport):
-        return _emit(args, serialize.obstruction_to_json(outcome), "ok")
-    if isinstance(outcome, InconclusiveReport):
-        return _emit(args, {"note": outcome.note,
-                            "trace": [list(map(str, t)) for t in outcome.trace]},
-                     "inconclusive")
-    raise TypeError(f"unexpected outcome {outcome!r}")
+
+def _cmd_reduce(args) -> int:
+    from . import reduction
+    f = _read_poly(args)
+    route = getattr(reduction, _REDUCE_METHODS[args.method])
+    outcome = route(f, cap=args.cap) if args.method == "alg9" else route(f)
+    return _emit(args, *serialize.outcome_to_json(outcome))
 
 
 def _cmd_alg9_demo(args) -> int:
-    from .reduction import (NonTermination, palindromic_counterexample,
-                            reduce_iterative)
+    from .reduction import palindromic_counterexample, reduce_iterative
     f, witness = palindromic_counterexample(args.k, args.N)
-    outcome = reduce_iterative(f, cap=args.cap)
-    payload = {"poly": serialize.poly_to_json(f),
-               "witness_a": serialize.poly_to_json(witness[0]),
-               "witness_c": serialize.frac_str(witness[1])}
-    if isinstance(outcome, NonTermination):
-        payload.update(serialize.nontermination_to_json(outcome))
-        return _emit(args, payload, "non-termination")
-    payload.update(serialize.result_to_json(outcome))
-    return _emit(args, payload, "ok")
+    payload, status = serialize.outcome_to_json(reduce_iterative(f, cap=args.cap))
+    return _emit(args, {"poly": serialize.poly_to_json(f),
+                        "witness_a": serialize.poly_to_json(witness[0]),
+                        "witness_c": serialize.frac_str(witness[1]), **payload}, status)
 
 
 def _cmd_family(args) -> int:
@@ -254,8 +239,7 @@ def _add_certify_args(p):
 
 def _add_reduce_args(p):
     _add_poly_args(p)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "alg6", "algn", "alg9", "nos", "gr4", "picky"])
+    p.add_argument("--method", default="auto", choices=list(_REDUCE_METHODS))
     p.add_argument("--cap", type=int, default=40)
 
 

@@ -157,22 +157,19 @@ def z2_root_status(f: RatPoly) -> RootStatus:
 
 
 def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
-    """Re-check the certificate conditions from scratch (on the
-    square-free part of f for a witness marked as taken there)."""
+    """Re-check a witness from scratch: it is accepted exactly when it
+    is the witness the root tree's check derives at its gamma, on the
+    primitive integer model of f, of its reversal, or of its
+    square-free part, as the witness's flags name.  So delta, the
+    modulus and ``exact`` must all be what f gives at gamma: an exact
+    root is accepted only as ``exact``."""
     if witness.on_squarefree_part:
         f = squarefree_part(f)
     coeffs = primitive_integer_coeffs(f)
     if witness.on_reversal:
-        coeffs = list(reversed(coeffs))
-    v = zpoly.evaluate(coeffs, witness.gamma)
-    dv = zpoly.evaluate(zpoly.diff(coeffs), witness.gamma)
-    delta = None if dv == 0 else ord2_int(dv)
-    if (witness.delta, witness.modulus) != (
-            delta, 1 if delta is None else 1 << (2 * delta + 1)):
-        return False
-    if witness.exact:
-        return v == 0
-    return delta is not None and v % witness.modulus == 0
+        coeffs = coeffs[::-1]
+    return (_certify(coeffs, zpoly.diff(coeffs), witness.gamma, witness.on_reversal)
+            == replace(witness, on_squarefree_part=False))
 
 
 def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:

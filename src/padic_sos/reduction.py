@@ -44,18 +44,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .certifier import (HENSEL_SPLIT_PRECISION, NOT_SOS4, SOS4,
-                        HenselSplitEvenParts, QuadraticNonSquareDisc,
+from . import zpoly
+from .certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
                         SimpleZ2Root, Sos4Certificate, certify_sos4,
-                        verify_certificate)
-from .f2 import f2_mul
-from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness,
-                     hensel_split, newton_refine, z2_root_status)
+                        quadratic_nonsquare_disc, verify_certificate)
+from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, _certify, hensel_split,
+                     newton_refine, reduce_mod2, z2_root_status)
 from .padic import is_square_in_q2, ord2
 from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
                       _epsilon_search, _perturbation_search, discriminant,
                       is_positive_on_reals, is_squarefree,
-                      squarefree_decomposition)
+                      primitive_integer_coeffs, squarefree_decomposition)
 from .record import Record
 from .newton_polygon import newton_diagram
 
@@ -386,92 +385,66 @@ def reduce_twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
 
 def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     k = (f.degree - 2) // 4
-    d = f.degree
     k0 = ord2(f[0])[0]
-    base = (CYCLOTOMIC ** (2 * k)) * RatPoly.monomial(2) if k else RatPoly.monomial(2)
+    base = CYCLOTOMIC ** (2 * k) * RatPoly.monomial(2)
     eps0 = _perturbation_search(f, -base)
     ell_pos = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
 
     if is_square_in_q2(f[0]):
-        return _obstruction(f, k, k0, ell_pos, base)
+        return _obstruction(f, k0, ell_pos, base)
 
+    bounds = ([2, Fraction(k0 + 5, 2)] if k == 0 else
+              [1] + ([Fraction(k0, 2) - ord2(f[1])[0] + 2] if f[1] else []))
+    ell = math.floor(max(ell_pos, *bounds)) + 1
+    h = CYCLOTOMIC ** k * RatPoly.monomial(1, Fraction(1, 2 ** ell))
+    g = f - h * h
+    params = {"l": ell, "k": k, "k0": k0, "epsilon0": eps0}
     if k == 0:
-        bound = max(Fraction(2), Fraction(ell_pos), Fraction(k0 + 5, 2))
-        ell = math.floor(bound) + 1
-        q = f * (4 ** ell) - RatPoly.monomial(2)
-        disc_q = q[1] * q[1] - 4 * q[2] * q[0]
-        if is_square_in_q2(disc_q):
+        evidence = quadratic_nonsquare_disc(g)
+        if evidence is None:
             raise ArithmeticError(
                 "quadratic discriminant unexpectedly a 2-adic square")
-        h = RatPoly.monomial(1, Fraction(1, 2 ** ell))
-        g = f - h * h
-        positivity = is_positive_on_reals(g)
-        _require(positivity.verdict, "residual lost positivity")
-        disc_g = g[1] * g[1] - 4 * g[2] * g[0]
-        cert = Sos4Certificate(SOS4, "quadratic_nonsquare_disc", positivity,
-                               QuadraticNonSquareDisc(disc_g))
-        return _finish(METHOD_PICKY, f, h, cert,
-                       {"l": ell, "k": 0, "k0": k0, "epsilon0": eps0})
-
-    k1_term = []
-    if f[1] != 0:
-        k1_term.append(Fraction(k0, 2) - ord2(f[1])[0] + 2)
-    bound = max([Fraction(1), Fraction(ell_pos)] + k1_term)
-    ell = math.floor(bound) + 1
-    q = f * (4 ** ell) - base
-    g1 = 1
-    for _ in range(2 * k):
-        g1 = f2_mul(g1, 0b111)
-    factors = hensel_split(q, g1, 0b100, HENSEL_SPLIT_PRECISION)
-    status = z2_root_status(q)
-    if status.tag != NO_ROOT:
-        raise ArithmeticError(
-            "the quadratic Hensel factor has a 2-adic root")
-    h = (CYCLOTOMIC ** k) * RatPoly.monomial(1, Fraction(1, 2 ** ell))
-    g = f - h * h
+    else:
+        # q = base = (x^2+x+1)^(2k) * x^2 mod 2: lift that split
+        q = f * (4 ** ell) - base
+        factors = hensel_split(q, reduce_mod2(base) >> 2, 0b100, HENSEL_SPLIT_PRECISION)
+        status = z2_root_status(q)
+        if status.tag != NO_ROOT:
+            raise ArithmeticError(
+                "the quadratic Hensel factor has a 2-adic root")
+        evidence = HenselSplitEvenParts(Fraction(4 ** ell), len(factors.g) - 1,
+                                        len(factors.h) - 1, factors.modulus, status)
+        params.update(hensel_g_degree=evidence.g_degree, hensel_h_degree=evidence.h_degree)
     positivity = is_positive_on_reals(g)
     _require(positivity.verdict, "residual lost positivity")
-    evidence = HenselSplitEvenParts(Fraction(4 ** ell), len(factors.g) - 1,
-                                    len(factors.h) - 1, factors.modulus, status)
-    cert = Sos4Certificate(SOS4, "hensel_split_even_parts", positivity, evidence)
-    return _finish(METHOD_PICKY, f, h, cert,
-                   {"l": ell, "k": k, "k0": k0, "epsilon0": eps0,
-                    "hensel_g_degree": len(factors.g) - 1,
-                    "hensel_h_degree": len(factors.h) - 1})
+    return _finish(METHOD_PICKY, f, h, Sos4Certificate.of(positivity, evidence), params)
 
 
-def _obstruction(f: RatPoly, k: int, k0: int, ell_pos: int,
+def _obstruction(f: RatPoly, k0: int, ell_pos: int,
                  base: RatPoly) -> ObstructionReport:
     # f is integral and base monic of degree deg f, so q keeps degree
     # deg f (its lead coefficient 4^l * lc(f) - 1 is odd) and disc(q) is
-    # the family's parametric discriminant at lambda = 4^l
+    # the family's parametric discriminant at lambda = 4^l; the witness
+    # is the root tree's check at 2^(l+a)
     a = k0 // 2
-    ell = max(a + 3, ell_pos, 1)
-    for _ in range(64):
+    first = max(a + 3, ell_pos, 1)
+    for ell in range(first, first + 64):
         q = f * (4 ** ell) - base
-        gamma = 2 ** (ell + a)
-        qprime = q.derivative()
-        dv = qprime(gamma)
-        v = q(gamma)
-        if dv != 0 and v != 0 and is_squarefree(q):
-            delta = ord2(dv)[0]
-            if ord2(v)[0] >= 2 * delta + 1:
-                break
-        ell += 1
+        coeffs = primitive_integer_coeffs(q)
+        witness = _certify(coeffs, zpoly.diff(coeffs), 2 ** (ell + a), False)
+        if witness is not None and is_squarefree(q):
+            break
     else:
         raise ArithmeticError("no certifiable obstruction witness found")
-    refined = newton_refine(q, gamma, delta, REFINE_PRECISION)
+    refined = newton_refine(q, witness.gamma, witness.delta, REFINE_PRECISION)
     g = f - base * Fraction(1, 4 ** ell)
     positivity = is_positive_on_reals(g)
     _require(positivity.verdict, "obstruction residual lost positivity")
-    witness = RootWitness(gamma, delta, 1 << (2 * delta + 1))
-    status = RootStatus(ROOT_EXISTS, witness)
-    cert = Sos4Certificate(NOT_SOS4, "simple_z2_root", positivity,
-                           SimpleZ2Root(status))
+    cert = Sos4Certificate.of(positivity, SimpleZ2Root(RootStatus(ROOT_EXISTS, witness)))
     if not verify_certificate(g, cert):
         raise ArithmeticError("obstruction certificate failed to re-verify")
-    return ObstructionReport(f, ell, gamma, delta, refined, REFINE_PRECISION,
-                             g, cert, discriminant(q))
+    return ObstructionReport(f, ell, witness.gamma, witness.delta, refined,
+                             REFINE_PRECISION, g, cert, discriminant(q))
 
 
 # ---------------------------------------------------------------------------

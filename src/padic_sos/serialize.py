@@ -212,38 +212,38 @@ def root_status_to_json(status: RootStatus) -> dict:
     return out
 
 
+def _mod2_factors_to_json(factors) -> list[dict]:
+    from .f2 import f2_to_str
+    return [{"poly": f2_to_str(p), "bits": str(p), "multiplicity": m} for p, m in factors]
+
+
+# evidence field -> (document key, encoder): the encoding reads the
+# evidence's own ``kind`` and fields, so it needs no import of the
+# certifier and names no evidence kind
+_EVIDENCE_FIELDS = {
+    "a_poly": ("a_poly", poly_to_json),
+    "c": ("c", frac_str),
+    "s": ("s", frac_str),
+    "disc": ("disc", frac_str),
+    "scale": ("scale", frac_str),
+    "modulus": ("modulus", str),
+    "divisor": ("divisor", int),
+    "g_degree": ("g_degree", int),
+    "h_degree": ("h_degree", int),
+    "diagram": ("diagram", diagram_to_json),
+    "factors": ("factors", _mod2_factors_to_json),
+    "status": ("root_status", root_status_to_json),
+    "root_status": ("root_status", root_status_to_json),
+}
+
+
 def _evidence_to_json(ev) -> dict:
-    # dispatch on ``ev.kind``, which names one evidence class each, so
-    # encoding needs no import of the certifier
     if ev is None:
         return {"kind": "none"}
-    kind = ev.kind
-    out: dict = {"kind": kind}
-    if kind == "odd_square_split":
-        out["a_poly"] = poly_to_json(ev.a_poly)
-        out["c"] = frac_str(ev.c)
-    elif kind == "two_square_split":
-        out["a_poly"] = poly_to_json(ev.a_poly)
-        out["s"] = frac_str(ev.s)
-    elif kind == "simple_z2_root":
-        out["root_status"] = root_status_to_json(ev.status)
-    elif kind == "eisenstein_even_degree":
-        out["diagram"] = diagram_to_json(ev.diagram)
-    elif kind == "pure_even_divisor":
-        out["divisor"] = ev.divisor
-        out["diagram"] = diagram_to_json(ev.diagram)
-    elif kind == "mod2_even_degrees":
-        from .f2 import f2_to_str
-        out["factors"] = [{"poly": f2_to_str(p), "bits": str(p), "multiplicity": m}
-                          for p, m in ev.factors]
-    elif kind == "quadratic_nonsquare_disc":
-        out["disc"] = frac_str(ev.disc)
-    elif kind == "hensel_split_even_parts":
-        out["scale"] = frac_str(ev.scale)
-        out["g_degree"] = ev.g_degree
-        out["h_degree"] = ev.h_degree
-        out["modulus"] = str(ev.modulus)
-        out["root_status"] = root_status_to_json(ev.root_status)
+    out = {"kind": ev.kind}
+    for name in ev._fields:
+        key, encode = _EVIDENCE_FIELDS[name]
+        out[key] = encode(getattr(ev, name))
     return out
 
 
@@ -324,6 +324,19 @@ def obstruction_to_json(rep: ObstructionReport) -> dict:
         "certificate": certificate_to_json(rep.certificate),
         "parametric_disc_value": frac_str(rep.parametric_disc_value),
     }
+
+
+def outcome_to_json(outcome) -> tuple[dict, str]:
+    """The payload and status of a reduction outcome's document."""
+    from .reduction import InconclusiveReport, NonTermination, ObstructionReport
+    if isinstance(outcome, NonTermination):
+        return nontermination_to_json(outcome), "non-termination"
+    if isinstance(outcome, ObstructionReport):
+        return obstruction_to_json(outcome), "ok"
+    if isinstance(outcome, InconclusiveReport):
+        return ({"note": outcome.note, "trace": [list(map(str, t)) for t in outcome.trace]},
+                "inconclusive")
+    return result_to_json(outcome), "ok"
 
 
 def dumps(payload: dict, status: str = "ok") -> str:

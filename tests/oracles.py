@@ -1,4 +1,5 @@
-"""Independent reference implementations for the ratpoly kernel.
+"""Independent reference implementations for the ratpoly kernel and
+the 2-adic root witnesses.
 
 The library computes root counts, gcds, Sturm counts, resultants and
 discriminants on one Sturm-signed subresultant sequence.  These are the
@@ -9,6 +10,17 @@ slower paths it replaced, kept here as oracles:
 * the Sturm chain over Fractions (``RatPoly.__mod__``);
 * the Sylvester matrix with a Fraction elimination determinant and a
   cofactor expansion.
+
+The library checks a root witness, and finds the PICKY obstruction's
+witness, with the root tree's own check (``hensel._certify``).  The
+conditions written out on their own, as they were before, are kept
+here too:
+
+* ``verify_root_witness``: delta and the modulus against f at gamma,
+  then f(gamma) = 0 for an exact witness and f(gamma) = 0 mod the
+  modulus otherwise;
+* ``obstruction_witness``: the l-search of ``reduce_twice_odd_degree``
+  on rational values of q = 4^l f - base and of q'.
 """
 
 from __future__ import annotations
@@ -16,8 +28,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from padic_sos import zpoly
+from padic_sos.hensel import RootWitness, newton_refine
+from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
-                               primitive_integer_coeffs)
+                               _perturbation_search, is_squarefree,
+                               primitive_integer_coeffs, squarefree_part)
+from padic_sos.reduction import CYCLOTOMIC, REFINE_PRECISION, _dyadic_exponent
 
 
 def primitive_remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -169,3 +186,51 @@ def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
 def discriminant(f: RatPoly) -> Fraction:
     """Res(f, f') on the Sylvester determinant."""
     return sylvester_resultant(f, f.derivative())
+
+
+def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
+    """The witness conditions on the primitive integer model of f (of
+    its square-free part, reversed, as the flags say): delta is
+    ord2(f'(gamma)) (None when f'(gamma) = 0), the modulus
+    2^(2*delta+1) (1 for None), and f(gamma) is 0 for an exact witness
+    and 0 mod the modulus, with delta not None, otherwise."""
+    if witness.on_squarefree_part:
+        f = squarefree_part(f)
+    coeffs = primitive_integer_coeffs(f)
+    if witness.on_reversal:
+        coeffs = list(reversed(coeffs))
+    v = zpoly.evaluate(coeffs, witness.gamma)
+    dv = zpoly.evaluate(zpoly.diff(coeffs), witness.gamma)
+    delta = None if dv == 0 else ord2_int(dv)
+    if (witness.delta, witness.modulus) != (
+            delta, 1 if delta is None else 1 << (2 * delta + 1)):
+        return False
+    if witness.exact:
+        return v == 0
+    return delta is not None and v % witness.modulus == 0
+
+
+def obstruction_witness(f: RatPoly) -> tuple[int, int, int, int]:
+    """(l, gamma, delta, refined root) of the PICKY obstruction on an
+    integral f of degree 2(2k+1) with a 2-adically square constant term:
+    the first l from max(a + 3, l_pos, 1) on with q = 4^l f - base
+    square-free, q(gamma) != 0 != q'(gamma) and
+    ord2 q(gamma) >= 2 ord2 q'(gamma) + 1 at gamma = 2^(l+a), where
+    f(0) = 2^(2a) u and base = (x^2+x+1)^(2k) x^2."""
+    k = (f.degree - 2) // 4
+    k0 = ord2(f[0])[0]
+    base = (CYCLOTOMIC ** (2 * k)) * RatPoly.monomial(2) if k else RatPoly.monomial(2)
+    ell_pos = math.ceil(Fraction(_dyadic_exponent(_perturbation_search(f, -base)), 2))
+    a = k0 // 2
+    ell = max(a + 3, ell_pos, 1)
+    for _ in range(64):
+        q = f * (4 ** ell) - base
+        gamma = 2 ** (ell + a)
+        dv = q.derivative()(gamma)
+        v = q(gamma)
+        if dv != 0 and v != 0 and is_squarefree(q):
+            delta = ord2(dv)[0]
+            if ord2(v)[0] >= 2 * delta + 1:
+                return ell, gamma, delta, newton_refine(q, gamma, delta, REFINE_PRECISION)
+        ell += 1
+    raise ArithmeticError("no certifiable obstruction witness found")

@@ -150,6 +150,19 @@ def test_no_conflicting_evidence_on_gallery():
             assert cert.positivity.verdict
 
 
+def test_check_all_rules_reports_conflicting_evidence(monkeypatch):
+    import padic_sos.certifier as certifier
+    f = RatPoly([7, 0, 1])  # x^2 + 7 has two simple 2-adic roots
+    monkeypatch.setattr(certifier, "rule_mod2_even_degrees", lambda f: Mod2EvenDegrees(()))
+    with pytest.raises(AssertionError) as info:
+        certify_sos4(f, check_all_rules=True)
+    assert str(info.value) == (f"conflicting evidence on {f}: odd_split_witness->NOT_SOS4, "
+                               "simple_z2_root->NOT_SOS4, mod2_even_degrees->SOS4")
+    # without the check the first rule that concludes decides
+    cert = certify_sos4(f)
+    assert (cert.verdict, cert.rule) == (NOT_SOS4, "odd_split_witness")
+
+
 def test_always_square_values():
     rng = random.Random(73)
     for _ in range(100):

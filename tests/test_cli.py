@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from padic_sos import certifier
-from padic_sos.cli import MAX_K, main
+from padic_sos import certifier, ratpoly, serialize
+from padic_sos.cli import MAX_HANKEL_DEGREE, MAX_K, main
 from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly, hankel_matrix
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
@@ -285,6 +285,22 @@ def test_reference_documents_match_the_oracles(capsys, monkeypatch):
             assert run_cli(capsys, command, "--poly", str(f)) == expected, (command, f)
 
 
+def test_hankel_degree_cap(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^{MAX_HANKEL_DEGREE} + 1")
+    doc = json.loads(out)
+    assert code == 0 and err == "" and len(doc["matrix"]) == MAX_HANKEL_DEGREE
+    assert (doc["rank"], doc["signature"]) == (MAX_HANKEL_DEGREE, 0)
+    # past the cap the command stops before any power sum is formed
+    monkeypatch.setattr(ratpoly, "power_sums", None)
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^{MAX_HANKEL_DEGREE + 1} + 1")
+    assert code == 1 and out == ""
+    assert err == (f"error: hankel needs degree at most {MAX_HANKEL_DEGREE} (it prints the "
+                   f"degree x degree matrix of power sums), got {MAX_HANKEL_DEGREE + 1}\n")
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "hankel", "--poly", "7")
+    assert (code, out, err) == (1, "", "error: power sums need degree >= 1\n")
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "reduce", "--poly", "x^&2")
     assert code == 1 and "error" in err
@@ -410,6 +426,9 @@ def test_library_rejects_bad_precision_and_cap():
 
 
 def test_evidence_kinds_name_one_class_each():
-    # the encoder dispatches on ``kind``
-    kinds = [cls.kind for cls in typing.get_args(certifier.Evidence)]
+    # a document tells evidence apart by ``kind``, and the encoder
+    # knows every evidence field
+    classes = typing.get_args(certifier.Evidence)
+    kinds = [cls.kind for cls in classes]
     assert len(kinds) == len(set(kinds)) == 9
+    assert {f for cls in classes for f in cls._fields} <= serialize._EVIDENCE_FIELDS.keys()

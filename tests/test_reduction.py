@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
                                  PureEvenDivisor, verify_certificate)
 from padic_sos.newton_polygon import newton_diagram
@@ -232,6 +233,24 @@ def test_picky_obstruction_on_square_constant():
     assert ord2(value)[0] >= 2 * rep.delta + 1
     assert rep.parametric_disc_value != 0
     assert rep.parametric_disc_value == discriminant(q)
+
+
+def test_obstruction_search_matches_the_reference():
+    # degree 2(2k+1) with f(0) = 4^a (8m + 1), a 2-adic square: the
+    # witness found through the root tree's check is the reference's
+    rng = random.Random(20261018)
+    done = 0
+    while done < 60:
+        d = rng.choice([2, 6, 10])
+        c0 = 4 ** rng.randint(0, 2) * (8 * rng.randint(0, 6) + 1)
+        f = RatPoly([c0] + [rng.randint(-6, 6) for _ in range(d - 1)] + [rng.randint(1, 6)])
+        positivity = is_positive_on_reals(f)
+        if not (positivity.verdict and positivity.on_squarefree_part):
+            continue
+        rep = reduce_twice_odd_degree(f)
+        assert isinstance(rep, ObstructionReport), f
+        assert (rep.ell, rep.gamma, rep.delta, rep.refined_root) == oracles.obstruction_witness(f)
+        done += 1
 
 
 def test_picky_hypothesis_gates():

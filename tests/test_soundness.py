@@ -15,9 +15,10 @@ from padic_sos import certifier
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, HenselSplitEvenParts,
                                  OddSquareSplit, PureEvenDivisor, SimpleZ2Root,
-                                 TwoSquareSplit, certify_sos4,
+                                 Sos4Certificate, TwoSquareSplit, certify_sos4,
                                  verify_certificate)
-from padic_sos.hensel import RootStatus, RootWitness, hensel_split
+from padic_sos.hensel import (ROOT_EXISTS, RootStatus, RootWitness,
+                              hensel_split, verify_root_witness)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2
 from padic_sos.ratpoly import RatPoly, discriminant, is_positive_on_reals
@@ -134,7 +135,6 @@ def test_verify_certificate_rejects_tampering(monkeypatch):
                                ev.status.witness.delta,
                                ev.status.witness.modulus)
     fake = SimpleZ2Root(RootStatus("RootExists", fake_witness))
-    from padic_sos.hensel import verify_root_witness
     assert verify_root_witness(h, ev.status.witness)
     assert not verify_root_witness(h, fake_witness)
     witness = ev.status.witness
@@ -179,6 +179,34 @@ def test_verify_certificate_rejects_tampering(monkeypatch):
     # any modulus but the recorded 2^64 is refused before a lift, whose
     # cost would grow with it
     assert set(lifts) == {64}
+
+
+def test_verify_certificate_reads_rule_verdict_and_exactness():
+    # the Eisenstein certificate of x^2 + 2 under any other label
+    e = RatPoly([2, 0, 1])
+    cert = certify_sos4(e)
+    assert (cert.verdict, cert.rule) == (SOS4, "eisenstein") and verify_certificate(e, cert)
+    for label in (dict(rule="two_square_split"), dict(rule="mod2_even_degrees"),
+                  dict(rule=None), dict(verdict=NOT_SOS4), dict(verdict=INCONCLUSIVE),
+                  dict(verdict=INCONCLUSIVE, rule=None)):
+        assert not verify_certificate(e, replace(cert, **label)), label
+    # an INCONCLUSIVE certificate carrying a rule
+    g = RatPoly([3, 0, 1])
+    cert = certify_sos4(g)
+    assert (cert.verdict, cert.rule, cert.evidence) == (INCONCLUSIVE, None, None)
+    assert verify_certificate(g, cert)
+    assert not verify_certificate(g, replace(cert, rule="eisenstein"))
+    # a witness not marked exact at the exact simple root 3 of
+    # (x - 3)(x^2 + 1), where f'(3) = 10: the root tree marks it exact
+    f = RatPoly([-3, 1]) * RatPoly([1, 0, 1])
+    exact = RootWitness(3, 1, 8, exact=True)
+    inexact = replace(exact, exact=False)
+    assert verify_root_witness(f, exact) and not verify_root_witness(f, inexact)
+    positivity = is_positive_on_reals(f)
+    for witness, verdict in ((exact, True), (inexact, False)):
+        cert = Sos4Certificate.of(positivity, SimpleZ2Root(RootStatus(ROOT_EXISTS, witness)))
+        assert (cert.verdict, cert.rule) == (NOT_SOS4, "simple_z2_root")
+        assert verify_certificate(f, cert) is verdict
 
 
 def test_dispatcher_covers_generic_positive_inputs():

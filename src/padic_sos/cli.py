@@ -29,6 +29,10 @@ EXIT_INCONCLUSIVE = 2
 # inputs with small coefficients one call took about 1 s and wrote 2-8 MB
 # at degree 200, and 4.5 s and 36 MB at degree 256 (2-vCPU x86-64 VM).
 MAX_HANKEL_DEGREE = 200
+# Largest size, in bits, ``hankel`` may bound its printed numerators and
+# denominators by (``_hankel_bits``).  At the bound a call took 1-3.5 s
+# and wrote up to 28 MB (dense degree 120-200 inputs, same VM).
+MAX_HANKEL_BITS = 2 ** 27
 
 
 def _read_poly(args) -> RatPoly:
@@ -67,12 +71,35 @@ def _cmd_positivity(args) -> int:
                         "poly": serialize.poly_to_json(f)}, "ok")
 
 
+def _hankel_bits(p: tuple[int, ...]) -> tuple[int, int]:
+    """Bounds, in bits, on the largest numerator of the Hankel matrix of
+    the primitive part p (degree d >= 1) and on all its numerators and
+    denominators together.  Entry (i, j) is s_k = N_k / lc^k with k = i + j
+    and N_k the sum of (lc*z)^k over the roots z, an integer; the Cauchy
+    bound gives |lc*z| <= lc + max|p_i| < 2^(B+1), B the bits of the largest
+    |p_i|, so N_k has fewer than bits(d) + k(B+1) bits and lc^k k*bits(lc)."""
+    d = len(p) - 1
+    w = max(abs(c) for c in p).bit_length() + 1
+    return (d.bit_length() + (2 * d - 2) * w,
+            d * d * d.bit_length() + (w + p[-1].bit_length()) * d * d * (d - 1))
+
+
 def _cmd_hankel(args) -> int:
     from .ratpoly import count_distinct_and_real_roots, hankel_matrix
     f = _read_poly(args)
     if f.degree > MAX_HANKEL_DEGREE:
         raise ValueError(f"hankel needs degree at most {MAX_HANKEL_DEGREE} (it prints "
                          f"the degree x degree matrix of power sums), got {f.degree}")
+    if f.degree >= 1:
+        entry, total = _hankel_bits(f.primitive_part)
+        if total > MAX_HANKEL_BITS:
+            raise ValueError(f"hankel's matrix may hold up to {total} bits of numerators "
+                             f"and denominators, more than {MAX_HANKEL_BITS}")
+        # past int()'s digit limit no numerator could be printed
+        printable = (10 ** serialize._INT_DIGITS).bit_length() - 1
+        if serialize._INT_DIGITS and entry > printable:
+            raise ValueError(f"hankel's power sums may have numerators of up to {entry} "
+                             f"bits, more than the {printable} bits int() prints")
     matrix = hankel_matrix(f)
     # the rank and signature of the Hankel matrix count f's distinct
     # complex and real roots, which the subresultant sequence gives exactly

@@ -27,8 +27,11 @@ square-free f; run on (f, g) its last term is the gcd, and a scalar
 folded along it is the resultant Res(f, g) (the Sylvester determinant)
 and so the discriminant Res(f, f').  The Fraction paths left are the
 ones the ``hankel`` document prints: power sums, the Hankel matrix and
-its exact rank/signature.  Certified "epsilon below the infimum"
-searches complete the module.
+its exact rank/signature.  A caller that has proved f strictly
+positive gets f's positivity certificate from a square-freeness test
+modulo a prime instead (``_proved_positive``), and falls back to the
+sequence only when that test is silent.  Certified "epsilon below the
+infimum" searches complete the module.
 """
 
 from __future__ import annotations
@@ -703,6 +706,24 @@ def is_positive_on_reals(f: RatPoly) -> PositivityCertificate:
     rank, sig = count_distinct_and_real_roots(f)
     verdict = f.degree % 2 == 0 and lead > 0 and csign > 0 and sig == 0
     return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict)
+
+
+# the prime of the square-freeness test of ``_proved_positive``: below
+# 2^15, so residues and their products stay small ints
+SQUAREFREE_PRIME = 32749
+
+
+def _proved_positive(f: RatPoly) -> PositivityCertificate:
+    """``is_positive_on_reals(f)`` for an f the caller has proved
+    strictly positive on R.  Only square-freeness is left to decide.  If
+    p does not divide lc(f) and f, f' are coprime mod p, f is square-free
+    over Q (a repeated factor g^2 of f keeps its degree mod p and divides
+    f' there too), so f has deg f distinct complex roots and none real.
+    Otherwise the full test decides; the certificate is the same."""
+    p = f.primitive_part
+    if p[-1] % SQUAREFREE_PRIME and zpoly.coprime_mod(p, zpoly.diff(p), SQUAREFREE_PRIME):
+        return PositivityCertificate(f.degree, 0, 1, 1, True, True)
+    return is_positive_on_reals(f)
 
 
 POSITIVE = "positive"

@@ -29,14 +29,16 @@ denominators cleared by a square, small shifts searched) and tries the
 routes in order, transporting h and the certificate back through the
 normalization.
 
-Positivity is tested once per polynomial.  Each public route gates its
-input with one ``PositivityCertificate`` and hands it to a private body
-(``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``, ...),
-which takes it as gated; ``reduce_auto`` gates its core once and calls
-the bodies, the shifted ones (NOS, PICKY) through one loop over
-``SHIFTS``.  The
-certificate in hand goes to ``certify_sos4``, which reads it instead of
-testing the same polynomial again.
+Positivity is tested or proved once per polynomial.  Each public route
+gates its input with one ``PositivityCertificate`` and hands it to a
+private body (``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``,
+...), which takes it as gated; ``reduce_auto`` gates its core once and
+calls the bodies, the shifted ones (NOS, PICKY) through one loop over
+``SHIFTS``.  A residual f - h^2 of ALG6, ALGN, ALG9, GR4 or PICKY is
+positive by construction, since h^2 is bounded by a certified epsilon;
+its certificate comes from ``ratpoly._proved_positive``, which decides
+only square-freeness.  The certificate in hand goes to ``certify_sos4``,
+which reads it instead of testing the same polynomial again.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ from .certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
                         quadratic_nonsquare_disc, verify_certificate)
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, _certify, hensel_split,
                      newton_refine, reduce_mod2, z2_root_status)
-from .padic import is_square_in_q2, ord2
+from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
-                      _epsilon_search, _perturbation_search, discriminant,
-                      is_positive_on_reals, is_squarefree,
+                      _epsilon_search, _perturbation_search, _proved_positive,
+                      discriminant, is_positive_on_reals, is_squarefree,
                       primitive_integer_coeffs, squarefree_decomposition)
 from .record import Record
 from .newton_polygon import newton_diagram
@@ -186,9 +188,13 @@ def _valuation_bounds(f: RatPoly, eps: Fraction) -> tuple[int, int, int, dict]:
     k0 = ord2(f[0])[0]
     l1 = math.ceil(Fraction(_dyadic_exponent(eps), 2))
     l2 = math.ceil(Fraction(-k0, 2)) + 1
-    slopes = [Fraction(j * kd - d * ord2(f[j])[0], 2 * d - 2 * j)
-              for j in range(1, d) if f[j] != 0]
-    l3 = math.ceil(max(slopes)) if slopes else 0
+    # l3 is the largest ceil((j*kd - d*v_j) / (2d - 2j)) over the nonzero
+    # middle coefficients, v_j = ord2(f_j) = ord2(content) + ord2(p_j)
+    # on the model f = c*P; -(-n // m) is the ceiling of n / m for m > 0
+    vc = ord2(f.content)[0]
+    p = f.primitive_part
+    l3 = max((-((d * (vc + ord2_int(p[j])) - j * kd) // (2 * d - 2 * j))
+              for j in range(1, d) if p[j]), default=0)
     params = {"epsilon": eps, "l1": l1, "l2": l2, "l3": l3, "k0": k0, "kd": kd}
     return l1, l2, l3, params
 
@@ -226,7 +232,9 @@ def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
     l1, l2, l3, params = _valuation_bounds(f, eps)
     l, trace = _gcd_steps(f.degree, kd, max(l1, l2, l3), target)
     h = RatPoly([Fraction(1, 2 ** l)])
-    cert = certify_sos4(f - h * h)
+    # h^2 = 4^(-l) <= 4^(-l1) <= eps and f - eps > 0, so f - h^2 > 0
+    g = f - h * h
+    cert = certify_sos4(g, positivity=_proved_positive(g))
     params["l"] = l
     if target == 1:
         return _finish(METHOD_ALG6, f, h, cert, params, tuple(trace))
@@ -272,11 +280,14 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     iterates: list[IterateRecord] = []
 
     def branch(h: RatPoly) -> BranchRecord:
+        # l grows from l_init, so 4^(-l) <= eps.  Branch a: f - 4^(-l) >=
+        # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
+        # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
         candidate = f - h * h
         try:
-            cert = certify_sos4(candidate)
+            cert = certify_sos4(candidate, positivity=_proved_positive(candidate))
             return BranchRecord(h, candidate, cert)
-        except ValueError as exc:  # degenerate candidate (e.g. not positive)
+        except ValueError as exc:  # a rule raising; the candidate is positive, as shown
             return BranchRecord(h, candidate, None, str(exc))
 
     for _ in range(cap):
@@ -360,8 +371,10 @@ def _cyclotomic_power(f: RatPoly) -> ReductionResult:
     ell = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
     ell = max(ell, 1)
     h = (CYCLOTOMIC ** k) * Fraction(1, 2 ** ell)
+    # h^2 = 4^(-l) * base <= eps0 * base, as l >= ceil(e0 / 2) for
+    # eps0 = 2^(-e0), and f - eps0 * base > 0
     g = f - h * h
-    cert = certify_sos4(g)
+    cert = certify_sos4(g, positivity=_proved_positive(g))
     params = {"l": ell, "k": k, "epsilon0": eps0}
     return _finish(METHOD_GR4, f, h, cert, params)
 
@@ -415,8 +428,9 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
         evidence = HenselSplitEvenParts(Fraction(4 ** ell), len(factors.g) - 1,
                                         len(factors.h) - 1, factors.modulus, status)
         params.update(hensel_g_degree=evidence.g_degree, hensel_h_degree=evidence.h_degree)
-    positivity = is_positive_on_reals(g)
-    _require(positivity.verdict, "residual lost positivity")
+    # l > ell_pos, so h^2 = 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
+    # and f - eps0 * base > 0
+    positivity = _proved_positive(g)
     return _finish(METHOD_PICKY, f, h, Sos4Certificate.of(positivity, evidence), params)
 
 
@@ -437,9 +451,10 @@ def _obstruction(f: RatPoly, k0: int, ell_pos: int,
     else:
         raise ArithmeticError("no certifiable obstruction witness found")
     refined = newton_refine(q, witness.gamma, witness.delta, REFINE_PRECISION)
+    # l >= ell_pos, so 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
+    # and f - eps0 * base > 0
     g = f - base * Fraction(1, 4 ** ell)
-    positivity = is_positive_on_reals(g)
-    _require(positivity.verdict, "obstruction residual lost positivity")
+    positivity = _proved_positive(g)
     cert = Sos4Certificate.of(positivity, SimpleZ2Root(RootStatus(ROOT_EXISTS, witness)))
     if not verify_certificate(g, cert):
         raise ArithmeticError("obstruction certificate failed to re-verify")

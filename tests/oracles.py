@@ -21,6 +21,10 @@ here too:
   modulus otherwise;
 * ``obstruction_witness``: the l-search of ``reduce_twice_odd_degree``
   on rational values of q = 4^l f - base and of q'.
+
+The ALG6 / ALGN slope bound l3 of ``reduction._valuation_bounds`` runs
+on the integer model; ``slope_bound`` is its first form, a Fraction
+slope per nonzero middle coefficient.
 """
 
 from __future__ import annotations
@@ -234,3 +238,14 @@ def obstruction_witness(f: RatPoly) -> tuple[int, int, int, int]:
                 return ell, gamma, delta, newton_refine(q, gamma, delta, REFINE_PRECISION)
         ell += 1
     raise ArithmeticError("no certifiable obstruction witness found")
+
+
+def slope_bound(f: RatPoly) -> int:
+    """l3 as first written: the ceiling of the largest slope
+    (j*kd - d*ord2(f_j)) / (2d - 2j) over the nonzero middle
+    coefficients f_j, kd = ord2(lc f), and 0 when there is none."""
+    d = f.degree
+    kd = ord2(f.leading)[0]
+    slopes = [Fraction(j * kd - d * ord2(f[j])[0], 2 * d - 2 * j)
+              for j in range(1, d) if f[j] != 0]
+    return math.ceil(max(slopes)) if slopes else 0

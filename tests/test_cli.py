@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from padic_sos import certifier, ratpoly, serialize
-from padic_sos.cli import MAX_HANKEL_DEGREE, MAX_K, main
+from padic_sos.cli import MAX_HANKEL_BITS, MAX_HANKEL_DEGREE, MAX_K, main
 from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly, hankel_matrix
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
@@ -299,6 +299,33 @@ def test_hankel_degree_cap(capsys, monkeypatch):
     monkeypatch.undo()
     code, out, err = run_cli(capsys, "hankel", "--poly", "7")
     assert (code, out, err) == (1, "", "error: power sums need degree >= 1\n")
+
+
+def test_hankel_size_bound(capsys, monkeypatch):
+    # x^200 + c: with B the bits of c the bound is 200^2 * bits(200)
+    # + (B + 1 + 1) * 200^2 * 199 bits, which admits c = 2^13 (B = 14)
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^200 + {2 ** 13}")
+    assert code == 0 and err == "" and len(json.loads(out)["matrix"]) == 200
+    # x^2 + c: s_2 = -2c, whose numerator bound bits(2) + 2(B + 1) is the
+    # 14284 bits int() prints within its 4300-digit limit at c = 2^7139
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^2 + {2 ** 7139}")
+    assert code == 0 and err == "" and json.loads(out)["matrix"][1][1] == str(-2 ** 7140)
+    # one more bit past either bound stops before any power sum is formed
+    monkeypatch.setattr(ratpoly, "power_sums", None)
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^200 + {2 ** 14}")
+    assert (code, out) == (1, "")
+    assert err == ("error: hankel's matrix may hold up to 135640000 bits of numerators "
+                   f"and denominators, more than {MAX_HANKEL_BITS}\n")
+    code, out, err = run_cli(capsys, "hankel", "--poly", f"x^2 + {2 ** 7140}")
+    assert (code, out) == (1, "")
+    assert err == ("error: hankel's power sums may have numerators of up to 14286 bits, "
+                   "more than the 14284 bits int() prints\n")
+    # a dense degree-60 input with 50-digit coefficients, which used to run
+    # for seconds and then fail to print
+    rng = random.Random(5)
+    coeffs = [str(rng.randint(1, 10 ** 50)) for _ in range(61)]
+    code, out, err = run_cli(capsys, "hankel", "--poly", json.dumps(coeffs))
+    assert (code, out) == (1, "") and "numerators of up to" in err
 
 
 def test_error_exit_codes(capsys):

@@ -1,7 +1,7 @@
 """Hypothesis properties of the square split and the 2-adic valuation
 against their straightforward reference constructions: the split found
-by subtracting A*A from f, and the valuation found by dividing out 2
-one step at a time."""
+by subtracting A*A from f, the valuation found by dividing out 2 one
+step at a time, and the ALG6 / ALGN slope bound taken on Fractions."""
 
 import math
 from fractions import Fraction as F
@@ -15,6 +15,9 @@ from padic_sos.certifier import complete_square_split  # noqa: E402
 from padic_sos.newton_polygon import newton_diagram  # noqa: E402
 from padic_sos.padic import ord2  # noqa: E402
 from padic_sos.ratpoly import RatPoly  # noqa: E402
+from padic_sos.reduction import _valuation_bounds  # noqa: E402
+
+import oracles  # noqa: E402
 
 RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=16)
 NONZERO = st.builds(lambda n, d, k: F(n, d) * F(2) ** k,
@@ -89,3 +92,16 @@ def test_ord2_matches_division_loop(q):
 def test_newton_diagram_points_are_coefficient_valuations(coeffs):
     points = newton_diagram(RatPoly(coeffs)).points
     assert points == tuple((i, reference_ord2(c)[0]) for i, c in enumerate(coeffs) if c)
+
+
+@SETTINGS
+@hypothesis.given(NONZERO, st.lists(NONZERO | st.just(F(0)), max_size=9), NONZERO,
+                  st.booleans(), st.integers(0, 40))
+def test_integer_slope_bound_matches_fraction_slopes(c0, middle, lead, odd_kd, e):
+    # the leading valuation kd of either parity: ALG6 runs on odd kd, ALGN on even
+    if ord2(lead)[0] % 2 != odd_kd:
+        lead *= 2
+    f = RatPoly([c0, *middle, lead])
+    l1, l2, l3, params = _valuation_bounds(f, F(1, 2 ** e))
+    assert l3 == params["l3"] == oracles.slope_bound(f)
+    assert params["kd"] % 2 == odd_kd

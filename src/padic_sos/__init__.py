@@ -24,7 +24,7 @@ _EXPORTS = {
     "newton_polygon": ("NewtonDiagram", "Segment", "eisenstein_irreducible",
                        "factor_degree_divisor", "is_pure", "newton_diagram"),
     "padic": ("PadicApprox", "is_square_in_q2", "ord2", "padic_sqrt"),
-    "ratpoly": ("PositivityCertificate", "RatPoly", "SearchDepthExceeded",
+    "ratpoly": ("PositivityCertificate", "RatPoly",
                 "count_distinct_and_real_roots", "discriminant",
                 "epsilon_below_infimum", "hankel_matrix", "is_positive_on_reals",
                 "is_squarefree", "perturbation_bound", "poly_gcd", "power_sums",

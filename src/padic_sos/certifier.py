@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from . import f2
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,
@@ -76,7 +77,6 @@ SOS4 = "SOS4"
 NOT_SOS4 = "NOT_SOS4"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-SPLIT_SEARCH_DEGREE_CAP = 20
 # the 2-adic precision of every HenselSplitEvenParts lift
 HENSEL_SPLIT_PRECISION = 64
 
@@ -198,9 +198,7 @@ def complete_square_split(f: RatPoly) -> tuple[RatPoly, Fraction] | None:
     denominator of b_i divides 2^(2(m-i)-1) * p^(m-i).
     """
     d = f.degree
-    if d < 0 or d % 2 != 0 or d > SPLIT_SEARCH_DEGREE_CAP:
-        return None
-    if d == 0:
+    if d <= 0 or d % 2 != 0:
         return None
     m = d // 2
     lead = f.leading
@@ -213,14 +211,16 @@ def complete_square_split(f: RatPoly) -> tuple[RatPoly, Fraction] | None:
     p = P[-1]
     t = 4 * p
     beta = [0] * m + [1]
+    # for the slice s = beta[lo:k - lo + 1], sum(map(mul, s, reversed(s)))
+    # is the sum of beta_j * beta_(k-j) over lo <= j <= k - lo
     for i in range(m - 1, -1, -1):
-        acc = sum(beta[j] * beta[m + i - j] for j in range(i + 1, m))
-        beta[i] = 2 * P[m + i] * t ** (m - i - 1) - acc // 2
+        s = beta[i + 1:m]
+        beta[i] = 2 * P[m + i] * t ** (m - i - 1) - sum(map(mul, s, reversed(s))) // 2
     # the top m + 1 coefficients of B^2 match f / lc f by construction;
     # the split exists when coefficients m - 1 down to 1 match too
     for k in range(m - 1, 0, -1):
-        if P[k] * t ** (2 * m - k) != p * sum(beta[j] * beta[k - j]
-                                              for j in range(k + 1)):
+        s = beta[:k + 1]
+        if P[k] * t ** (2 * m - k) != p * sum(map(mul, s, reversed(s))):
             return None
     # A = sqrt(lc f) * B with b_i = beta_i / t^(m-i) = beta_i * t^i / t^m
     a = _from_ints([b * t ** i for i, b in enumerate(beta)], sn, sd * t ** m)

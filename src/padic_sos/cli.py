@@ -225,7 +225,8 @@ def _cmd_family(args) -> int:
 
 def _int_at_most(limit: int):
     """argparse type: an integer no larger than ``limit``.  It bounds the
-    dense coefficient lists and moduli a short argument can ask for."""
+    dense coefficient lists, moduli and ALG9 iterations a short argument
+    can ask for."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -239,6 +240,12 @@ def _int_at_most(limit: int):
 
 # palindromic_counterexample(k, N) has degree 4k + 2
 MAX_K = (serialize.MAX_EXPONENT - 2) // 4
+# Largest ALG9 ``--cap`` (``reduce --method alg9``, ``alg9-demo``): the
+# cost grows faster than the iterate count, as l and so the candidates'
+# coefficients grow.  ``alg9-demo --N 65 --cap 1000`` took 1.9-3.9 s and
+# wrote 2.5-2.9 MB for k = 0, 2, 5, and --cap 2000 9.5-25 s (2-vCPU
+# x86-64 VM).
+MAX_CAP = 1000
 
 
 def _add_poly_args(p):
@@ -267,13 +274,13 @@ def _add_certify_args(p):
 def _add_reduce_args(p):
     _add_poly_args(p)
     p.add_argument("--method", default="auto", choices=list(_REDUCE_METHODS))
-    p.add_argument("--cap", type=int, default=40)
+    p.add_argument("--cap", type=_int_at_most(MAX_CAP), default=40)
 
 
 def _add_alg9_demo_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K), required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--cap", type=int, default=40)
+    p.add_argument("--cap", type=_int_at_most(MAX_CAP), default=40)
     p.add_argument("--out")
 
 

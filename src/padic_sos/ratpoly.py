@@ -31,7 +31,8 @@ its exact rank/signature.  A caller that has proved f strictly
 positive gets f's positivity certificate from a square-freeness test
 modulo a prime instead (``_proved_positive``), and falls back to the
 sequence only when that test is silent.  Certified "epsilon below the
-infimum" searches complete the module.
+infimum" searches complete the module: each finds the least exponent at
+which a monotone positivity test holds, with no budget.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ from typing import Iterable, Sequence
 
 from . import zpoly
 from .record import Record
-
-
-class SearchDepthExceeded(RuntimeError):
-    """A certified halving search ran out of its configured depth."""
 
 
 _ZERO = Fraction(0)
@@ -730,9 +727,6 @@ POSITIVE = "positive"
 NONNEGATIVE_WITH_ROOTS = "nonnegative_with_roots"
 NEGATIVE_SOMEWHERE = "negative_somewhere"
 
-# halvings the two certified epsilon searches try before giving up
-MAX_HALVINGS = 128
-
 
 def positivity_trichotomy(f: RatPoly) -> str:
     """Classify a nonzero polynomial as strictly positive on the reals,
@@ -757,33 +751,50 @@ def positivity_trichotomy(f: RatPoly) -> str:
 
 
 def epsilon_below_infimum(f: RatPoly) -> Fraction:
-    """A certified dyadic epsilon with f - epsilon still positive on R.
+    """The largest certified dyadic epsilon 2^-k <= min(f(0), 1) with
+    f - epsilon still positive on R.
 
-    Halving search starting from the largest power of two at most
-    min(f(0), 1); every candidate is verified with the signature test.
+    Every candidate is verified with the signature test.  The search
+    ends on every positive f, since min f > 0 and f - 2^-k > 0 once
+    2^-k < min f.
     """
     if not is_positive_on_reals(f).verdict:
         raise ValueError("epsilon search requires f strictly positive on R")
     return _epsilon_search(f)
 
 
+def _least_exponent(ok, e: int) -> int:
+    """The least k >= e with ok(k), for a predicate that is monotone
+    (ok(k) implies ok(k + 1)) and holds for some k: it tests e, e + 1,
+    e + 3, e + 7, ... until ok holds, then binary-searches the last gap."""
+    lo, hi = e - 1, e  # ok is false at every k <= lo
+    while not ok(hi):
+        lo, hi = hi, 2 * hi - e + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _epsilon_search(f: RatPoly) -> Fraction:
     """The search of ``epsilon_below_infimum`` on an f already known to
-    be strictly positive on R."""
-    c0 = f[0]
-    e = 0
-    while Fraction(1, 2 ** e) > c0:
+    be strictly positive on R.  It starts at the least e >= 0 with
+    2^-e <= f(0) = n/d, that is d <= n * 2^e, and tests k from there;
+    f - 2^-k > 0 implies f - 2^-(k+1) > 0."""
+    n, d = f[0].numerator, f[0].denominator
+    e = max(0, d.bit_length() - n.bit_length())
+    if n << e < d:
         e += 1
-    for exp in range(e, e + MAX_HALVINGS):
-        eps = Fraction(1, 2 ** exp)
-        if is_positive_on_reals(f - eps).verdict:
-            return eps
-    raise SearchDepthExceeded(
-        f"no verified epsilon above 2^-{e + MAX_HALVINGS} for {f}")
+    k = _least_exponent(lambda k: is_positive_on_reals(f - Fraction(1, 2 ** k)).verdict, e)
+    return Fraction(1, 2 ** k)
 
 
 def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
-    """A verified dyadic eps0 > 0 with f + eps0*g positive on R.
+    """The largest verified dyadic eps0 = 2^-k <= 1 with f + eps0*g
+    positive on R.
 
     f must be square-free and positive on R and deg g <= deg f, so such
     a bound exists; the returned candidate is verified exactly and any
@@ -799,14 +810,16 @@ def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
 
 def _perturbation_search(f: RatPoly, g: RatPoly) -> Fraction:
     """The search of ``perturbation_bound`` on an f already known to be
-    square-free and strictly positive on R."""
+    square-free and strictly positive on R.  {t >= 0 : f + t*g > 0} is
+    convex and holds 0, so the test at t = 2^-k is monotone in k, and it
+    holds for some k since f dominates a g of no larger degree."""
     if g.degree > f.degree:
         raise ValueError("deg g must be bounded by deg f")
     if g.is_zero:
         return Fraction(1)
-    for exp in range(0, MAX_HALVINGS):
-        eps = Fraction(1, 2 ** exp)
-        cand = f + g * eps
-        if not cand.is_zero and is_positive_on_reals(cand).verdict:
-            return eps
-    raise SearchDepthExceeded(f"no verified perturbation bound for {f} with {g}")
+
+    def ok(k: int) -> bool:
+        cand = f + g * Fraction(1, 2 ** k)
+        return not cand.is_zero and is_positive_on_reals(cand).verdict
+
+    return Fraction(1, 2 ** _least_exponent(ok, 0))

@@ -14,7 +14,8 @@ splitter f becomes a sum of five squares.  The routes:
   failed iterate (some inputs provably defeat this loop);
 * NOS: constant term 2^(2a)(4k+3); subtract the square of a
   half-degree binomial x^(d/2)/2^l + 2^a/N, making the difference
-  Eisenstein-irreducible;
+  Eisenstein-irreducible (row N = 3 first, then one row that provably
+  holds a hit);
 * GR4: degree 4k; subtract 2^(-2l)(x^2+x+1)^(2k), whose difference
   reduces mod 2 to a power of an irreducible quadratic;
 * PICKY: degree 2(2k+1) with a 2-adically non-square constant term;
@@ -39,6 +40,11 @@ positive by construction, since h^2 is bounded by a certified epsilon;
 its certificate comes from ``ratpoly._proved_positive``, which decides
 only square-freeness.  The certificate in hand goes to ``certify_sos4``,
 which reads it instead of testing the same polynomial again.
+
+No route gives up after a fixed number of tries: the epsilon searches
+end because min f > 0, the gcd loop within d/2 steps, and NOS in a row
+it proves holds a hit.  Only ALG9 takes a cap, since it provably does
+not end on some inputs.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ from .certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, _certify, hensel_split,
                      newton_refine, reduce_mod2, z2_root_status)
 from .padic import is_square_in_q2, ord2, ord2_int
-from .ratpoly import (PositivityCertificate, RatPoly, SearchDepthExceeded,
-                      _epsilon_search, _perturbation_search, _proved_positive,
+from .ratpoly import (PositivityCertificate, RatPoly, _epsilon_search,
+                      _perturbation_search, _proved_positive,
                       discriminant, is_positive_on_reals, is_squarefree,
                       primitive_integer_coeffs, squarefree_decomposition)
 from .record import Record
@@ -70,9 +76,6 @@ METHOD_PICKY = "PICKY"
 
 CYCLOTOMIC = RatPoly([1, 1, 1])
 
-# the NOS search grid: odd N from 3 to NOS_N_LIMIT, l from 1 to NOS_L_LIMIT
-NOS_N_LIMIT = 99
-NOS_L_LIMIT = 64
 # bits to which an obstruction's root is refined
 REFINE_PRECISION = 64
 
@@ -317,6 +320,39 @@ def reduce_constant_three_mod_four(f: RatPoly) -> ReductionResult:
     return _constant_three_mod_four(f)
 
 
+def _nos_candidates(f: RatPoly, a: int):
+    """The (N, l) the NOS search tries, in order: row N = 3 for
+    l = 1 .. L_diag + d/2, then, only if the caller is still asking, row
+    N0 up to max(L_diag, L_pos) + d/2 (row 3 on from where it stopped
+    when N0 = 3).  L_diag, N0 and L_pos are defined below."""
+    # Row N0 holds a hit, for an integral f > 0 of degree d with
+    # f(0) = 4^a u, u = 3 mod 4, and h = x^(d/2) / 2^l + c, c = 2^a / N:
+    # * g = f - h^2 has g(0) = 4^a (u - N^-2) of valuation 2a+1 (N odd,
+    #   so N^-2 = 1 mod 8) and a top coefficient f_d - 4^-l of valuation
+    #   -2l.  f is integral, so v(f_j) >= 0, and once 2l > (d-1)(2a+1)
+    #   (l >= L_diag) every middle point lies strictly above the segment
+    #   (0, 2a+1)-(d, -2l); the x^(d/2) point sits at >= a+1-l (as
+    #   L_diag >= a+1), above the segment's a+1/2-l there.  The diagram
+    #   is then the segment, free of interior lattice points when
+    #   gcd(2a+1+2l, d) = 1, which recurs within d/2 steps of l (2a+1+2l
+    #   runs through the odd classes mod d).
+    # * With eps = eps(f) and eps* = eps(f*), f > eps and f > eps* x^d
+    #   (f*(1/x) > eps* for x != 0), so f > (eps + eps* x^d) / 2.  Take N0
+    #   the least odd N >= 3 with N^2 eps >= 4^(a+1) and L_pos the least l
+    #   with 4^l eps* >= 4: then eps/2 >= 2c^2 and eps* x^d/2 >= 2x^d/4^l,
+    #   so f > 2c^2 + 2x^d/4^l >= h^2 for l >= L_pos.
+    d, m = f.degree, f.degree // 2
+    l_diag = (d - 1) * (2 * a + 1) // 2 + 1
+    yield from ((3, ell) for ell in range(1, l_diag + m + 1))
+    e = _dyadic_exponent(_epsilon_search(f))
+    e_star = _dyadic_exponent(_epsilon_search(f.reverse()))
+    # N^2 eps >= 4^(a+1) is N^2 >= 2^(2a+2+e); | 1 rounds an even N up
+    n0 = max(3, math.isqrt(2 ** (2 * a + 2 + e) - 1) + 1) | 1
+    l_pos = (e_star + 3) // 2  # 2l - e* >= 2
+    first = l_diag + m + 1 if n0 == 3 else 1
+    yield from ((n0, ell) for ell in range(first, max(l_diag, l_pos) + m + 1))
+
+
 def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
     c0 = f[0]
     v, u = ord2(c0)
@@ -326,30 +362,27 @@ def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
     d = f.degree
     tried = 0
     trace = []
-    for n in range(3, NOS_N_LIMIT + 1, 2):
-        for ell in range(1, NOS_L_LIMIT + 1):
-            tried += 1
-            if math.gcd(2 * a + 1 + 2 * ell, d) != 1:
-                continue
-            h = RatPoly.monomial(d // 2, Fraction(1, 2 ** ell)) + RatPoly(
-                [Fraction(2 ** a, n)])
-            g = f - h * h
-            diagram = newton_diagram(g)
-            if diagram.vertices != ((0, 2 * a + 1), (d, -2 * ell)):
-                if len(trace) < 50:
-                    trace.append(("N", n, "l", ell, "rejected", "diagram"))
-                continue
-            positivity = is_positive_on_reals(g)
-            if not positivity.verdict:
-                if len(trace) < 50:
-                    trace.append(("N", n, "l", ell, "rejected", "positivity"))
-                continue
-            cert = certify_sos4(g, positivity=positivity)
-            params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
-            return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
-    raise SearchDepthExceeded(
-        f"no (N, l) candidate accepted up to N={NOS_N_LIMIT}, l={NOS_L_LIMIT}; "
-        f"last tried (N, l) = ({NOS_N_LIMIT}, {NOS_L_LIMIT})")
+    for n, ell in _nos_candidates(f, a):
+        tried += 1
+        if math.gcd(2 * a + 1 + 2 * ell, d) != 1:
+            continue
+        h = RatPoly.monomial(d // 2, Fraction(1, 2 ** ell)) + RatPoly(
+            [Fraction(2 ** a, n)])
+        g = f - h * h
+        diagram = newton_diagram(g)
+        if diagram.vertices != ((0, 2 * a + 1), (d, -2 * ell)):
+            if len(trace) < 50:
+                trace.append(("N", n, "l", ell, "rejected", "diagram"))
+            continue
+        positivity = is_positive_on_reals(g)
+        if not positivity.verdict:
+            if len(trace) < 50:
+                trace.append(("N", n, "l", ell, "rejected", "positivity"))
+            continue
+        cert = certify_sos4(g, positivity=positivity)
+        params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
+        return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
+    raise ArithmeticError("NOS: no hit in the row that provably holds one")
 
 
 def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
@@ -577,7 +610,7 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     def attempt(route, call):
         try:
             res = call()
-        except (ValueError, SearchDepthExceeded) as exc:
+        except ValueError as exc:
             trace.append((route, f"skipped: {exc}"))
             return None
         trace.append((route, f"succeeded ({res.method})"))
@@ -605,15 +638,15 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
                     return _transport(res, f, square_part, scale, shift, tuple(trace))
         return None
 
-    kd = ord2(core.leading)[0]
-    if kd % 2 == 1:
+    # ALG6 concludes on every odd kd, so ALGN, which hands odd kd to
+    # ALG6, runs on even kd only
+    res = None
+    if ord2(core.leading)[0] % 2 == 1:
         res = attempt("alg6", lambda: _gcd_route(core, 1))
-        if res:
-            return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
-    if core.degree % 4 == 0 and core.degree >= 4:
+    elif core.degree % 4 == 0 and core.degree >= 4:
         res = attempt("algn", lambda: _gcd_route(core, 2))
-        if res:
-            return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
+    if res:
+        return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
 
     if res := by_shift("nos", _is_square_times_three_mod_four,
                        _constant_three_mod_four):

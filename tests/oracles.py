@@ -25,6 +25,11 @@ here too:
 The ALG6 / ALGN slope bound l3 of ``reduction._valuation_bounds`` runs
 on the integer model; ``slope_bound`` is its first form, a Fraction
 slope per nonzero middle coefficient.
+
+The library's searches have no budget.  The budgeted searches they
+replaced are kept here: the epsilon and perturbation searches that
+halved at most 128 times (``halving_epsilon``, ``halving_perturbation``)
+and NOS's 49 x 64 grid of (N, l) (``nos_grid``).
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from fractions import Fraction
 
 from padic_sos import zpoly
 from padic_sos.hensel import RootWitness, newton_refine
+from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
-                               _perturbation_search, is_squarefree,
-                               primitive_integer_coeffs, squarefree_part)
+                               _perturbation_search, is_positive_on_reals,
+                               is_squarefree, primitive_integer_coeffs,
+                               squarefree_part)
 from padic_sos.reduction import CYCLOTOMIC, REFINE_PRECISION, _dyadic_exponent
 
 
@@ -249,3 +256,63 @@ def slope_bound(f: RatPoly) -> int:
     slopes = [Fraction(j * kd - d * ord2(f[j])[0], 2 * d - 2 * j)
               for j in range(1, d) if f[j] != 0]
     return math.ceil(max(slopes)) if slopes else 0
+
+
+# The budgets of the searches the library replaced by complete ones
+MAX_HALVINGS = 128
+NOS_N_LIMIT, NOS_L_LIMIT = 99, 64
+
+
+def halving_epsilon(f: RatPoly) -> Fraction | None:
+    """``epsilon_below_infimum``'s search as first written: halve from the
+    largest power of two at most min(f(0), 1), at most 128 times (None
+    past that)."""
+    e = 0
+    while Fraction(1, 2 ** e) > f[0]:
+        e += 1
+    for exp in range(e, e + MAX_HALVINGS):
+        eps = Fraction(1, 2 ** exp)
+        if is_positive_on_reals(f - eps).verdict:
+            return eps
+    return None
+
+
+def halving_perturbation(f: RatPoly, g: RatPoly) -> Fraction | None:
+    """``perturbation_bound``'s search as first written: 1, 1/2, 1/4, ...,
+    at most 128 tries (None past that)."""
+    if g.is_zero:
+        return Fraction(1)
+    for exp in range(MAX_HALVINGS):
+        eps = Fraction(1, 2 ** exp)
+        cand = f + g * eps
+        if not cand.is_zero and is_positive_on_reals(cand).verdict:
+            return eps
+    return None
+
+
+def nos_grid(f: RatPoly) -> tuple[dict, tuple] | None:
+    """The NOS search as first written, on an integral positive f of even
+    degree with f(0) = 4^a (4k+3): the first (N, l) of the grid N = 3, 5,
+    ..., 99 (outer), l = 1 .. 64 (inner) with gcd(2a+1+2l, d) = 1, the
+    diagram of g = f - (x^(d/2)/2^l + 2^a/N)^2 the segment
+    (0, 2a+1)-(d, -2l) and g positive.  Returns NOS's parameters and
+    trace, or None when the grid has no hit."""
+    a, d = ord2(f[0])[0] // 2, f.degree
+    tried, trace = 0, []
+    for n in range(3, NOS_N_LIMIT + 1, 2):
+        for ell in range(1, NOS_L_LIMIT + 1):
+            tried += 1
+            if math.gcd(2 * a + 1 + 2 * ell, d) != 1:
+                continue
+            h = RatPoly.monomial(d // 2, Fraction(1, 2 ** ell)) + RatPoly(
+                [Fraction(2 ** a, n)])
+            g = f - h * h
+            if newton_diagram(g).vertices != ((0, 2 * a + 1), (d, -2 * ell)):
+                reason = "diagram"
+            elif not is_positive_on_reals(g).verdict:
+                reason = "positivity"
+            else:
+                return {"N": n, "l": ell, "a": a, "candidates_tried": tried}, tuple(trace)
+            if len(trace) < 50:
+                trace.append(("N", n, "l", ell, "rejected", reason))
+    return None

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from padic_sos import certifier, ratpoly, serialize
-from padic_sos.cli import MAX_HANKEL_BITS, MAX_HANKEL_DEGREE, MAX_K, main
+from padic_sos.cli import MAX_CAP, MAX_HANKEL_BITS, MAX_HANKEL_DEGREE, MAX_K, main
 from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly, hankel_matrix
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
@@ -443,6 +443,35 @@ def test_integer_arguments_are_bounded(capsys):
              "cap must be nonnegative")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and message in err, argv
+
+
+def test_cap_is_bounded_before_any_work(capsys, monkeypatch):
+    # argparse refuses the value, so the ALG9 loop is never reached
+    from padic_sos import reduction
+    monkeypatch.setattr(reduction, "reduce_iterative", None)
+    for argv in (["reduce", "--method", "alg9", "--poly", "x^4+x^2+3"],
+                 ["alg9-demo", "--k", "0", "--N", "65"]):
+        code, out, err = run_cli(capsys, *argv, "--cap", str(MAX_CAP + 1))
+        assert code == 1 and out == "" and f"at most {MAX_CAP}" in err, argv
+
+
+def test_search_budget_inputs_conclude(capsys):
+    # 2((x^2 - 2)^2 + 3 * 2^-140) needs epsilon 2^-139, and NOS on this
+    # quadratic the row N = 1449: both ran past the old search budgets
+    for method, poly, expected in (
+            ("alg6", "2*x^4 - 8*x^2 + 8 + 3/696898287454081973172991196020261297061888",
+             "ALG6"),
+            ("nos", "333667*x^2 + 2001*x + 3", "NOS")):
+        code, out, err = run_cli(capsys, "reduce", "--method", method, "--poly", poly)
+        assert code == 0 and err == "", method
+        assert json.loads(out)["method"] == expected
+
+
+def test_no_module_names_search_depth_exceeded():
+    import padic_sos
+    src = Path(padic_sos.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "SearchDepthExceeded" in p.read_text()]
+    assert "SearchDepthExceeded" not in padic_sos.__all__
 
 
 def test_library_rejects_bad_precision_and_cap():

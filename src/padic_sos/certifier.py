@@ -48,10 +48,10 @@ rules behind the gate.
 rule are the ones its evidence class names (INCONCLUSIVE: no rule, no
 evidence) and its positivity certificate is f's own.  It re-runs the
 deterministic rules (Eisenstein, pure even divisor, mod-2 even degrees,
-the quadratic discriminant) on f and the odd split rule on the
-recorded split, and asks for the evidence back; it re-checks a root
-witness with ``hensel.verify_root_witness`` and a Hensel split against
-a fresh lift.
+the quadratic discriminant, the Hensel split at the recorded scale) on
+f and the odd split rule on the recorded split, and asks for the
+evidence back; it re-checks a root witness with
+``hensel.verify_root_witness``.
 """
 
 from __future__ import annotations
@@ -331,6 +331,31 @@ def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
     return None
 
 
+def hensel_split_even_parts(f: RatPoly, scale: Fraction) -> HenselSplitEvenParts | None:
+    """SOS evidence for an f whose scaled model q = scale * f reads
+    g1 * x^2 mod 2, with x prime to g1 and every factor of g1 of even
+    degree: the lift of that split to 2^HENSEL_SPLIT_PRECISION, whose
+    quadratic factor is irreducible because q has no 2-adic root.  The
+    PICKY route builds it, the pipeline does not run it."""
+    scaled = f * scale
+    coeffs = primitive_integer_coeffs(scaled)
+    if not coeffs or coeffs[-1] % 2 == 0:
+        return None
+    bits = f2.f2_from_coeffs(coeffs)
+    facs = dict(f2.f2_factor(bits))
+    if facs.get(2, 0) != 2 or any(p != 2 and f2.f2_degree(p) % 2 for p in facs):
+        return None
+    try:
+        factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
+    except ValueError:  # the scaled model is not odd-cleared integral
+        return None
+    status = z2_root_status(scaled)
+    if status.tag != NO_ROOT:
+        return None
+    return HenselSplitEvenParts(Fraction(scale), len(factors.g) - 1, len(factors.h) - 1,
+                                factors.modulus, status)
+
+
 def quadratic_nonsquare_disc(f: RatPoly) -> QuadraticNonSquareDisc | None:
     """SOS evidence for a quadratic whose discriminant is not a 2-adic
     square, so that it is irreducible over Q_2; the reduction routes
@@ -448,28 +473,6 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         return rule_mod2_even_degrees(f) == ev
     if isinstance(ev, QuadraticNonSquareDisc):
         return quadratic_nonsquare_disc(f) == ev
-    # the one kind left: HenselSplitEvenParts
-    scaled = f * ev.scale
-    coeffs = primitive_integer_coeffs(scaled)
-    if not coeffs or coeffs[-1] % 2 == 0:
-        return False
-    bits = f2.f2_from_coeffs(coeffs)
-    facs = dict(f2.f2_factor(bits))
-    # mod 2 the split reads (irreducible quadratic)^k * x^2
-    if facs.get(2, 0) != 2:
-        return False
-    if any(p != 2 and (f2.f2_degree(p) % 2 != 0) for p in facs):
-        return False
-    # the recorded split is the lift of [scaled] = (bits / x^2) * x^2
-    # to 2^HENSEL_SPLIT_PRECISION; the lift's cost grows with the
-    # modulus, so no other one is accepted
-    if ev.modulus != 1 << HENSEL_SPLIT_PRECISION:
-        return False
-    try:
-        factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
-    except ValueError:  # the scaled model is not odd-cleared integral
-        return False
-    if (len(factors.g) - 1, len(factors.h) - 1) != (ev.g_degree, ev.h_degree):
-        return False
-    return (ev.root_status.tag == NO_ROOT
-            and ev.root_status == z2_root_status(scaled))
+    # the one kind left: HenselSplitEvenParts, at the one precision such a
+    # split is lifted to (a lift's cost grows with its modulus)
+    return hensel_split_even_parts(f, ev.scale) == ev

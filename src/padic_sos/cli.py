@@ -46,11 +46,20 @@ def _read_poly(args) -> RatPoly:
     return serialize.parse_poly(text)
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """An exact rational argument, in the grammar of the JSON coefficients."""
+    q = serialize.parse_rational(text.strip())
+    if q is None:
+        raise ValueError(f"{what} must be an exact rational of the form "
+                         "[+-]digits[/digits]")
+    return q
+
+
 def _parse_witness(text: str) -> tuple[RatPoly, Fraction]:
     a_text, sep, c_text = text.rpartition(":")
     if not sep:
         raise ValueError("witness must look like 'A-poly:c'")
-    return serialize.parse_poly(a_text), Fraction(c_text.strip())
+    return serialize.parse_poly(a_text), _rational(c_text, "the witness's c")
 
 
 def _emit(args, payload: dict, status: str) -> int:
@@ -137,14 +146,14 @@ def _cmd_newton_polygon(args) -> int:
 
 def _cmd_padic_square(args) -> int:
     from .padic import is_square_in_q2
-    q = Fraction(args.value)
+    q = _rational(args.value, "--value")
     return _emit(args, {"value": serialize.frac_str(q),
                         "is_square_in_q2": is_square_in_q2(q)}, "ok")
 
 
 def _cmd_padic_sqrt(args) -> int:
     from .padic import padic_sqrt
-    q = Fraction(args.value)
+    q = _rational(args.value, "--value")
     r = padic_sqrt(q, args.precision)
     return _emit(args, {
         "value": serialize.frac_str(q),
@@ -225,8 +234,8 @@ def _cmd_family(args) -> int:
 
 def _int_at_most(limit: int):
     """argparse type: an integer no larger than ``limit``.  It bounds the
-    dense coefficient lists, moduli and ALG9 iterations a short argument
-    can ask for."""
+    dense coefficient lists, moduli, ALG9 iterations and coefficient sizes
+    a short argument can ask for."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -246,6 +255,11 @@ MAX_K = (serialize.MAX_EXPONENT - 2) // 4
 # wrote 2.5-2.9 MB for k = 0, 2, 5, and --cap 2000 9.5-25 s (2-vCPU
 # x86-64 VM).
 MAX_CAP = 1000
+# Largest ``--N`` (``alg9-demo``, ``family``), 200 digits.  The ALG9 loop's
+# candidates carry 1/N^2: ``alg9-demo --k 0 --cap 40`` took 0.34-0.44 s at
+# 200 digits, 10 s at 1000 and 64 s at 2000, and past about 4300 digits
+# the document can no longer be printed (2-vCPU x86-64 VM).
+MAX_N = 10 ** 200
 
 
 def _add_poly_args(p):
@@ -279,14 +293,14 @@ def _add_reduce_args(p):
 
 def _add_alg9_demo_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K), required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_most(MAX_N), required=True)
     p.add_argument("--cap", type=_int_at_most(MAX_CAP), default=40)
     p.add_argument("--out")
 
 
 def _add_family_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K))
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_int_at_most(MAX_N))
     p.add_argument("--g", help="odd-degree integer polynomial")
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--out")

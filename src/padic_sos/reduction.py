@@ -26,15 +26,20 @@ splitter f becomes a sum of five squares.  The routes:
   so those differences are never sums of four squares.
 
 ``reduce_auto`` normalizes the input (square polynomial factor out,
-denominators cleared by a square, small shifts searched) and tries the
-routes in order, transporting h and the certificate back through the
-normalization.
+denominators cleared by a square, small shifts searched) and runs the
+one route its core calls for, transporting h and the certificate back
+through the normalization.  The routes split the positive cores with no
+gaps: odd kd goes to ALG6, degree 0 mod 4 to ALGN, and degree 2 mod 4
+to NOS at the first shift whose value is 4^a(4k+3), else to PICKY at
+the first whose value is not a 2-adic square.  Only a core that is a
+2-adic square at every shift is left undecided.  GR4 runs only when it
+is asked for (``reduce_cyclotomic_power``).
 
 Positivity is tested or proved once per polynomial.  Each public route
 gates its input with one ``PositivityCertificate`` and hands it to a
 private body (``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``,
 ...), which takes it as gated; ``reduce_auto`` gates its core once and
-calls the bodies, the shifted ones (NOS, PICKY) through one loop over
+calls the bodies, the shifted ones (NOS, PICKY) after one pass over
 ``SHIFTS``.  A residual f - h^2 of ALG6, ALGN, ALG9, GR4 or PICKY is
 positive by construction, since h^2 is bounded by a certified epsilon;
 its certificate comes from ``ratpoly._proved_positive``, which decides
@@ -42,8 +47,9 @@ only square-freeness.  The certificate in hand goes to ``certify_sos4``,
 which reads it instead of testing the same polynomial again.
 
 No route gives up after a fixed number of tries: the epsilon searches
-end because min f > 0, the gcd loop within d/2 steps, and NOS in a row
-it proves holds a hit.  Only ALG9 takes a cap, since it provably does
+end because min f > 0, the gcd loop within d/2 steps, NOS in a row it
+proves holds a hit, and the PICKY obstruction at the first square-free
+member of its family.  Only ALG9 takes a cap, since it provably does
 not end on some inputs.
 """
 
@@ -53,11 +59,10 @@ import math
 from fractions import Fraction
 
 from . import zpoly
-from .certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
-                        SimpleZ2Root, Sos4Certificate, certify_sos4,
-                        quadratic_nonsquare_disc, verify_certificate)
-from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, _certify, hensel_split,
-                     newton_refine, reduce_mod2, z2_root_status)
+from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, certify_sos4,
+                        hensel_split_even_parts, quadratic_nonsquare_disc,
+                        verify_certificate)
+from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
 from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (PositivityCertificate, RatPoly, _epsilon_search,
                       _perturbation_search, _proved_positive,
@@ -110,12 +115,11 @@ class ReductionResult(Record):
 class BranchRecord(Record):
     h: RatPoly
     candidate: RatPoly
-    certificate: Sos4Certificate | None
-    note: str | None = None
+    certificate: Sos4Certificate
 
     @property
     def verdict(self) -> str:
-        return self.certificate.verdict if self.certificate else "ERROR"
+        return self.certificate.verdict
 
 
 class IterateRecord(Record):
@@ -287,11 +291,8 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
         # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
         # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
         candidate = f - h * h
-        try:
-            cert = certify_sos4(candidate, positivity=_proved_positive(candidate))
-            return BranchRecord(h, candidate, cert)
-        except ValueError as exc:  # a rule raising; the candidate is positive, as shown
-            return BranchRecord(h, candidate, None, str(exc))
+        return BranchRecord(h, candidate,
+                            certify_sos4(candidate, positivity=_proved_positive(candidate)))
 
     for _ in range(cap):
         records = []
@@ -451,15 +452,11 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
             raise ArithmeticError(
                 "quadratic discriminant unexpectedly a 2-adic square")
     else:
-        # q = base = (x^2+x+1)^(2k) * x^2 mod 2: lift that split
-        q = f * (4 ** ell) - base
-        factors = hensel_split(q, reduce_mod2(base) >> 2, 0b100, HENSEL_SPLIT_PRECISION)
-        status = z2_root_status(q)
-        if status.tag != NO_ROOT:
+        # 4^l g = 4^l f - base = (x^2+x+1)^(2k) * x^2 mod 2: lift that split
+        evidence = hensel_split_even_parts(g, Fraction(4 ** ell))
+        if evidence is None:
             raise ArithmeticError(
-                "the quadratic Hensel factor has a 2-adic root")
-        evidence = HenselSplitEvenParts(Fraction(4 ** ell), len(factors.g) - 1,
-                                        len(factors.h) - 1, factors.modulus, status)
+                "the Hensel split failed or its quadratic factor has a 2-adic root")
         params.update(hensel_g_degree=evidence.g_degree, hensel_h_degree=evidence.h_degree)
     # l > ell_pos, so h^2 = 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
     # and f - eps0 * base > 0
@@ -469,20 +466,30 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
 
 def _obstruction(f: RatPoly, k0: int, ell_pos: int,
                  base: RatPoly) -> ObstructionReport:
-    # f is integral and base monic of degree deg f, so q keeps degree
-    # deg f (its lead coefficient 4^l * lc(f) - 1 is odd) and disc(q) is
-    # the family's parametric discriminant at lambda = 4^l; the witness
-    # is the root tree's check at 2^(l+a)
+    # f is integral and base monic of degree d = deg f, so q = 4^l f - base
+    # keeps degree d (its lead coefficient 4^l * lc(f) - 1 is odd) and
+    # disc(q) is the family's parametric discriminant at lambda = 4^l.
+    # The witness is the root tree's check at gamma = 2^(l+a), which
+    # passes at every l >= a + 3: with f(0) = 4^a u, u = 1 mod 8 (a 2-adic
+    # square) and C = x^2+x+1,
+    # * q'(gamma) = 4^l f'(gamma) - 2 gamma C(gamma)^(2k) - 2k C^(2k-1) C'
+    #   gamma^2 has ord2 exactly l+a+1, from its middle term (C(gamma) is
+    #   odd; the others have ord2 >= 2l and >= 2l+2a+1);
+    # * q(gamma) = 4^(l+a) (u - C(gamma)^(2k)) + sum_j>=1 4^l f_j gamma^j has
+    #   ord2 >= 2l+2a+3 = 2(l+a+1)+1: C(gamma)^(2k) = 1 mod 2^(l+a+1) and
+    #   u = 1 mod 8, and ord2(4^l f_j gamma^j) >= 3l+a >= 2l+2a+3.
+    # So only square-freeness is searched.  It fails only where lambda = 4^l
+    # is a root of the parametric discriminant, a polynomial in lambda of
+    # degree at most 2d-2 whose top coefficient is disc f != 0 (f is
+    # square-free); the loop passes at most 2d-2 values of l.
     a = k0 // 2
-    first = max(a + 3, ell_pos, 1)
-    for ell in range(first, first + 64):
-        q = f * (4 ** ell) - base
-        coeffs = primitive_integer_coeffs(q)
-        witness = _certify(coeffs, zpoly.diff(coeffs), 2 ** (ell + a), False)
-        if witness is not None and is_squarefree(q):
-            break
-    else:
-        raise ArithmeticError("no certifiable obstruction witness found")
+    ell = max(a + 3, ell_pos, 1)
+    while not is_squarefree(q := f * (4 ** ell) - base):
+        ell += 1
+    coeffs = primitive_integer_coeffs(q)
+    witness = _certify(coeffs, zpoly.diff(coeffs), 2 ** (ell + a), False)
+    if witness is None:
+        raise ArithmeticError("obstruction witness failed its check")
     refined = newton_refine(q, witness.gamma, witness.delta, REFINE_PRECISION)
     # l >= ell_pos, so 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
     # and f - eps0 * base > 0
@@ -585,10 +592,17 @@ def _is_square_times_three_mod_four(value: Fraction) -> bool:
 
 
 def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
-    """Normalize and try every certified route in order.
+    """Normalize f and run the route its core calls for.
+
+    The core (f without its square factor) is certified first, and is
+    ZERO when it is SOS4.  Otherwise odd kd goes to ALG6 and degree
+    0 mod 4 to ALGN, both of which always conclude.  A core of degree
+    2 mod 4 goes to NOS at the first shift in ``SHIFTS`` whose value is
+    4^a(4k+3), else to PICKY at the first whose value is not a 2-adic
+    square; with neither, an InconclusiveReport says so.
 
     Raises ValueError for inputs that are not strictly positive on the
-    reals; returns an InconclusiveReport when no route concludes.
+    reals.
     """
     if f.is_zero or not (positivity := is_positive_on_reals(f)).verdict:
         raise ValueError("input must be strictly positive on R")
@@ -605,19 +619,8 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
             if mult % 2 == 1:
                 core = core * g_i
         positivity = is_positive_on_reals(core)
-    trace: list = []
-
-    def attempt(route, call):
-        try:
-            res = call()
-        except ValueError as exc:
-            trace.append((route, f"skipped: {exc}"))
-            return None
-        trace.append((route, f"succeeded ({res.method})"))
-        return res
-
     first = certify_sos4(core, positivity=positivity)
-    trace.append(("certify", first.verdict))
+    trace = [("certify", first.verdict)]
     if first.verdict == SOS4:
         residual = f
         assert residual == square_part * square_part * core
@@ -625,47 +628,29 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
                                core, {}, tuple(trace),
                                Transform(square_part, Fraction(1), Fraction(0)))
 
-    def by_shift(route, applies, body):
-        """Run ``body`` on the square-cleared core(x + shift) for each
-        shift whose core value passes ``applies``."""
-        for shift in SHIFTS:
-            if applies(core(shift)):
-                shifted = core.shift(shift)
-                scale = _square_clearing_scale(shifted)
-                res = attempt(f"{route}@shift={shift}",
-                              lambda: body(shifted * (scale * scale)))
-                if res:
-                    return _transport(res, f, square_part, scale, shift, tuple(trace))
-        return None
-
-    # ALG6 concludes on every odd kd, so ALGN, which hands odd kd to
-    # ALG6, runs on even kd only
-    res = None
+    # a positive constant is SOS4, so the core has even degree >= 2
+    scale, shift = 1, Fraction(0)
     if ord2(core.leading)[0] % 2 == 1:
-        res = attempt("alg6", lambda: _gcd_route(core, 1))
-    elif core.degree % 4 == 0 and core.degree >= 4:
-        res = attempt("algn", lambda: _gcd_route(core, 2))
-    if res:
-        return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
-
-    if res := by_shift("nos", _is_square_times_three_mod_four,
-                       _constant_three_mod_four):
-        return res
-
-    if core.degree % 4 == 0 and core.degree >= 4:
-        scale = _square_clearing_scale(core)
-        res = attempt("gr4",
-                      lambda: _cyclotomic_power(core * (scale * scale)))
-        if res:
-            return _transport(res, f, square_part, scale, Fraction(0), tuple(trace))
-
-    picky = core.degree >= 2 and (core.degree - 2) % 4 == 0
-    if picky and (res := by_shift("picky", lambda v: not is_square_in_q2(v),
-                                  _twice_odd_degree)):
-        return res
-    # PICKY needs a shift whose value is not a 2-adic square; none was tried
-    shifts_all_square = picky and not any(
-        step[0].startswith("picky@") for step in trace)
-    note = ALWAYS_SQUARE_NOTE if shifts_all_square else (
-        "no certified route applies to this input")
-    return InconclusiveReport(note, tuple(trace), first)
+        route, res = "alg6", _gcd_route(core, 1)
+    elif core.degree % 4 == 0:
+        route, res = "algn", _gcd_route(core, 2)
+    else:
+        picky_shift = None
+        for shift in SHIFTS:
+            value = core(shift)
+            if _is_square_times_three_mod_four(value):
+                route, body = f"nos@shift={shift}", _constant_three_mod_four
+                break
+            if picky_shift is None and not is_square_in_q2(value):
+                picky_shift = shift
+        else:
+            if picky_shift is None:
+                return InconclusiveReport(ALWAYS_SQUARE_NOTE, tuple(trace), first)
+            route, body, shift = f"picky@shift={picky_shift}", _twice_odd_degree, picky_shift
+        # scaling by a square keeps the constant term 4^a(4k+3), which NOS
+        # checks, or not a 2-adic square, so PICKY finds no obstruction
+        shifted = core.shift(shift)
+        scale = _square_clearing_scale(shifted)
+        res = body(shifted * (scale * scale))
+    trace.append((route, f"succeeded ({res.method})"))
+    return _transport(res, f, square_part, scale, shift, tuple(trace))

@@ -82,19 +82,29 @@ def poly_to_json(f: RatPoly) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 
-# The exact coefficient strings ``poly_to_json`` writes.  Nothing else
-# is read: a JSON float has already been rounded, and an exponent form
+# The exact rational strings ``frac_str`` writes.  Nothing else is read:
+# a decimal or JSON float has already been rounded, and an exponent form
 # such as "1e4000000" asks for an arbitrarily large integer.
 _COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def parse_rational(text: str) -> Fraction | None:
+    """``text`` as an exact rational [+-]digits[/digits], or None when it
+    is not of that form."""
+    if not _COEFF.fullmatch(text):
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        # a zero denominator, or more digits than int() converts
+        raise PolyParseError(f"bad rational: {exc}") from exc
+
+
 def _json_coeff(index: int, c) -> Fraction:
-    if type(c) is int or (isinstance(c, str) and _COEFF.fullmatch(c)):
-        try:
-            return Fraction(c)
-        except (ValueError, ZeroDivisionError) as exc:
-            # a zero denominator, or more digits than int() converts
-            raise PolyParseError(f"bad coefficient: {exc}") from exc
+    if type(c) is int:
+        return Fraction(c)
+    if isinstance(c, str) and (q := parse_rational(c)) is not None:
+        return q
     raise PolyParseError(f"bad coefficient at index {index}: expected a JSON "
                          "integer or a string of the form [+-]digits[/digits]")
 
@@ -291,12 +301,8 @@ def result_to_json(res: ReductionResult) -> dict:
 
 def iterate_to_json(rec: IterateRecord) -> dict:
     def branch(b: BranchRecord) -> dict:
-        out = {"h": poly_to_json(b.h), "verdict": b.verdict}
-        if b.certificate is not None:
-            out["certificate"] = certificate_to_json(b.certificate)
-        if b.note:
-            out["note"] = b.note
-        return out
+        return {"h": poly_to_json(b.h), "verdict": b.verdict,
+                "certificate": certificate_to_json(b.certificate)}
 
     return {"l": rec.l, "branch_constant": branch(rec.branch_a),
             "branch_leading": branch(rec.branch_b)}

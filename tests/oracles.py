@@ -30,6 +30,11 @@ The library's searches have no budget.  The budgeted searches they
 replaced are kept here: the epsilon and perturbation searches that
 halved at most 128 times (``halving_epsilon``, ``halving_perturbation``)
 and NOS's 49 x 64 grid of (N, l) (``nos_grid``).
+
+``reduce_auto`` decides its route from the core.  Its first form tried
+the routes in order, recorded a route that raised ``ValueError`` as
+skipped and went on to the next, with GR4 behind NOS; it is kept as
+``try_and_skip_reduce_auto``.
 """
 
 from __future__ import annotations
@@ -45,7 +50,15 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                _perturbation_search, is_positive_on_reals,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
-from padic_sos.reduction import CYCLOTOMIC, REFINE_PRECISION, _dyadic_exponent
+from padic_sos.certifier import SOS4, certify_sos4
+from padic_sos.padic import is_square_in_q2
+from padic_sos.ratpoly import squarefree_decomposition
+from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
+                                 REFINE_PRECISION, SHIFTS, InconclusiveReport,
+                                 ReductionResult, Transform, _constant_three_mod_four,
+                                 _cyclotomic_power, _dyadic_exponent, _gcd_route,
+                                 _is_square_times_three_mod_four,
+                                 _square_clearing_scale, _transport, _twice_odd_degree)
 
 
 def primitive_remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -316,3 +329,72 @@ def nos_grid(f: RatPoly) -> tuple[dict, tuple] | None:
             if len(trace) < 50:
                 trace.append(("N", n, "l", ell, "rejected", reason))
     return None
+
+
+def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
+    """``reduce_auto`` as first written: ALG6 or ALGN, then NOS and PICKY
+    at each shift whose value passes their test, with GR4 between them,
+    each attempt that raises ``ValueError`` recorded as skipped."""
+    if f.is_zero or not (positivity := is_positive_on_reals(f)).verdict:
+        raise ValueError("input must be strictly positive on R")
+    square_part = RatPoly([1])
+    core = f
+    if not positivity.on_squarefree_part:
+        unit, parts = squarefree_decomposition(f)
+        core = RatPoly([unit])
+        for g_i, mult in parts:
+            square_part = square_part * g_i ** (mult // 2)
+            if mult % 2 == 1:
+                core = core * g_i
+        positivity = is_positive_on_reals(core)
+    trace: list = []
+
+    def attempt(route, call):
+        try:
+            res = call()
+        except ValueError as exc:
+            trace.append((route, f"skipped: {exc}"))
+            return None
+        trace.append((route, f"succeeded ({res.method})"))
+        return res
+
+    first = certify_sos4(core, positivity=positivity)
+    trace.append(("certify", first.verdict))
+    if first.verdict == SOS4:
+        return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first,
+                               core, {}, tuple(trace),
+                               Transform(square_part, Fraction(1), Fraction(0)))
+
+    def by_shift(route, applies, body):
+        for shift in SHIFTS:
+            if applies(core(shift)):
+                shifted = core.shift(shift)
+                scale = _square_clearing_scale(shifted)
+                res = attempt(f"{route}@shift={shift}",
+                              lambda: body(shifted * (scale * scale)))
+                if res:
+                    return _transport(res, f, square_part, scale, shift, tuple(trace))
+        return None
+
+    res = None
+    if ord2(core.leading)[0] % 2 == 1:
+        res = attempt("alg6", lambda: _gcd_route(core, 1))
+    elif core.degree % 4 == 0 and core.degree >= 4:
+        res = attempt("algn", lambda: _gcd_route(core, 2))
+    if res:
+        return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
+    if res := by_shift("nos", _is_square_times_three_mod_four, _constant_three_mod_four):
+        return res
+    if core.degree % 4 == 0 and core.degree >= 4:
+        scale = _square_clearing_scale(core)
+        res = attempt("gr4", lambda: _cyclotomic_power(core * (scale * scale)))
+        if res:
+            return _transport(res, f, square_part, scale, Fraction(0), tuple(trace))
+    picky = core.degree >= 2 and (core.degree - 2) % 4 == 0
+    if picky and (res := by_shift("picky", lambda v: not is_square_in_q2(v),
+                                  _twice_odd_degree)):
+        return res
+    shifts_all_square = picky and not any(step[0].startswith("picky@") for step in trace)
+    note = ALWAYS_SQUARE_NOTE if shifts_all_square else (
+        "no certified route applies to this input")
+    return InconclusiveReport(note, tuple(trace), first)

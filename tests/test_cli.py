@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from padic_sos import certifier, ratpoly, serialize
-from padic_sos.cli import MAX_CAP, MAX_HANKEL_BITS, MAX_HANKEL_DEGREE, MAX_K, main
+from padic_sos.cli import MAX_CAP, MAX_HANKEL_BITS, MAX_HANKEL_DEGREE, MAX_K, MAX_N, main
 from padic_sos.padic import padic_sqrt
 from padic_sos.ratpoly import RatPoly, hankel_matrix
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
@@ -453,6 +453,48 @@ def test_cap_is_bounded_before_any_work(capsys, monkeypatch):
                  ["alg9-demo", "--k", "0", "--N", "65"]):
         code, out, err = run_cli(capsys, *argv, "--cap", str(MAX_CAP + 1))
         assert code == 1 and out == "" and f"at most {MAX_CAP}" in err, argv
+
+
+def test_n_is_bounded_before_any_work(capsys, monkeypatch):
+    # argparse refuses the value, so no family member is built
+    from padic_sos import reduction
+    monkeypatch.setattr(reduction, "palindromic_counterexample", None)
+    for argv in (["alg9-demo", "--k", "0"], ["family", "--k", "0"]):
+        code, out, err = run_cli(capsys, *argv, "--N", str(MAX_N + 1))
+        assert code == 1 and out == "" and f"at most {MAX_N}" in err, argv
+
+
+def test_largest_n_is_accepted(capsys):
+    n = MAX_N - 1  # odd
+    code, out, _ = run_cli(capsys, "family", "--k", "0", "--N", str(n))
+    assert code == 0 and json.loads(out)["witness_c"] == frac_str(F(63, 16 * n * n))
+
+
+def test_rational_arguments_use_the_exact_grammar(capsys, monkeypatch):
+    # the forms just past [+-]digits[/digits] are refused before any work
+    from padic_sos import padic
+    monkeypatch.setattr(padic, "is_square_in_q2", None)
+    monkeypatch.setattr(padic, "padic_sqrt", None)
+    monkeypatch.setattr(certifier, "certify_sos4", None)
+    for text in ("1e10000000", "1.5", "1_0", "0x11", "1/2/3", "+-1", "1/-2", "inf", ""):
+        for argv in (["padic-square", "--value", text], ["padic-sqrt", "--value", text],
+                     ["sos4-certify", "--poly", "x^2+7", "--witness", f"x:{text}"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "" and "[+-]digits[/digits]" in err, argv
+    for argv in (["padic-square", "--value", "1/0"],
+                 ["padic-square", "--value", "1" * (serialize._INT_DIGITS + 1)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "bad rational" in err, argv
+
+
+def test_rational_arguments_accept_the_exact_grammar(capsys):
+    for text, square in (("17", True), (" -7/4 ", True), ("+3", False), ("6/8", False)):
+        code, out, _ = run_cli(capsys, "padic-square", "--value", text)
+        doc = json.loads(out)
+        assert code == 0 and doc["value"] == frac_str(F(text.strip()))
+        assert doc["is_square_in_q2"] is square, text
+    code, out, _ = run_cli(capsys, "sos4-certify", "--poly", "x^2+7", "--witness", "x: +7/1")
+    assert code == 0 and json.loads(out)["certificate"]["verdict"] == "NOT_SOS4"
 
 
 def test_search_budget_inputs_conclude(capsys):

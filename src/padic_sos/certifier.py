@@ -68,9 +68,8 @@ from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
 from .padic import is_square_in_q2
 from .ratpoly import (NEGATIVE_SOMEWHERE, NONNEGATIVE_WITH_ROOTS,
-                      PositivityCertificate, RatPoly, _from_ints,
-                      is_positive_on_reals, is_squarefree,
-                      positivity_trichotomy, primitive_integer_coeffs)
+                      PositivityCertificate, RatPoly, _from_ints, _positivity,
+                      _trichotomy, is_squarefree, primitive_integer_coeffs)
 from .record import Record
 
 SOS4 = "SOS4"
@@ -386,11 +385,11 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
     if f.is_zero:
         raise ValueError("cannot certify the zero polynomial")
     split = _check_witness(f, witness) if witness is not None else None
+    last = None  # the gate's gcd(f, f'), for the not-positive branch
     if positivity is None:
-        positivity = is_positive_on_reals(f)
+        positivity, last = _positivity(f)
     if not positivity.verdict:
-        kind = positivity_trichotomy(f)
-        if kind == NONNEGATIVE_WITH_ROOTS:
+        if _trichotomy(f, positivity, last) == NONNEGATIVE_WITH_ROOTS:
             raise ValueError(
                 "input is nonnegative but has real roots; only strictly "
                 "positive polynomials are certified")
@@ -443,7 +442,7 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
     Used by the acceptance suite to confirm that stored certificates
     re-verify after serialization round trips.
     """
-    positivity = is_positive_on_reals(f)
+    positivity, last = _positivity(f)
     ev = cert.evidence
     if not isinstance(ev, Evidence | None) or cert != Sos4Certificate.of(positivity, ev):
         return False
@@ -452,7 +451,7 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
     if ev.verdict == SOS4 and not positivity.verdict:
         return False
     if isinstance(ev, NotPositive):
-        return positivity_trichotomy(f) == NEGATIVE_SOMEWHERE
+        return _trichotomy(f, positivity, last) == NEGATIVE_SOMEWHERE
     if isinstance(ev, OddSquareSplit):
         try:
             return rule_odd_split_witness(f, ev.a_poly, ev.c) == ev
@@ -462,7 +461,7 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         return (ev.status.tag == ROOT_EXISTS
                 and ev.status.witness is not None
                 and verify_root_witness(f, ev.status.witness)
-                and is_squarefree(f))
+                and positivity.on_squarefree_part)
     if isinstance(ev, TwoSquareSplit):
         return f == ev.a_poly * ev.a_poly + RatPoly([ev.s * ev.s])
     if isinstance(ev, EisensteinEvenDegree):

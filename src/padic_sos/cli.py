@@ -258,7 +258,8 @@ MAX_CAP = 1000
 # Largest ``--N`` (``alg9-demo``, ``family``), 200 digits.  The ALG9 loop's
 # candidates carry 1/N^2: ``alg9-demo --k 0 --cap 40`` took 0.34-0.44 s at
 # 200 digits, 10 s at 1000 and 64 s at 2000, and past about 4300 digits
-# the document can no longer be printed (2-vCPU x86-64 VM).
+# the document can no longer be printed (2-vCPU x86-64 VM).  ``family
+# --a`` shares the bound: the document prints the constant 8a - 1.
 MAX_N = 10 ** 200
 
 
@@ -302,7 +303,7 @@ def _add_family_args(p):
     p.add_argument("--k", type=_int_at_most(MAX_K))
     p.add_argument("--N", type=_int_at_most(MAX_N))
     p.add_argument("--g", help="odd-degree integer polynomial")
-    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--a", type=_int_at_most(MAX_N), default=1)
     p.add_argument("--out")
 
 

@@ -12,9 +12,9 @@ lemma a product of primitive polynomials is primitive, so products and
 powers need no gcd; sums, derivatives, Taylor shifts and evaluation run
 on integers with one content gcd per result.  The integer arithmetic
 on P (products, sums, derivatives, Taylor shifts and the exact
-quotients of Yun's decomposition) is the ``zpoly`` kernel's.  The
-Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``, ``hash``) is
-built on first use and cached.
+quotients of the square-free decomposition) is the ``zpoly`` kernel's.
+The Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``,
+``hash``) is built on first use and cached.
 
 Root counting, square-freeness, gcds, Sturm counts and resultants run
 on one fraction-free kernel: a Sturm-signed subresultant sequence of
@@ -23,11 +23,15 @@ by a divisor known in advance and whose other steps divide by the
 content.  Run on (f, f') it gives the numbers of distinct complex and
 distinct real roots (the rank and signature of the Hankel form of f),
 and with them strict positivity on the reals and the Sturm count of a
-square-free f; run on (f, g) its last term is the gcd, and a scalar
-folded along it is the resultant Res(f, g) (the Sylvester determinant)
-and so the discriminant Res(f, f').  The Fraction paths left are the
-ones the ``hankel`` document prints: power sums, the Hankel matrix and
-its exact rank/signature.  A caller that has proved f strictly
+square-free f.  The positivity gate (``_positivity``) also returns
+that sequence's last term, gcd(f, f'), and a caller that goes on to
+split f into square-free parts feeds it to Musser's algorithm (1971),
+whose further gcds have degree at most deg gcd(f, f'): one sequence of
+(f, f') serves both.  Run on (f, g) its last term is the gcd, and a
+scalar folded along it is the resultant Res(f, g) (the Sylvester
+determinant) and so the discriminant Res(f, f').  The Fraction paths
+left are the ones the ``hankel`` document prints: power sums, the
+Hankel matrix and its exact rank/signature.  A caller that has proved f strictly
 positive gets f's positivity certificate from a square-freeness test
 modulo a prime instead (``_proved_positive``), and falls back to the
 sequence only when that test is silent.  Certified "epsilon below the
@@ -411,47 +415,63 @@ def _remainder_sequence(a: list[int], b: list[int]
     return seq, steps
 
 
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """gcd(a, b) of integer lists, not both zero: the primitive part of
+    the last term of their remainder sequence, top coefficient > 0."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _from_ints(list(_remainder_sequence(a, b)[0][-1])).primitive_part
+
+
+def _monic(p: tuple[int, ...]) -> RatPoly:
+    """The monic multiple of a primitive tuple with top coefficient > 0."""
+    return _model(Fraction(1, p[-1]), p)
+
+
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     """Monic greatest common divisor: the primitive part of the last
     term of the integer remainder sequence of the primitive models of f
     and g, made monic."""
-    a, b = primitive_integer_coeffs(f), primitive_integer_coeffs(g)
-    if len(a) < len(b):
-        a, b = b, a
-    if not a:
+    if f.is_zero and g.is_zero:
         return RatPoly()
-    last = _from_ints(_remainder_sequence(a, b)[0][-1]).primitive_part
-    return _model(Fraction(1, last[-1]), last)
+    return _monic(_primitive_gcd(primitive_integer_coeffs(f), primitive_integer_coeffs(g)))
 
 
 def squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
-    """Yun decomposition: f = unit * prod g_i^i with the g_i monic,
-    square-free, and pairwise coprime.
-
-    The running pair (b, c) is kept on integers, both scaled by the same
-    constant (which changes no gcd and keeps c - b' meaningful), and is
-    divided exactly by the primitive model of each gcd (by Gauss's lemma
-    every step of that long division divides exactly)."""
+    """f = unit * prod g_i^i with the g_i monic, square-free, pairwise
+    coprime and of degree >= 1, by Musser's algorithm (1971) on the
+    gcd(f, f') that ends the remainder sequence of the positivity gate
+    (``_squarefree_decomposition``)."""
     if f.is_zero:
         raise ValueError("zero polynomial has no square-free decomposition")
-    unit = f.leading
-    if f.degree == 0:
-        return unit, []
+    return _squarefree_decomposition(f, _positivity(f)[1])
+
+
+def _squarefree_decomposition(f: RatPoly, last: list[int]
+                              ) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
+    """Musser's decomposition of a nonzero f, given ``last``, the last
+    term of the remainder sequence of (f, f') (``_positivity``).
+
+    With f = prod g_j^j, c = gcd(f, f') = prod g_j^(j-1) and w = f/c =
+    prod g_j.  Step i holds w = prod_{j>=i} g_j and c = prod_{j>=i}
+    g_j^(j-i), so gcd(w, c) = prod_{j>i} g_j and w / gcd(w, c) = g_i;
+    once c is constant, w = g_i is the last part.  Every gcd has degree
+    at most deg c, the repeated part of f.  All terms are primitive
+    integer tuples with a positive top coefficient, and by Gauss's lemma
+    every quotient of them is one too."""
+    c = _from_ints(last).primitive_part
+    w = tuple(zpoly.divide(f.primitive_part, c)[0])
     parts: list[tuple[RatPoly, int]] = []
-    a = primitive_integer_coeffs(f)
-    g = poly_gcd(f, f.derivative()).primitive_part
-    b = zpoly.divide(a, g)[0]
-    c = zpoly.divide(zpoly.diff(a), g)[0]
     i = 1
-    while len(b) > 1:
-        c = zpoly.sub(c, zpoly.diff(b))
-        monic = poly_gcd(_from_ints(b), _from_ints(c))
-        if monic.degree > 0:
-            parts.append((monic, i))
-        g = monic.primitive_part
-        b, c = zpoly.divide(b, g)[0], zpoly.divide(c, g)[0]
+    while len(c) > 1:
+        y = _primitive_gcd(w, c)
+        if len(y) < len(w):
+            parts.append((_monic(tuple(zpoly.divide(w, y)[0])), i))
+        w, c = y, zpoly.divide(c, y)[0]
         i += 1
-    return unit, parts
+    if len(w) > 1:
+        parts.append((_monic(w), i))
+    return f.leading, parts
 
 
 def squarefree_part(f: RatPoly) -> RatPoly:
@@ -461,8 +481,7 @@ def squarefree_part(f: RatPoly) -> RatPoly:
     if f.degree == 0:
         return RatPoly([1])
     g = poly_gcd(f, f.derivative())
-    h = zpoly.divide(f.primitive_part, g.primitive_part)[0]
-    return _model(Fraction(1, h[-1]), tuple(h))
+    return _monic(tuple(zpoly.divide(f.primitive_part, g.primitive_part)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +657,20 @@ def count_distinct_and_real_roots(f: RatPoly) -> tuple[int, int]:
     """
     if f.degree < 1:
         raise ValueError("root counts need degree >= 1")
+    rank, sig, _ = _root_counts(f)
+    return rank, sig
+
+
+def _root_counts(f: RatPoly) -> tuple[int, int, list[int]]:
+    """``count_distinct_and_real_roots`` on an f of degree >= 1, with the
+    last term of the sequence, gcd(f, f') up to a nonzero factor."""
     a = primitive_integer_coeffs(f)
     da = zpoly.diff(a)
     content = math.gcd(*da)
     seq = _remainder_sequence(a, [c // content for c in da])[0]
     at_pos = [1 if p[-1] > 0 else -1 for p in seq]
     at_neg = [s if len(p) % 2 == 1 else -s for s, p in zip(at_pos, seq)]
-    return len(a) - len(seq[-1]), _variations(at_neg) - _variations(at_pos)
+    return len(a) - len(seq[-1]), _variations(at_neg) - _variations(at_pos), seq[-1]
 
 
 def _variations(signs: list[int]) -> int:
@@ -691,6 +717,14 @@ class PositivityCertificate(Record):
 
 
 def is_positive_on_reals(f: RatPoly) -> PositivityCertificate:
+    return _positivity(f)[0]
+
+
+def _positivity(f: RatPoly) -> tuple[PositivityCertificate, list[int]]:
+    """The gate body: ``is_positive_on_reals(f)`` and the last term of
+    the remainder sequence of (f, f') it was read from, gcd(f, f') up to
+    a nonzero factor ([1] for a constant f).  A caller that goes on to
+    decompose f hands that term to ``_squarefree_decomposition``."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     # the primitive part has a positive top coefficient, so the content
@@ -699,10 +733,10 @@ def is_positive_on_reals(f: RatPoly) -> PositivityCertificate:
     p0 = f.primitive_part[0]
     csign = 0 if p0 == 0 else (lead if p0 > 0 else -lead)
     if f.degree == 0:
-        return PositivityCertificate(0, 0, lead, csign, True, csign > 0)
-    rank, sig = count_distinct_and_real_roots(f)
+        return PositivityCertificate(0, 0, lead, csign, True, csign > 0), [1]
+    rank, sig, last = _root_counts(f)
     verdict = f.degree % 2 == 0 and lead > 0 and csign > 0 and sig == 0
-    return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict)
+    return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict), last
 
 
 # the prime of the square-freeness test of ``_proved_positive``: below
@@ -731,22 +765,28 @@ NEGATIVE_SOMEWHERE = "negative_somewhere"
 def positivity_trichotomy(f: RatPoly) -> str:
     """Classify a nonzero polynomial as strictly positive on the reals,
     nonnegative with real roots, or negative somewhere."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if is_positive_on_reals(f).verdict:
+    return _trichotomy(f, *_positivity(f))
+
+
+def _trichotomy(f: RatPoly, positivity: PositivityCertificate,
+                last: list[int] | None) -> str:
+    """``positivity_trichotomy(f)`` from the gate's result on f,
+    ``_positivity(f)``; ``last`` is None when the caller holds only the
+    certificate, and is then computed if the decomposition needs it."""
+    if positivity.verdict:
         return POSITIVE
-    if f.degree % 2 == 1 or f.leading < 0:
-        return NEGATIVE_SOMEWHERE
-    if f.degree == 0:
+    if f.degree % 2 == 1 or positivity.leading_sign < 0 or f.degree == 0:
         return NEGATIVE_SOMEWHERE
     # even degree, positive leading: f >= 0 iff no odd-multiplicity
-    # component has a real root (sign changes happen only there)
-    _, parts = squarefree_decomposition(f)
-    for g, mult in parts:
-        if mult % 2 == 1 and g.degree >= 1:
-            _, sig = count_distinct_and_real_roots(g)
-            if sig != 0:
-                return NEGATIVE_SOMEWHERE
+    # component has a real root (sign changes happen only there); a
+    # square-free f is its one component, whose signature the gate holds
+    if positivity.on_squarefree_part:
+        return NEGATIVE_SOMEWHERE if positivity.signature else NONNEGATIVE_WITH_ROOTS
+    if last is None:
+        last = _root_counts(f)[2]
+    for g, mult in _squarefree_decomposition(f, last)[1]:
+        if mult % 2 == 1 and _root_counts(g)[1]:
+            return NEGATIVE_SOMEWHERE
     return NONNEGATIVE_WITH_ROOTS
 
 

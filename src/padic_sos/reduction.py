@@ -38,13 +38,18 @@ is asked for (``reduce_cyclotomic_power``).
 Positivity is tested or proved once per polynomial.  Each public route
 gates its input with one ``PositivityCertificate`` and hands it to a
 private body (``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``,
-...), which takes it as gated; ``reduce_auto`` gates its core once and
-calls the bodies, the shifted ones (NOS, PICKY) after one pass over
-``SHIFTS``.  A residual f - h^2 of ALG6, ALGN, ALG9, GR4 or PICKY is
-positive by construction, since h^2 is bounded by a certified epsilon;
-its certificate comes from ``ratpoly._proved_positive``, which decides
-only square-freeness.  The certificate in hand goes to ``certify_sos4``,
-which reads it instead of testing the same polynomial again.
+...), which takes it as gated.  ``reduce_auto`` runs one remainder
+sequence of (f, f') on its input: the gate (``ratpoly._positivity``)
+reads f's certificate off it, and on a non-square-free f its last
+term, gcd(f, f'), feeds the square-free decomposition.  The core's
+certificate then follows from f > 0 with no test of its own, and
+``reduce_auto`` calls the bodies, the shifted ones (NOS, PICKY) after
+one pass over ``SHIFTS``.  A residual f - h^2 of ALG6, ALGN, ALG9, GR4
+or PICKY is positive by construction, since h^2 is bounded by a
+certified epsilon; its certificate comes from
+``ratpoly._proved_positive``, which decides only square-freeness.  The
+certificate in hand goes to ``certify_sos4``, which reads it instead of
+testing the same polynomial again.
 
 No route gives up after a fixed number of tries: the epsilon searches
 end because min f > 0, the gcd loop within d/2 steps, NOS in a row it
@@ -65,9 +70,10 @@ from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, certify_sos4,
 from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
 from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (PositivityCertificate, RatPoly, _epsilon_search,
-                      _perturbation_search, _proved_positive,
-                      discriminant, is_positive_on_reals, is_squarefree,
-                      primitive_integer_coeffs, squarefree_decomposition)
+                      _perturbation_search, _positivity, _proved_positive,
+                      _squarefree_decomposition, discriminant,
+                      is_positive_on_reals, is_squarefree,
+                      primitive_integer_coeffs)
 from .record import Record
 from .newton_polygon import newton_diagram
 
@@ -604,21 +610,29 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     Raises ValueError for inputs that are not strictly positive on the
     reals.
     """
-    if f.is_zero or not (positivity := is_positive_on_reals(f)).verdict:
+    if f.is_zero:
         raise ValueError("input must be strictly positive on R")
-    # a square-free f is its own core, as Yun's decomposition would give;
-    # otherwise the core f / square_part^2 is square-free and positive
-    # too, and one certificate of its own gates it
+    positivity, last = _positivity(f)
+    if not positivity.verdict:
+        raise ValueError("input must be strictly positive on R")
+    # a square-free f is its own core; otherwise the gate's gcd(f, f')
+    # feeds the square-free decomposition f = unit * prod g_i^i
     square_part = RatPoly([1])
     core = f
     if not positivity.on_squarefree_part:
-        unit, parts = squarefree_decomposition(f)
+        unit, parts = _squarefree_decomposition(f, last)
         core = RatPoly([unit])
         for g_i, mult in parts:
             square_part = square_part * g_i ** (mult // 2)
             if mult % 2 == 1:
                 core = core * g_i
-        positivity = is_positive_on_reals(core)
+        # the core's certificate, proved: it is a product of pairwise
+        # coprime square-free parts, so square-free, with deg core
+        # distinct complex roots; f = square_part^2 * core > 0 leaves
+        # square_part no real root, so core > 0 on R (no real root,
+        # core(0) > 0); and its leading coefficient is lc f > 0, the
+        # g_i being monic
+        positivity = PositivityCertificate(core.degree, 0, 1, 1, True, True)
     first = certify_sos4(core, positivity=positivity)
     trace = [("certify", first.verdict)]
     if first.verdict == SOS4:

@@ -31,6 +31,11 @@ replaced are kept here: the epsilon and perturbation searches that
 halved at most 128 times (``halving_epsilon``, ``halving_perturbation``)
 and NOS's 49 x 64 grid of (N, l) (``nos_grid``).
 
+The library splits f into square-free parts by Musser's algorithm on
+the gcd(f, f') its positivity gate computes.  Yun's algorithm, which it
+replaced, is kept as ``yun_squarefree_decomposition``, on the gcds of
+the primitive remainder sequence.
+
 ``reduce_auto`` decides its route from the core.  Its first form tried
 the routes in order, recorded a route that raised ``ValueError`` as
 skipped and went on to the next, with GR4 behind NOS; it is kept as
@@ -52,7 +57,6 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                squarefree_part)
 from padic_sos.certifier import SOS4, certify_sos4
 from padic_sos.padic import is_square_in_q2
-from padic_sos.ratpoly import squarefree_decomposition
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
                                  ReductionResult, Transform, _constant_three_mod_four,
@@ -126,6 +130,33 @@ def monic_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
         return RatPoly()
     last = primitive_remainder_sequence(a, b)[-1]
     return RatPoly([Fraction(x, last[-1]) for x in last])
+
+
+def yun_squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
+    """Yun's decomposition f = unit * prod g_i^i, g_i monic, square-free,
+    pairwise coprime and of degree >= 1.  The running pair (b, c) stays
+    on integers, both scaled by the same constant, and is divided
+    exactly by the primitive model of each gcd."""
+    if f.is_zero:
+        raise ValueError("zero polynomial has no square-free decomposition")
+    unit = f.leading
+    if f.degree == 0:
+        return unit, []
+    parts: list[tuple[RatPoly, int]] = []
+    a = primitive_integer_coeffs(f)
+    g = monic_gcd(f, f.derivative()).primitive_part
+    b = zpoly.divide(a, g)[0]
+    c = zpoly.divide(zpoly.diff(a), g)[0]
+    i = 1
+    while len(b) > 1:
+        c = zpoly.sub(c, zpoly.diff(b))
+        monic = monic_gcd(RatPoly(b), RatPoly(c))
+        if monic.degree > 0:
+            parts.append((monic, i))
+        g = monic.primitive_part
+        b, c = zpoly.divide(b, g)[0], zpoly.divide(c, g)[0]
+        i += 1
+    return unit, parts
 
 
 def sturm_chain_count(f: RatPoly) -> int:
@@ -340,7 +371,7 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
     square_part = RatPoly([1])
     core = f
     if not positivity.on_squarefree_part:
-        unit, parts = squarefree_decomposition(f)
+        unit, parts = yun_squarefree_decomposition(f)
         core = RatPoly([unit])
         for g_i, mult in parts:
             square_part = square_part * g_i ** (mult // 2)

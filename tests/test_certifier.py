@@ -5,8 +5,8 @@ import pytest
 
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, Mod2EvenDegrees,
-                                 OddSquareSplit, PureEvenDivisor,
-                                 SimpleZ2Root, TwoSquareSplit,
+                                 NotPositive, OddSquareSplit, PureEvenDivisor,
+                                 SimpleZ2Root, Sos4Certificate, TwoSquareSplit,
                                  certify_sos4, complete_square_split,
                                  rule_eisenstein, rule_mod2_even_degrees,
                                  rule_odd_split_witness,
@@ -14,7 +14,7 @@ from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  rule_two_square_split, verify_certificate)
 from padic_sos.hensel import ROOT_EXISTS, verify_root_witness
 from padic_sos.padic import is_square_in_q2
-from padic_sos.ratpoly import RatPoly
+from padic_sos.ratpoly import RatPoly, is_positive_on_reals
 from padic_sos.reduction import (palindromic_counterexample,
                                  square_plus_8a_minus_1)
 
@@ -223,9 +223,33 @@ def test_certify_reads_a_positivity_certificate_in_hand(monkeypatch):
     def refusing(f):
         raise AssertionError("a held certificate was recomputed")
 
-    monkeypatch.setattr(certifier, "is_positive_on_reals", refusing)
+    monkeypatch.setattr(certifier, "_positivity", refusing)
     for f, positivity, cert in zip(cases, held, fresh):
         assert certify_sos4(f, positivity=positivity) == cert
     # the gate's messages stay: nonnegative with a real root is refused
     with pytest.raises(ValueError, match="real roots"):
         certify_sos4(square, positivity=square_positivity)
+
+
+def test_non_positive_inputs_run_each_remainder_pair_once(remainder_pairs):
+    # the not-positive branches of certify_sos4 and verify_certificate
+    # classify f from the gate's own result: the gate's signature for a
+    # square-free f, its gcd(f, f') for the decomposition otherwise
+    def runs_each_pair_once():
+        assert remainder_pairs and len(set(remainder_pairs)) == len(remainder_pairs)
+        remainder_pairs.clear()
+
+    negative = RatPoly([-2, 0, 1])
+    cert = certify_sos4(negative)
+    assert cert.verdict == NOT_SOS4 and isinstance(cert.evidence, NotPositive)
+    runs_each_pair_once()
+    assert verify_certificate(negative, cert)
+    runs_each_pair_once()
+    with_roots = RatPoly([-1, 1]) ** 2 * X2P1
+    with pytest.raises(ValueError, match="real roots"):
+        certify_sos4(with_roots)
+    runs_each_pair_once()
+    forged = Sos4Certificate.of(is_positive_on_reals(with_roots), NotPositive())
+    remainder_pairs.clear()
+    assert not verify_certificate(with_roots, forged)
+    runs_each_pair_once()

@@ -464,6 +464,14 @@ def test_n_is_bounded_before_any_work(capsys, monkeypatch):
         assert code == 1 and out == "" and f"at most {MAX_N}" in err, argv
 
 
+def test_a_is_bounded_before_any_work(capsys, monkeypatch):
+    # argparse refuses the value, so no family member is built
+    from padic_sos import reduction
+    monkeypatch.setattr(reduction, "square_plus_8a_minus_1", None)
+    code, out, err = run_cli(capsys, "family", "--g", "x^3+x+1", "--a", str(MAX_N + 1))
+    assert code == 1 and out == "" and f"at most {MAX_N}" in err
+
+
 def test_largest_n_is_accepted(capsys):
     n = MAX_N - 1  # odd
     code, out, _ = run_cli(capsys, "family", "--k", "0", "--N", str(n))

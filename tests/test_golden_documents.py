@@ -1,0 +1,63 @@
+"""Every CLI document of a fixed set of argvs is byte-identical to the
+one recorded in ``golden_documents.json``: the sha256 of its stdout and
+its exit code.  The argvs are the benchmark's CLI documents
+(``corpus.cli_documents(31, 3)``), ``reduce --method auto`` on the
+reduce and certify corpora at seeds 31 and 32, and ``sos4-certify`` on
+the certify corpus at seed 31.  Each runs in-process through
+``cli.main``.
+
+A change that must not alter any document keeps this test passing.  A
+change that alters documents on purpose regenerates the file, with
+
+    PYTHONPATH=src python tests/test_golden_documents.py
+
+and says why in its description."""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+from padic_sos.cli import main  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden_documents.json"
+
+
+def golden_argvs() -> list[list[str]]:
+    """The argvs in a fixed order, each once (the seed only orders a
+    corpus, so seeds 31 and 32 repeat the same polynomials)."""
+    argvs = [argv for _, argv in corpus.cli_documents(31, 3)]
+    for seed in (31, 32):
+        for name, per_degree in (("reduce-corpus", 4), ("certify-corpus", 10)):
+            argvs += [["reduce", "--method", "auto", "--poly", str(item.poly)]
+                      for item in corpus.corpus(name, seed, per_degree)]
+    argvs += [["sos4-certify", "--poly", str(item.poly)]
+              for item in corpus.corpus("certify-corpus", 31, 10)]
+    seen = set()
+    return [a for a in argvs if tuple(a) not in seen and not seen.add(tuple(a))]
+
+
+def run(argv: list[str]) -> tuple[str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def test_documents_match_the_golden_file():
+    recorded = json.loads(GOLDEN.read_text())
+    argvs = golden_argvs()
+    assert [entry["argv"] for entry in recorded] == argvs
+    for entry in recorded:
+        assert run(entry["argv"]) == (entry["sha256"], entry["exit"]), entry["argv"]
+
+
+if __name__ == "__main__":
+    entries = [dict(zip(("sha256", "exit"), run(argv)), argv=argv)
+               for argv in golden_argvs()]
+    GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
+    print(f"wrote {len(entries)} documents to {GOLDEN}")

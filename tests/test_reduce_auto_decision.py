@@ -100,6 +100,40 @@ def test_named_inputs_match_the_reference():
 
 
 @st.composite
+def powered_inputs(draw):
+    """g^k * h * q with g and h positive on R, 2 <= k <= 5 and q a
+    positive rational: inputs whose square-free decomposition
+    ``reduce_auto`` runs."""
+    g = RatPoly([draw(rationals), draw(rationals), draw(st.integers(1, 4))])
+    h = RatPoly(draw(st.lists(rationals, min_size=0, max_size=6)) + [draw(st.integers(1, 9))])
+    hypothesis.assume(positive(g) and is_positive_on_reals(h).verdict)
+    return g ** draw(st.integers(2, 5)) * h * F(draw(st.integers(1, 12)),
+                                               draw(st.integers(1, 12)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+@hypothesis.given(powered_inputs())
+def test_the_proved_core_certificate_is_the_tested_one(f):
+    """The core certificate ``reduce_auto`` proves from the decomposition
+    is the one ``is_positive_on_reals`` computes on the core."""
+    import padic_sos.reduction as reduction
+    handed = []
+    certify = reduction.certify_sos4
+
+    def recording(g, *args, **kwargs):
+        handed.append((g, kwargs["positivity"]))
+        return certify(g, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "certify_sos4", recording)
+        reduce_auto(f)
+    core, positivity = handed[0]  # the core is certified first
+    assert core.degree < f.degree
+    assert positivity == is_positive_on_reals(core)
+
+
+@st.composite
 def square_constant_twice_odd(draw):
     """Integral f of degree 2(2k+1), k <= 2, with f(0) = 4^a (8m + 1)."""
     k = draw(st.integers(0, 2))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
+from padic_sos import zpoly
 from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
                                  PureEvenDivisor, verify_certificate)
 from padic_sos.newton_polygon import newton_diagram
@@ -325,45 +326,45 @@ def test_reduce_auto_rejects_nonpositive():
         reduce_auto(RatPoly([0, 0, 1]))
 
 
-def test_reduce_auto_runs_yun_only_on_non_squarefree_input(monkeypatch):
+def test_reduce_auto_decomposes_only_non_squarefree_input(monkeypatch):
     import padic_sos.reduction as reduction
     calls = []
-    yun = reduction.squarefree_decomposition
+    decompose = reduction._squarefree_decomposition
 
-    def recording(f):
+    def recording(f, last):
         calls.append(f)
-        return yun(f)
+        return decompose(f, last)
 
-    def refusing(f):
-        raise AssertionError("square-free input went through Yun")
+    def refusing(f, last):
+        raise AssertionError("square-free input was decomposed")
 
-    monkeypatch.setattr(reduction, "squarefree_decomposition", refusing)
+    monkeypatch.setattr(reduction, "_squarefree_decomposition", refusing)
     for f in (RatPoly([3, 0, 1]), RatPoly([7, 1, 0, 0, 1]), RatPoly([5])):
         assert isinstance(reduce_auto(f), (ReductionResult, InconclusiveReport))
-    monkeypatch.setattr(reduction, "squarefree_decomposition", recording)
+    monkeypatch.setattr(reduction, "_squarefree_decomposition", recording)
     f = (RatPoly([1, 0, 1]) ** 2) * RatPoly([3, 0, 1])
     res = check_result(f, reduce_auto(f))
     assert calls == [f]
     assert res.transform.square_part == RatPoly([1, 0, 1])
 
 
-
 @pytest.fixture
 def gated(monkeypatch):
-    """Every polynomial ``is_positive_on_reals`` is called on, in order,
-    whichever module calls it."""
+    """Every polynomial the positivity gate body ``ratpoly._positivity``
+    runs on, in order, whichever module calls it (``is_positive_on_reals``
+    runs it too)."""
     import padic_sos.certifier as certifier
     import padic_sos.ratpoly as ratpoly
     import padic_sos.reduction as reduction
     calls = []
-    original = ratpoly.is_positive_on_reals
+    original = ratpoly._positivity
 
     def recording(f):
         calls.append(f)
         return original(f)
 
     for module in (ratpoly, certifier, reduction):
-        monkeypatch.setattr(module, "is_positive_on_reals", recording)
+        monkeypatch.setattr(module, "_positivity", recording)
     return calls
 
 
@@ -380,12 +381,20 @@ def test_reduce_auto_gates_a_squarefree_core_once(gated, coeffs, method):
     assert gated[0] == f and gated.count(f) == 1
 
 
-def test_reduce_auto_gates_input_and_yun_core_once_each(gated):
+def test_reduce_auto_gates_input_once_and_never_its_core(gated, remainder_pairs):
     core = RatPoly([3, 0, 1])
     f = X2P1 ** 2 * core
-    check_result(f, reduce_auto(f))
-    assert gated[:2] == [f, core]
-    assert gated.count(f) == 1 and gated.count(core) == 1
+    res = reduce_auto(f)
+    # f is gated once, before any route; the core's certificate is
+    # proved from the decomposition, not tested
+    assert gated[0] == f and gated.count(f) == 1
+    assert core not in gated
+    # the gate's gcd(f, f') feeds the decomposition, so no pair of
+    # polynomials runs through the remainder sequence twice
+    assert len(set(remainder_pairs)) == len(remainder_pairs)
+    a = f.primitive_part
+    assert remainder_pairs[0] == (a, tuple(c // 2 for c in zpoly.diff(a)))
+    check_result(f, res)
 
 
 def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):

@@ -24,7 +24,7 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
@@ -57,6 +57,12 @@ def polys(draw, max_degree: int = 12) -> RatPoly:
         return _poly(draw, 1, max_degree)
     g = _poly(draw, 1, 3)
     return g * g * _poly(draw, 0, max_degree - 2 * g.degree)
+
+
+@st.composite
+def factors(draw) -> RatPoly:
+    """A dense factor of degree 1 or 2, to be raised to a power."""
+    return _poly(draw, 1, 2)
 
 
 @st.composite
@@ -271,13 +277,22 @@ def test_poly_gcd_matches_sympy(f, g, share):
 
 
 @SETTINGS
-@given(polys(max_degree=8), polys(max_degree=6), st.integers(2, 3))
-def test_squarefree_decomposition_matches_sympy(f, g, mult):
-    f = f * g ** mult
+@given(polys(max_degree=6), factors(), factors(), st.integers(1, 5),
+       st.integers(2, 5), NONZERO)
+@example(RatPoly([1, 1]), RatPoly([1, 0, 1]), RatPoly([-2, 3]), 5, 4, F(-3, 7))
+@example(RatPoly([5, 0, 2]), RatPoly([1, 2, 1]), RatPoly([F(1, 2), 0, 1]), 2, 5, F(7, 4))
+def test_squarefree_decomposition_matches_sympy(h, g1, g2, m1, m2, lead):
+    """f = lead * h * g1^m1 * g2^m2: rational and negative leading
+    coefficients, multiplicities up to 5, up to two repeated factors
+    (three, when ``polys`` draws h as a g^2 * h), and repeated parts of
+    any share of the degree (at least half in both examples).  Yun's
+    decomposition is a second reference on the same draws."""
+    f = h * g1 ** m1 * g2 ** m2 * lead
     unit, parts = squarefree_decomposition(f)
     _, factors = sympy.sqf_list(to_sympy(f))
     assert unit == f.leading
     assert parts == [(from_sympy(p.monic()), m) for p, m in factors]
+    assert (unit, parts) == oracles.yun_squarefree_decomposition(f)
 
 
 @SETTINGS

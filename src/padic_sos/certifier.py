@@ -67,9 +67,9 @@ from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,
 from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
 from .padic import is_square_in_q2
-from .ratpoly import (NEGATIVE_SOMEWHERE, NONNEGATIVE_WITH_ROOTS,
-                      PositivityCertificate, RatPoly, _from_ints, _positivity,
-                      _trichotomy, is_squarefree, primitive_integer_coeffs)
+from .ratpoly import (PositivityCertificate, RatPoly, _from_ints,
+                      _negative_somewhere, _positivity, is_squarefree,
+                      primitive_integer_coeffs)
 from .record import Record
 
 SOS4 = "SOS4"
@@ -389,7 +389,7 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
     if positivity is None:
         positivity, last = _positivity(f)
     if not positivity.verdict:
-        if _trichotomy(f, positivity, last) == NONNEGATIVE_WITH_ROOTS:
+        if not _negative_somewhere(f, positivity, last):
             raise ValueError(
                 "input is nonnegative but has real roots; only strictly "
                 "positive polynomials are certified")
@@ -451,7 +451,7 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
     if ev.verdict == SOS4 and not positivity.verdict:
         return False
     if isinstance(ev, NotPositive):
-        return _trichotomy(f, positivity, last) == NEGATIVE_SOMEWHERE
+        return _negative_somewhere(f, positivity, last)
     if isinstance(ev, OddSquareSplit):
         try:
             return rule_odd_split_witness(f, ev.a_poly, ev.c) == ev

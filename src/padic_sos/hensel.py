@@ -179,6 +179,8 @@ def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
     Preconditions are re-checked: f(gamma) = 0 mod 2^(2*delta+1) and
     ord2(f'(gamma)) = delta on the odd-cleared integer model.
     """
+    if precision < 1:
+        raise ValueError("precision must be positive")
     coeffs = _odd_cleared(f)
     dcoeffs = zpoly.diff(coeffs)
     v0 = zpoly.evaluate(coeffs, gamma)
@@ -247,8 +249,10 @@ def hensel_split(f: RatPoly, g1: int, h1: int, precision: int = 64) -> HenselFac
 
     g1 and h1 are bit-packed; they must be coprime mod 2 and their
     product must equal the reduction of f.  Raises ValueError when
-    either hypothesis fails.
+    either hypothesis fails, or when precision < 1.
     """
+    if precision < 1:
+        raise ValueError("precision must be positive")
     coeffs, scale = _odd_cleared_scaled(f)
     fbits = f2_from_coeffs(coeffs)
     if f2_mul(g1, h1) != fbits:

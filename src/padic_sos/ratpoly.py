@@ -34,9 +34,12 @@ left are the ones the ``hankel`` document prints: power sums, the
 Hankel matrix and its exact rank/signature.  A caller that has proved f strictly
 positive gets f's positivity certificate from a square-freeness test
 modulo a prime instead (``_proved_positive``), and falls back to the
-sequence only when that test is silent.  Certified "epsilon below the
-infimum" searches complete the module: each finds the least exponent at
-which a monotone positivity test holds, with no budget.
+sequence only when that test is silent.  One certified search
+completes the module (``_least_exponent``): the least k with
+f + 2^-k * g strictly positive, a monotone test, found with no budget.
+The reduction routes read their l off that exponent; the public
+``epsilon_below_infimum`` (g = -1) and ``perturbation_bound`` gate f
+and return 2^-k.
 """
 
 from __future__ import annotations
@@ -757,37 +760,29 @@ def _proved_positive(f: RatPoly) -> PositivityCertificate:
     return is_positive_on_reals(f)
 
 
-POSITIVE = "positive"
-NONNEGATIVE_WITH_ROOTS = "nonnegative_with_roots"
-NEGATIVE_SOMEWHERE = "negative_somewhere"
-
-
-def positivity_trichotomy(f: RatPoly) -> str:
-    """Classify a nonzero polynomial as strictly positive on the reals,
-    nonnegative with real roots, or negative somewhere."""
-    return _trichotomy(f, *_positivity(f))
-
-
-def _trichotomy(f: RatPoly, positivity: PositivityCertificate,
-                last: list[int] | None) -> str:
-    """``positivity_trichotomy(f)`` from the gate's result on f,
-    ``_positivity(f)``; ``last`` is None when the caller holds only the
-    certificate, and is then computed if the decomposition needs it."""
+def _negative_somewhere(f: RatPoly, positivity: PositivityCertificate,
+                        last: list[int] | None) -> bool:
+    """Whether the nonzero f takes a negative value on R, from the gate's
+    result on f, ``_positivity(f)``; ``last`` is None when the caller holds
+    only the certificate, and is then computed if the decomposition needs
+    it.  False for an f > 0 and for a nonnegative f with real roots."""
     if positivity.verdict:
-        return POSITIVE
+        return False
     if f.degree % 2 == 1 or positivity.leading_sign < 0 or f.degree == 0:
-        return NEGATIVE_SOMEWHERE
+        return True
     # even degree, positive leading: f >= 0 iff no odd-multiplicity
     # component has a real root (sign changes happen only there); a
     # square-free f is its one component, whose signature the gate holds
     if positivity.on_squarefree_part:
-        return NEGATIVE_SOMEWHERE if positivity.signature else NONNEGATIVE_WITH_ROOTS
+        return positivity.signature != 0
     if last is None:
         last = _root_counts(f)[2]
-    for g, mult in _squarefree_decomposition(f, last)[1]:
-        if mult % 2 == 1 and _root_counts(g)[1]:
-            return NEGATIVE_SOMEWHERE
-    return NONNEGATIVE_WITH_ROOTS
+    return any(mult % 2 == 1 and _root_counts(g)[1]
+               for g, mult in _squarefree_decomposition(f, last)[1])
+
+
+# -1, the g of the epsilon searches: f + 2^-k * g = f - 2^-k
+_MINUS_ONE = RatPoly([-1])
 
 
 def epsilon_below_infimum(f: RatPoly) -> Fraction:
@@ -800,36 +795,7 @@ def epsilon_below_infimum(f: RatPoly) -> Fraction:
     """
     if not is_positive_on_reals(f).verdict:
         raise ValueError("epsilon search requires f strictly positive on R")
-    return _epsilon_search(f)
-
-
-def _least_exponent(ok, e: int) -> int:
-    """The least k >= e with ok(k), for a predicate that is monotone
-    (ok(k) implies ok(k + 1)) and holds for some k: it tests e, e + 1,
-    e + 3, e + 7, ... until ok holds, then binary-searches the last gap."""
-    lo, hi = e - 1, e  # ok is false at every k <= lo
-    while not ok(hi):
-        lo, hi = hi, 2 * hi - e + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _epsilon_search(f: RatPoly) -> Fraction:
-    """The search of ``epsilon_below_infimum`` on an f already known to
-    be strictly positive on R.  It starts at the least e >= 0 with
-    2^-e <= f(0) = n/d, that is d <= n * 2^e, and tests k from there;
-    f - 2^-k > 0 implies f - 2^-(k+1) > 0."""
-    n, d = f[0].numerator, f[0].denominator
-    e = max(0, d.bit_length() - n.bit_length())
-    if n << e < d:
-        e += 1
-    k = _least_exponent(lambda k: is_positive_on_reals(f - Fraction(1, 2 ** k)).verdict, e)
-    return Fraction(1, 2 ** k)
+    return Fraction(1, 2 ** _least_exponent(f, _MINUS_ONE))
 
 
 def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
@@ -845,21 +811,34 @@ def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
         raise ValueError("perturbation bound requires f positive on R")
     if not positivity.on_squarefree_part:
         raise ValueError("perturbation bound requires square-free f")
-    return _perturbation_search(f, g)
-
-
-def _perturbation_search(f: RatPoly, g: RatPoly) -> Fraction:
-    """The search of ``perturbation_bound`` on an f already known to be
-    square-free and strictly positive on R.  {t >= 0 : f + t*g > 0} is
-    convex and holds 0, so the test at t = 2^-k is monotone in k, and it
-    holds for some k since f dominates a g of no larger degree."""
     if g.degree > f.degree:
         raise ValueError("deg g must be bounded by deg f")
-    if g.is_zero:
-        return Fraction(1)
+    return Fraction(1, 2 ** _least_exponent(f, g))
+
+
+def _least_exponent(f: RatPoly, g: RatPoly) -> int:
+    """The least k >= e with f + 2^-k * g strictly positive on R, for an
+    f already known to be strictly positive on R and a g with
+    deg g <= deg f.  {t >= 0 : f + t*g > 0} is convex and holds 0, so the
+    test is monotone in k, and it holds for some k since f dominates g.
+
+    The start e is the least e >= 0 with 2^-e * |g(0)| <= f(0) when
+    g(0) < 0, and 0 otherwise: below it the candidate is negative at 0.
+    The search tests e, e + 1, e + 3, e + 7, ... until the test holds,
+    then binary-searches the last gap."""
+    e = (max(math.ceil(-g[0] / f[0]), 1) - 1).bit_length()
 
     def ok(k: int) -> bool:
         cand = f + g * Fraction(1, 2 ** k)
         return not cand.is_zero and is_positive_on_reals(cand).verdict
 
-    return Fraction(1, 2 ** _least_exponent(ok, 0))
+    lo, hi = e - 1, e  # ok is false at every k <= lo
+    while not ok(hi):
+        lo, hi = hi, 2 * hi - e + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

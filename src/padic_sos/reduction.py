@@ -49,10 +49,16 @@ or PICKY is positive by construction, since h^2 is bounded by a
 certified epsilon; its certificate comes from
 ``ratpoly._proved_positive``, which decides only square-freeness.  The
 certificate in hand goes to ``certify_sos4``, which reads it instead of
-testing the same polynomial again.
+testing the same polynomial again, and the residual the route built
+goes into its result (``_finish``).
 
-No route gives up after a fixed number of tries: the epsilon searches
-end because min f > 0, the gcd loop within d/2 steps, NOS in a row it
+Every certified epsilon is an exponent: ``ratpoly._least_exponent(f, g)``
+is the least k with f + 2^-k * g > 0 (g = -1 for ALG6, ALGN, ALG9 and
+NOS, minus the subtracted family for GR4 and PICKY), and a route's l
+starts at ceil(k / 2) = (k + 1) // 2, where 4^-l <= 2^-k.
+
+No route gives up after a fixed number of tries: that search ends
+because min f > 0, the gcd loop within d/2 steps, NOS in a row it
 proves holds a hit, and the PICKY obstruction at the first square-free
 member of its family.  Only ALG9 takes a cap, since it provably does
 not end on some inputs.
@@ -69,8 +75,8 @@ from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, certify_sos4,
                         verify_certificate)
 from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
 from .padic import is_square_in_q2, ord2, ord2_int
-from .ratpoly import (PositivityCertificate, RatPoly, _epsilon_search,
-                      _perturbation_search, _positivity, _proved_positive,
+from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
+                      _least_exponent, _positivity, _proved_positive,
                       _squarefree_decomposition, discriminant,
                       is_positive_on_reals, is_squarefree,
                       primitive_integer_coeffs)
@@ -178,16 +184,10 @@ def _require_squarefree_positive(f: RatPoly) -> PositivityCertificate:
     return positivity
 
 
-def _dyadic_exponent(eps: Fraction) -> int:
-    v, u = ord2(eps)
-    if u != 1 or v > 0:
-        raise ValueError(f"expected a dyadic epsilon <= 1, got {eps}")
-    return -v
-
-
-def _finish(method: str, f: RatPoly, h: RatPoly, certificate: Sos4Certificate,
-            parameters: dict, trace: tuple = ()) -> ReductionResult:
-    residual = f - h * h
+def _finish(method: str, f: RatPoly, h: RatPoly, residual: RatPoly,
+            certificate: Sos4Certificate, parameters: dict,
+            trace: tuple = ()) -> ReductionResult:
+    """The result for h with residual = f - h^2, which the caller built."""
     if certificate.verdict != SOS4:
         raise ArithmeticError(
             f"{method}: residual failed SOS4 certification ({certificate.verdict})")
@@ -195,11 +195,13 @@ def _finish(method: str, f: RatPoly, h: RatPoly, certificate: Sos4Certificate,
                            parameters, trace)
 
 
-def _valuation_bounds(f: RatPoly, eps: Fraction) -> tuple[int, int, int, dict]:
+def _valuation_bounds(f: RatPoly, e: int) -> tuple[int, int, int, dict]:
+    """The bounds l1, l2, l3 on l for the certified epsilon 2^-e of f:
+    4^-l <= 2^-e from l1 = ceil(e / 2) on."""
     d = f.degree
     kd = ord2(f.leading)[0]
     k0 = ord2(f[0])[0]
-    l1 = math.ceil(Fraction(_dyadic_exponent(eps), 2))
+    l1 = (e + 1) // 2
     l2 = math.ceil(Fraction(-k0, 2)) + 1
     # l3 is the largest ceil((j*kd - d*v_j) / (2d - 2j)) over the nonzero
     # middle coefficients, v_j = ord2(f_j) = ord2(content) + ord2(p_j)
@@ -208,7 +210,8 @@ def _valuation_bounds(f: RatPoly, eps: Fraction) -> tuple[int, int, int, dict]:
     p = f.primitive_part
     l3 = max((-((d * (vc + ord2_int(p[j])) - j * kd) // (2 * d - 2 * j))
               for j in range(1, d) if p[j]), default=0)
-    params = {"epsilon": eps, "l1": l1, "l2": l2, "l3": l3, "k0": k0, "kd": kd}
+    params = {"epsilon": Fraction(1, 2 ** e), "l1": l1, "l2": l2, "l3": l3,
+              "k0": k0, "kd": kd}
     return l1, l2, l3, params
 
 
@@ -241,18 +244,18 @@ def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
         target = 1  # odd kd takes ALG6 on the ALGN route too
     else:
         _require(target == 2, "k_d must be odd")
-    eps = _epsilon_search(f)
-    l1, l2, l3, params = _valuation_bounds(f, eps)
+    e = _least_exponent(f, _MINUS_ONE)
+    l1, l2, l3, params = _valuation_bounds(f, e)
     l, trace = _gcd_steps(f.degree, kd, max(l1, l2, l3), target)
     h = RatPoly([Fraction(1, 2 ** l)])
-    # h^2 = 4^(-l) <= 4^(-l1) <= eps and f - eps > 0, so f - h^2 > 0
+    # h^2 = 4^(-l) <= 4^(-l1) <= eps = 2^(-e) and f - eps > 0, so f - h^2 > 0
     g = f - h * h
     cert = certify_sos4(g, positivity=_proved_positive(g))
     params["l"] = l
     if target == 1:
-        return _finish(METHOD_ALG6, f, h, cert, params, tuple(trace))
+        return _finish(METHOD_ALG6, f, h, g, cert, params, tuple(trace))
     params["gcd_increments"] = len(trace)
-    return _finish(METHOD_ALGN, f, h, cert, params, tuple(trace))
+    return _finish(METHOD_ALGN, f, h, g, cert, params, tuple(trace))
 
 
 def _gcd_steps(d: int, kd: int, l: int, target: int) -> tuple[int, list]:
@@ -287,9 +290,9 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     # f* = x^d f(1/x) is positive too: x^d f(1/x) > 0 for x != 0, and
     # f*(0) is the leading coefficient of f
     fstar = f.reverse()
-    eps = min(_epsilon_search(f), _epsilon_search(fstar))
-    l = math.ceil(Fraction(_dyadic_exponent(eps), 2))
-    l_init = l
+    e = max(_least_exponent(f, _MINUS_ONE), _least_exponent(fstar, _MINUS_ONE))
+    eps = Fraction(1, 2 ** e)
+    l = l_init = (e + 1) // 2
     iterates: list[IterateRecord] = []
 
     def branch(h: RatPoly) -> BranchRecord:
@@ -305,7 +308,7 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
         for k in (0, d // 2):  # branch a, h = 2^(-l); branch b, h = 2^(-l)x^(d/2)
             rec = branch(RatPoly.monomial(k, Fraction(1, 2 ** l)))
             if rec.verdict == SOS4:
-                return _finish(METHOD_ALG9, f, rec.h, rec.certificate,
+                return _finish(METHOD_ALG9, f, rec.h, rec.candidate, rec.certificate,
                                {"l": l, "l_init": l_init, "epsilon": eps},
                                tuple(iterates))
             records.append(rec)
@@ -351,8 +354,8 @@ def _nos_candidates(f: RatPoly, a: int):
     d, m = f.degree, f.degree // 2
     l_diag = (d - 1) * (2 * a + 1) // 2 + 1
     yield from ((3, ell) for ell in range(1, l_diag + m + 1))
-    e = _dyadic_exponent(_epsilon_search(f))
-    e_star = _dyadic_exponent(_epsilon_search(f.reverse()))
+    e = _least_exponent(f, _MINUS_ONE)
+    e_star = _least_exponent(f.reverse(), _MINUS_ONE)
     # N^2 eps >= 4^(a+1) is N^2 >= 2^(2a+2+e); | 1 rounds an even N up
     n0 = max(3, math.isqrt(2 ** (2 * a + 2 + e) - 1) + 1) | 1
     l_pos = (e_star + 3) // 2  # 2l - e* >= 2
@@ -388,7 +391,7 @@ def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
             continue
         cert = certify_sos4(g, positivity=positivity)
         params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
-        return _finish(METHOD_NOS, f, h, cert, params, tuple(trace))
+        return _finish(METHOD_NOS, f, h, g, cert, params, tuple(trace))
     raise ArithmeticError("NOS: no hit in the row that provably holds one")
 
 
@@ -407,16 +410,15 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
 def _cyclotomic_power(f: RatPoly) -> ReductionResult:
     k = f.degree // 4
     base = CYCLOTOMIC ** (2 * k)
-    eps0 = _perturbation_search(f, -base)
-    ell = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
-    ell = max(ell, 1)
+    e0 = _least_exponent(f, -base)
+    ell = max((e0 + 1) // 2, 1)
     h = (CYCLOTOMIC ** k) * Fraction(1, 2 ** ell)
     # h^2 = 4^(-l) * base <= eps0 * base, as l >= ceil(e0 / 2) for
     # eps0 = 2^(-e0), and f - eps0 * base > 0
     g = f - h * h
     cert = certify_sos4(g, positivity=_proved_positive(g))
-    params = {"l": ell, "k": k, "epsilon0": eps0}
-    return _finish(METHOD_GR4, f, h, cert, params)
+    params = {"l": ell, "k": k, "epsilon0": Fraction(1, 2 ** e0)}
+    return _finish(METHOD_GR4, f, h, g, cert, params)
 
 
 def reduce_twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
@@ -440,8 +442,8 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     k = (f.degree - 2) // 4
     k0 = ord2(f[0])[0]
     base = CYCLOTOMIC ** (2 * k) * RatPoly.monomial(2)
-    eps0 = _perturbation_search(f, -base)
-    ell_pos = math.ceil(Fraction(_dyadic_exponent(eps0), 2))
+    e0 = _least_exponent(f, -base)
+    ell_pos = (e0 + 1) // 2  # 4^(-ell_pos) <= eps0 = 2^(-e0)
 
     if is_square_in_q2(f[0]):
         return _obstruction(f, k0, ell_pos, base)
@@ -451,7 +453,7 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     ell = math.floor(max(ell_pos, *bounds)) + 1
     h = CYCLOTOMIC ** k * RatPoly.monomial(1, Fraction(1, 2 ** ell))
     g = f - h * h
-    params = {"l": ell, "k": k, "k0": k0, "epsilon0": eps0}
+    params = {"l": ell, "k": k, "k0": k0, "epsilon0": Fraction(1, 2 ** e0)}
     if k == 0:
         evidence = quadratic_nonsquare_disc(g)
         if evidence is None:
@@ -467,7 +469,7 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     # l > ell_pos, so h^2 = 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
     # and f - eps0 * base > 0
     positivity = _proved_positive(g)
-    return _finish(METHOD_PICKY, f, h, Sos4Certificate.of(positivity, evidence), params)
+    return _finish(METHOD_PICKY, f, h, g, Sos4Certificate.of(positivity, evidence), params)
 
 
 def _obstruction(f: RatPoly, k0: int, ell_pos: int,

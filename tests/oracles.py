@@ -52,7 +52,7 @@ from padic_sos.hensel import RootWitness, newton_refine
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
-                               _perturbation_search, is_positive_on_reals,
+                               _least_exponent, is_positive_on_reals,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
 from padic_sos.certifier import SOS4, certify_sos4
@@ -60,7 +60,7 @@ from padic_sos.padic import is_square_in_q2
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
                                  ReductionResult, Transform, _constant_three_mod_four,
-                                 _cyclotomic_power, _dyadic_exponent, _gcd_route,
+                                 _cyclotomic_power, _gcd_route,
                                  _is_square_times_three_mod_four,
                                  _square_clearing_scale, _transport, _twice_odd_degree)
 
@@ -275,7 +275,7 @@ def obstruction_witness(f: RatPoly) -> tuple[int, int, int, int]:
     k = (f.degree - 2) // 4
     k0 = ord2(f[0])[0]
     base = (CYCLOTOMIC ** (2 * k)) * RatPoly.monomial(2) if k else RatPoly.monomial(2)
-    ell_pos = math.ceil(Fraction(_dyadic_exponent(_perturbation_search(f, -base)), 2))
+    ell_pos = math.ceil(Fraction(_least_exponent(f, -base), 2))
     a = k0 // 2
     ell = max(a + 3, ell_pos, 1)
     for _ in range(64):

@@ -11,6 +11,8 @@
 
 from fractions import Fraction as F
 
+from padic_sos import ratpoly
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -44,6 +46,28 @@ def positive(draw):
     b = RatPoly(draw(st.lists(SMALL, min_size=m, max_size=m)))
     c = F(draw(st.integers(1, 9)), 2 ** draw(st.integers(0, 60)))
     return (a * a + b * b + RatPoly([c])) * draw(st.sampled_from([1, 2, F(1, 3), F(5, 7)]))
+
+
+@pytest.mark.parametrize("f, g, bound, tests", [
+    # an alg9 member, f(0) = 4/N^2: the search starts at 2^-e <= f(0)
+    (palindromic_counterexample(1, 65)[0], None, F(1, 2048), 2),
+    # minimum 6 * 2^-140: steps 1, 2, 4, ..., then a binary search
+    (near_double_root(140) * 2, None, F(1, 2 ** 138), 17),
+    # a GR4 base, -(x^2+x+1)^4, on a reduce-corpus input
+    (RatPoly([23, -24, -23, 40, 12, -22, -4, 4, 1]),
+     -(RatPoly([1, 1, 1]) ** 4), F(1, 256), 9),
+    # a PICKY base, -(x^2+x+1)^6 x^2, on a reduce-corpus input
+    (RatPoly([18, -6, -11, 22, 10, -16, 1, 18, 2, -4, 6, 4, 0, 0, 1]),
+     -(RatPoly([1, 1, 1]) ** 6 * RatPoly.monomial(2)), F(1, 32), 7),
+])
+def test_searches_run_the_recorded_positivity_tests(monkeypatch, f, g, bound, tests):
+    """The number of remainder sequences each search runs, its gate
+    included, as recorded before the two searches became one."""
+    calls = []
+    original = ratpoly._root_counts
+    monkeypatch.setattr(ratpoly, "_root_counts", lambda p: calls.append(p) or original(p))
+    found = epsilon_below_infimum(f) if g is None else perturbation_bound(f, g)
+    assert (found, len(calls)) == (bound, tests)
 
 
 @SETTINGS

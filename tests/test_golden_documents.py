@@ -2,8 +2,10 @@
 one recorded in ``golden_documents.json``: the sha256 of its stdout and
 its exit code.  The argvs are the benchmark's CLI documents
 (``corpus.cli_documents(31, 3)``), ``reduce --method auto`` on the
-reduce and certify corpora at seeds 31 and 32, and ``sos4-certify`` on
-the certify corpus at seed 31.  Each runs in-process through
+reduce and certify corpora at seeds 31 and 32, ``sos4-certify`` on the
+certify corpus at seed 31, ``reduce --method M`` for every method M on
+the reduce corpus at seed 31 (error exits included), and ``alg9-demo``
+at every k and N of the alg9 family.  Each runs in-process through
 ``cli.main``.
 
 A change that must not alter any document keeps this test passing.  A
@@ -22,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
-from padic_sos.cli import main  # noqa: E402
+from padic_sos.cli import _REDUCE_METHODS, main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_documents.json"
 
@@ -37,6 +39,11 @@ def golden_argvs() -> list[list[str]]:
                       for item in corpus.corpus(name, seed, per_degree)]
     argvs += [["sos4-certify", "--poly", str(item.poly)]
               for item in corpus.corpus("certify-corpus", 31, 10)]
+    argvs += [["reduce", "--method", method, "--poly", str(item.poly)]
+              for method in _REDUCE_METHODS
+              for item in corpus.corpus("reduce-corpus", 31, 4)]
+    argvs += [["alg9-demo", "--k", str(k), "--N", str(n)]
+              for k in corpus.ALG9_KS for n in corpus.ALG9_NS]
     seen = set()
     return [a for a in argvs if tuple(a) not in seen and not seen.add(tuple(a))]
 

@@ -101,6 +101,10 @@ def test_hensel_split_rejects_bad_inputs():
         hensel_split(RatPoly([6, 1, 1]), 0b10, 0b10, 8)  # not coprime
     with pytest.raises(ValueError):
         hensel_split(RatPoly([1, 1, 1]), 0b10, 0b11, 8)  # product mismatch
+    f = RatPoly([6, 1, 1])
+    assert_split(f, 0b10, 0b11, hensel_split(f, 0b10, 0b11, 1))
+    with pytest.raises(ValueError, match="precision must be positive"):
+        hensel_split(f, 0b10, 0b11, 0)
 
 
 def test_hensel_split_with_odd_denominators():
@@ -208,6 +212,10 @@ def test_newton_refine():
         newton_refine(RatPoly([-17, 0, 1]), 1, 2, 8)  # f'(1) has order 1, not 2
     with pytest.raises(ValueError):
         newton_refine(RatPoly([-3, 0, 1]), 1, 1, 8)  # f(1) = -2, order 1 < 3
+    assert newton_refine(RatPoly([-17, 0, 1]), 1, 1, 1) == 1
+    for precision in (0, -3):
+        with pytest.raises(ValueError, match="precision must be positive"):
+            newton_refine(RatPoly([-17, 0, 1]), 1, 1, precision)
 
 
 def test_newton_refine_valuation_invariant():

@@ -214,6 +214,11 @@ def test_epsilon_below_infimum():
     assert epsilon_below_infimum(RatPoly([1, 0, 2, 0, 1])) == F(1, 2)
     with pytest.raises(ValueError):
         epsilon_below_infimum(RatPoly([-1, 0, 1]))
+    # f - 2^-k is zero, not positive, at 2^-k = f: a dyadic f <= 1 gets f/2
+    assert epsilon_below_infimum(RatPoly([1])) == F(1, 2)
+    assert epsilon_below_infimum(RatPoly([F(1, 2)])) == F(1, 4)
+    assert epsilon_below_infimum(RatPoly([3])) == 1
+    assert epsilon_below_infimum(RatPoly([F(3, 4)])) == F(1, 2)
 
 
 def test_epsilon_gap_is_positive_at_sampled_points():

@@ -15,10 +15,10 @@ import oracles
 from padic_sos import zpoly
 from padic_sos.hensel import _certify
 from padic_sos.padic import ord2
-from padic_sos.ratpoly import (RatPoly, _perturbation_search, is_positive_on_reals,
+from padic_sos.ratpoly import (RatPoly, _least_exponent, is_positive_on_reals,
                                primitive_integer_coeffs)
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, InconclusiveReport,
-                                 _dyadic_exponent, reduce_auto)
+                                 reduce_auto)
 from padic_sos.serialize import dumps, outcome_to_json
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -153,7 +153,7 @@ def test_obstruction_witness_holds_at_every_l_from_the_first(f):
     k = (f.degree - 2) // 4
     base = CYCLOTOMIC ** (2 * k) * RatPoly.monomial(2)
     a = ord2(f[0])[0] // 2
-    ell_pos = -(-_dyadic_exponent(_perturbation_search(f, -base)) // 2)
+    ell_pos = -(-_least_exponent(f, -base) // 2)
     first = max(a + 3, ell_pos, 1)
     for ell in range(first, first + 21):
         coeffs = primitive_integer_coeffs(f * (4 ** ell) - base)

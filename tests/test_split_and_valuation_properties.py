@@ -102,6 +102,6 @@ def test_integer_slope_bound_matches_fraction_slopes(c0, middle, lead, odd_kd, e
     if ord2(lead)[0] % 2 != odd_kd:
         lead *= 2
     f = RatPoly([c0, *middle, lead])
-    l1, l2, l3, params = _valuation_bounds(f, F(1, 2 ** e))
+    l1, l2, l3, params = _valuation_bounds(f, e)
     assert l3 == params["l3"] == oracles.slope_bound(f)
     assert params["kd"] % 2 == odd_kd

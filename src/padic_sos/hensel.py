@@ -15,10 +15,12 @@ the ``zpoly`` kernel's arithmetic:
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
   negative valuation.  The tree ends on square-free input, and a
-  repeated factor sends it to the square-free part, the exact quotient
-  of the primitive model by that of gcd(f, f');
-* ``newton_refine``: push a certified witness to any target precision
-  by Newton iteration.
+  repeated factor sends it to ``ratpoly.squarefree_part``;
+* ``newton_refine``: push a certified witness to any target precision.
+
+Every witness is taken on the primitive integer model of f, and both
+Newton lifts, of a simple root mod 2 in the tree and of a witness to a
+target precision, are ``zpoly.lift_root``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from . import zpoly
 from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
 from .padic import ord2_int
-from .ratpoly import RatPoly, poly_gcd, primitive_integer_coeffs, squarefree_part
+from .ratpoly import RatPoly, primitive_integer_coeffs, squarefree_part
 from .record import Record, replace
 
 ROOT_EXISTS = "RootExists"
@@ -86,17 +88,16 @@ def _descend(g: list[int], r: int) -> list[int]:
 
 def _lift(base: list[int], g: list[int], c: int, j: int, r: int,
           on_reversal: bool) -> RootWitness:
-    """Newton-lift the simple root r of g mod 2, g(y) = base(c + 2^j*y)
-    / 2^v, until gamma = c + 2^j*y passes ``_certify`` on ``base``: each
-    step doubles the precision of g(y) = 0 and keeps ord2(base'(gamma)),
-    so the classical condition is reached."""
+    """Lift the simple root r of g mod 2, g(y) = base(c + 2^j*y) / 2^v,
+    to y mod 2^k for k = 2, 4, 8, ... until gamma = c + 2^j*y passes
+    ``_certify`` on ``base``.  Each k takes one Newton step from the last
+    y and keeps ord2(base'(gamma)), so the classical condition is
+    reached."""
     dbase = zpoly.diff(base)
-    dg = zpoly.diff(g)
     y, k = r, 1
     while (witness := _certify(base, dbase, c + (y << j), on_reversal)) is None:
         k *= 2
-        m = 1 << k
-        y = (y - zpoly.evaluate(g, y) * pow(zpoly.evaluate(dg, y), -1, m)) % m
+        y = zpoly.lift_root(g, y, 0, k)
     return witness
 
 
@@ -133,9 +134,9 @@ def z2_root_status(f: RatPoly) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
     Works on the primitive integer model (roots are scale-invariant).
-    After ``SQUAREFREE_CHECK_NODES`` nodes per degree one gcd checks f
-    for a repeated factor: without one the tree runs on to its end,
-    with one it reruns on the square-free part and marks the witness.
+    After ``SQUAREFREE_CHECK_NODES`` nodes per degree f's square-free
+    part is taken: if f is square-free the tree runs on to its end,
+    otherwise it reruns on the part and marks the witness.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
@@ -145,12 +146,11 @@ def z2_root_status(f: RatPoly) -> RootStatus:
     walk = _root_tree(coeffs, SQUAREFREE_CHECK_NODES * (len(coeffs) - 1))
     witness = next(walk)
     if witness is _PAUSED:
-        gcd = poly_gcd(f, f.derivative())
-        if gcd.degree < 1:
+        part = squarefree_part(f)
+        if part.degree == f.degree:
             witness = next(walk)
         else:
-            part = zpoly.divide(coeffs, gcd.primitive_part)[0]
-            witness = next(_root_tree(part, 0))
+            witness = next(_root_tree(primitive_integer_coeffs(part), 0))
             if witness is not None:
                 witness = replace(witness, on_squarefree_part=True)
     return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)
@@ -173,36 +173,20 @@ def verify_root_witness(f: RatPoly, witness: RootWitness) -> bool:
 
 
 def newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
-    """Residue mod 2^precision of the unique root in the class
-    gamma mod 2^(delta+1), by Newton iteration.
+    """Residue mod 2^precision of the unique root of f in the class
+    gamma mod 2^(delta+1), by ``zpoly.lift_root``.
 
-    Preconditions are re-checked: f(gamma) = 0 mod 2^(2*delta+1) and
-    ord2(f'(gamma)) = delta on the odd-cleared integer model.
+    (gamma, delta) must pass the root tree's check ``_certify`` on the
+    primitive integer model of f, the model of every ``RootWitness``:
+    f(gamma) = 0 mod 2^(2*delta+1) and ord2(f'(gamma)) = delta.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    coeffs = _odd_cleared(f)
-    dcoeffs = zpoly.diff(coeffs)
-    v0 = zpoly.evaluate(coeffs, gamma)
-    dv0 = zpoly.evaluate(dcoeffs, gamma)
-    if dv0 == 0 or ord2_int(dv0) != delta:
-        raise ValueError("derivative valuation does not match delta")
-    if v0 != 0 and ord2_int(v0) < 2 * delta + 1:
-        raise ValueError("f(gamma) is not divisible by 2^(2*delta+1)")
-    work = precision + delta + 4
-    big = 1 << work
-    cur = gamma % big
-    for _ in range(2 * work.bit_length() + 8):
-        v = zpoly.evaluate(coeffs, cur)
-        if v == 0 or ord2_int(v) >= precision + delta:
-            break
-        dv = zpoly.evaluate(dcoeffs, cur)
-        unit = dv >> delta
-        step = (v >> delta) * pow(unit, -1, big) % big
-        cur = (cur - step) % big
-    else:
-        raise ArithmeticError("Newton refinement failed to converge")
-    return cur % (1 << precision)
+    coeffs = primitive_integer_coeffs(f)
+    witness = _certify(coeffs, zpoly.diff(coeffs), gamma, False)
+    if witness is None or delta is None or witness.delta != delta:
+        raise ValueError("gamma and delta are not a root witness of f")
+    return zpoly.lift_root(coeffs, gamma, delta, precision)
 
 
 def _odd_cleared_scaled(f: RatPoly) -> tuple[list[int], int]:
@@ -215,13 +199,9 @@ def _odd_cleared_scaled(f: RatPoly) -> tuple[list[int], int]:
     return [c.numerator * x for x in f.primitive_part], c.denominator
 
 
-def _odd_cleared(f: RatPoly) -> list[int]:
-    return _odd_cleared_scaled(f)[0]
-
-
 def reduce_mod2(f: RatPoly) -> int:
     """Image of the odd-cleared polynomial over the two-element field."""
-    return f2_from_coeffs(_odd_cleared(f))
+    return f2_from_coeffs(_odd_cleared_scaled(f)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ A nonzero rational q factors uniquely as 2^v * u with u having odd
 numerator and denominator.  Everything here rides on that split: q is
 a square in the 2-adic field exactly when v is even and u is congruent
 to 1 modulo 8 (the odd denominator is inverted modulo 8, where every
-odd residue is its own inverse).  Square roots of units are refined by
-Newton iteration on x^2 - u starting from 1, which converges because
-the derivative has valuation exactly 1 there.
+odd residue is its own inverse).  The square root of such a unit
+u = num/den is the root of den*x^2 - num that is 1 mod 4, which
+``zpoly.lift_root`` lifts from 1: there den - num = 0 mod 8 and the
+derivative 2*den has valuation exactly 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import zpoly
 from .record import Record
 
 DEFAULT_PRECISION = 64
@@ -84,8 +86,8 @@ class PadicApprox(Record):
 def padic_sqrt(q, precision: int = DEFAULT_PRECISION) -> PadicApprox:
     """Square root of a nonzero 2-adic square, to the given precision.
 
-    Returns r with r^2 congruent to q: the unit residue squared matches
-    the unit part of q modulo 2^precision.
+    Returns the root whose unit is 1 mod 4: the unit residue squared
+    matches the unit part of q modulo 2^precision.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
@@ -95,22 +97,5 @@ def padic_sqrt(q, precision: int = DEFAULT_PRECISION) -> PadicApprox:
     if not is_square_in_q2(q):
         raise ValueError(f"{q} is not a square in Q_2")
     v, u = ord2(q)
-    m = precision
-    # iterate two guard digits past the target so the final reduction
-    # is exact: x^2 - u loses one digit to the derivative valuation
-    work = m + 2
-    modulus = 1 << (work + 2)
-    target = unit_residue(u, modulus)
-    r = 1
-    # Newton step r <- r - (r^2 - target) / (2r); the quotient is a
-    # 2-adic integer because r^2 - target is divisible by 8
-    for _ in range(work.bit_length() + 3):
-        err = (r * r - target) % modulus
-        if err == 0:
-            break
-        step = (err >> 1) * pow(r, -1, modulus) % modulus
-        r = (r - step) % modulus
-    r %= 1 << m
-    if (r * r - target) % (1 << m) != 0:
-        raise ArithmeticError("2-adic square root failed to converge")
-    return PadicApprox(prime=2, valuation=v // 2, unit_residue=r, precision=m)
+    r = zpoly.lift_root([-u.numerator, 0, u.denominator], 1, 1, precision)
+    return PadicApprox(prime=2, valuation=v // 2, unit_residue=r, precision=precision)

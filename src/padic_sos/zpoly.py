@@ -1,9 +1,10 @@
 """Integer polynomials as ascending lists of Python ints.
 
 The one integer-polynomial kernel of the package: ``ratpoly`` runs its
-primitive parts on it and ``hensel`` its root tree, Newton steps and
-lifting modulo 2^k.  A polynomial is a list ``a`` with ``a[i]`` the
-coefficient of x^i; results carry no trailing zero, and the zero
+primitive parts on it, ``hensel`` its root tree and lifting modulo 2^k,
+and ``hensel`` and ``padic`` lift 2-adic roots with ``lift_root``, the
+package's one Newton loop.  A polynomial is a list ``a`` with ``a[i]``
+the coefficient of x^i; results carry no trailing zero, and the zero
 polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
 m is ordinary integer arithmetic followed by ``mod``.  The module
 imports nothing from the package, so any module can use it.
@@ -64,6 +65,25 @@ def evaluate(a: Poly, t: int) -> int:
     for c in reversed(a):
         acc = acc * t + c
     return acc
+
+
+def lift_root(a: Poly, gamma: int, delta: int, precision: int) -> int:
+    """Residue mod 2^precision of the root of a in the class gamma mod
+    2^(delta+1), for a(gamma) = 0 mod 2^(2*delta+1) and ord2(a'(gamma))
+    = delta (Hensel's lemma), by Newton steps mod m = 2^(precision+delta).
+
+    With e = ord2(x - root) >= delta + 1, ord2(a'(x)) = delta and
+    ord2(a(x)) = e + delta, so the step a(x)/a'(x) is a 2-adic integer
+    and raises e to at least min(2e - delta, precision + delta), which is
+    more than e while e < precision.  The loop ends once m divides a(x),
+    that is once e >= precision: after about log2(precision) steps, and
+    at once on an exact root."""
+    da = diff(a)
+    m = 1 << (precision + delta)
+    x = gamma % m
+    while (v := evaluate(a, x)) % m:
+        x = (x - (v >> delta) * pow(evaluate(da, x) >> delta, -1, m)) % m
+    return x % (1 << precision)
 
 
 def taylor_shift(a: Poly, r: int) -> list[int]:

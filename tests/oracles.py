@@ -36,6 +36,18 @@ the gcd(f, f') its positivity gate computes.  Yun's algorithm, which it
 replaced, is kept as ``yun_squarefree_decomposition``, on the gcds of
 the primitive remainder sequence.
 
+The library lifts every 2-adic root with one Newton loop,
+``zpoly.lift_root``, which ends when the root is known to the target
+precision.  The three loops it replaced are kept here:
+
+* ``y_coordinate_lift``: the root tree's lift of a simple root of
+  g mod 2, a Newton step on g at each doubled modulus 2^k;
+* ``fixed_modulus_newton_refine``: ``newton_refine`` on the odd-cleared
+  model (the content's numerator times the primitive part), with steps
+  mod 2^(precision+delta+4) and a budget of 2*bit_length+8 of them;
+* ``budgeted_padic_sqrt``: Newton's iteration on x^2 - u from 1 with
+  two guard digits and a budget of bit_length+3 steps.
+
 ``reduce_auto`` decides its route from the core.  Its first form tried
 the routes in order, recorded a route that raised ``ValueError`` as
 skipped and went on to the next, with GR4 behind NOS; it is kept as
@@ -48,7 +60,7 @@ import math
 from fractions import Fraction
 
 from padic_sos import zpoly
-from padic_sos.hensel import RootWitness, newton_refine
+from padic_sos.hensel import RootWitness, _certify, _odd_cleared_scaled
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
@@ -56,7 +68,7 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
 from padic_sos.certifier import SOS4, certify_sos4
-from padic_sos.padic import is_square_in_q2
+from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
                                  ReductionResult, Transform, _constant_three_mod_four,
@@ -286,9 +298,75 @@ def obstruction_witness(f: RatPoly) -> tuple[int, int, int, int]:
         if dv != 0 and v != 0 and is_squarefree(q):
             delta = ord2(dv)[0]
             if ord2(v)[0] >= 2 * delta + 1:
-                return ell, gamma, delta, newton_refine(q, gamma, delta, REFINE_PRECISION)
+                return ell, gamma, delta, fixed_modulus_newton_refine(
+                    q, gamma, delta, REFINE_PRECISION)
         ell += 1
     raise ArithmeticError("no certifiable obstruction witness found")
+
+
+def y_coordinate_lift(base: list[int], g: list[int], c: int, j: int, r: int,
+                      on_reversal: bool) -> RootWitness:
+    """The root tree's lift of the simple root r of g mod 2, g(y) =
+    base(c + 2^j*y) / 2^v: one Newton step on g mod 2^k for k = 2, 4,
+    8, ... until gamma = c + 2^j*y passes ``_certify`` on ``base``."""
+    dbase = zpoly.diff(base)
+    dg = zpoly.diff(g)
+    y, k = r, 1
+    while (witness := _certify(base, dbase, c + (y << j), on_reversal)) is None:
+        k *= 2
+        m = 1 << k
+        y = (y - zpoly.evaluate(g, y) * pow(zpoly.evaluate(dg, y), -1, m)) % m
+    return witness
+
+
+def fixed_modulus_newton_refine(f: RatPoly, gamma: int, delta: int, precision: int) -> int:
+    """Residue mod 2^precision of the root of f in the class gamma mod
+    2^(delta+1), on the odd-cleared model of f, which must give
+    f(gamma) = 0 mod 2^(2*delta+1) and ord2(f'(gamma)) = delta."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    coeffs = _odd_cleared_scaled(f)[0]
+    dcoeffs = zpoly.diff(coeffs)
+    v0 = zpoly.evaluate(coeffs, gamma)
+    dv0 = zpoly.evaluate(dcoeffs, gamma)
+    if dv0 == 0 or ord2_int(dv0) != delta:
+        raise ValueError("derivative valuation does not match delta")
+    if v0 != 0 and ord2_int(v0) < 2 * delta + 1:
+        raise ValueError("f(gamma) is not divisible by 2^(2*delta+1)")
+    work = precision + delta + 4
+    big = 1 << work
+    cur = gamma % big
+    for _ in range(2 * work.bit_length() + 8):
+        v = zpoly.evaluate(coeffs, cur)
+        if v == 0 or ord2_int(v) >= precision + delta:
+            break
+        dv = zpoly.evaluate(dcoeffs, cur)
+        step = (v >> delta) * pow(dv >> delta, -1, big) % big
+        cur = (cur - step) % big
+    else:
+        raise ArithmeticError("Newton refinement failed to converge")
+    return cur % (1 << precision)
+
+
+def budgeted_padic_sqrt(q, precision: int) -> PadicApprox:
+    """Square root of a nonzero 2-adic square q: Newton's iteration
+    r <- r - (r^2 - u) / (2r) from r = 1 on the unit u of q, mod
+    2^(precision+4)."""
+    v, u = ord2(q)
+    work = precision + 2
+    modulus = 1 << (work + 2)
+    target = unit_residue(u, modulus)
+    r = 1
+    for _ in range(work.bit_length() + 3):
+        err = (r * r - target) % modulus
+        if err == 0:
+            break
+        step = (err >> 1) * pow(r, -1, modulus) % modulus
+        r = (r - step) % modulus
+    r %= 1 << precision
+    if (r * r - target) % (1 << precision) != 0:
+        raise ArithmeticError("2-adic square root failed to converge")
+    return PadicApprox(prime=2, valuation=v // 2, unit_residue=r, precision=precision)
 
 
 def slope_bound(f: RatPoly) -> int:

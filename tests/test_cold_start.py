@@ -104,7 +104,8 @@ print("ok")
 
 @pytest.mark.parametrize("command, absent", [
     ("hankel", HEAVY), ("discriminant", HEAVY), ("positivity", HEAVY),
-    ("sturm", HEAVY), ("sos4-certify", ("reduction",)),
+    ("sturm", HEAVY), ("padic-square", HEAVY), ("padic-sqrt", HEAVY),
+    ("sos4-certify", ("reduction",)),
     ("root-status", ("reduction",)),
 ])
 def test_command_loads_only_what_it_runs(command, absent):

@@ -212,6 +212,8 @@ def test_newton_refine():
         newton_refine(RatPoly([-17, 0, 1]), 1, 2, 8)  # f'(1) has order 1, not 2
     with pytest.raises(ValueError):
         newton_refine(RatPoly([-3, 0, 1]), 1, 1, 8)  # f(1) = -2, order 1 < 3
+    with pytest.raises(ValueError):
+        newton_refine(RatPoly([1, -2, 1]), 1, None, 8)  # a double root has no delta
     assert newton_refine(RatPoly([-17, 0, 1]), 1, 1, 1) == 1
     for precision in (0, -3):
         with pytest.raises(ValueError, match="precision must be positive"):

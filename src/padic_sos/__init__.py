@@ -19,8 +19,7 @@ _EXPORTS = {
     "certifier": ("INCONCLUSIVE", "NOT_SOS4", "SOS4", "Sos4Certificate",
                   "certify_sos4", "complete_square_split", "verify_certificate"),
     "hensel": ("HenselFactors", "RootStatus", "RootWitness", "hensel_split",
-               "newton_refine", "reduce_mod2", "verify_root_witness",
-               "z2_root_status"),
+               "newton_refine", "verify_root_witness", "z2_root_status"),
     "newton_polygon": ("NewtonDiagram", "Segment", "eisenstein_irreducible",
                        "factor_degree_divisor", "is_pure", "newton_diagram"),
     "padic": ("PadicApprox", "is_square_in_q2", "ord2", "padic_sqrt"),

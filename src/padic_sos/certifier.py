@@ -35,7 +35,10 @@ SOS4
     preserve degrees);
   * ``QuadraticNonSquareDisc`` / quadratic_nonsquare_disc and
     ``HenselSplitEvenParts`` / hensel_split_even_parts: built by the
-    reduction routes, not by the pipeline.
+    reduction routes, not by the pipeline.  The Hensel split is
+    certified by the hypotheses of Hensel's lemma (a unit content, an
+    odd leading coefficient and a coprime split mod 2) and a closed root
+    tree; no lift is built.
 
 The strict-positivity gate runs first: a polynomial negative somewhere
 is never a sum of squares, and nonnegative inputs with real roots are
@@ -44,14 +47,17 @@ has just gated f hands its positivity certificate in, and the gate
 reads it instead of testing f again; ``_certify_positive`` runs the
 rules behind the gate.
 
-``verify_certificate`` accepts a certificate only when its verdict and
-rule are the ones its evidence class names (INCONCLUSIVE: no rule, no
-evidence) and its positivity certificate is f's own.  It re-runs the
-deterministic rules (Eisenstein, pure even divisor, mod-2 even degrees,
-the quadratic discriminant, the Hensel split at the recorded scale) on
-f and the odd split rule on the recorded split, and asks for the
-evidence back; it re-checks a root witness with
-``hensel.verify_root_witness``.
+The rules and the pipeline trust what a caller hands them (a
+positivity certificate, a Newton diagram); ``verify_certificate`` is the
+check, and takes nothing from the caller but f and the certificate.  It
+accepts a certificate only when its verdict and rule are the ones its
+evidence class names (INCONCLUSIVE: no rule, no evidence) and its
+positivity certificate is f's own.  It re-runs the deterministic rules
+(Eisenstein, pure even divisor, mod-2 even degrees, the quadratic
+discriminant, the Hensel split's hypotheses at the recorded scale) on f
+and the odd split rule on the recorded split, and asks for the evidence
+back; it re-checks a root witness on f itself with
+``hensel.verify_root_witness``.  Verification runs no Hensel lift.
 """
 
 from __future__ import annotations
@@ -62,11 +68,11 @@ from functools import cache
 from operator import mul
 
 from . import f2
-from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,
-                     verify_root_witness, z2_root_status)
+from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, verify_root_witness,
+                     z2_root_status)
 from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
                              factor_degree_divisor, is_pure, newton_diagram)
-from .padic import is_square_in_q2
+from .padic import is_square_in_q2, ord2
 from .ratpoly import (PositivityCertificate, RatPoly, _from_ints,
                       _negative_somewhere, _positivity, is_squarefree,
                       primitive_integer_coeffs)
@@ -76,7 +82,8 @@ SOS4 = "SOS4"
 NOT_SOS4 = "NOT_SOS4"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# the 2-adic precision of every HenselSplitEvenParts lift
+# every HenselSplitEvenParts records the modulus 2^HENSEL_SPLIT_PRECISION,
+# to which Hensel's lemma lifts its split; no lift is built or checked
 HENSEL_SPLIT_PRECISION = 64
 
 
@@ -148,9 +155,12 @@ class QuadraticNonSquareDisc(Record):
 
 
 class HenselSplitEvenParts(Record):
-    """After scaling, f splits as g*h with [g] a power of an
-    irreducible quadratic mod 2 (all factors of g have even degree)
-    and h an irreducible quadratic because f has no 2-adic root."""
+    """After scaling, f splits over Z_2 as g*h with every factor of [g]
+    of even degree (so all factors of g have even degree) and h an
+    irreducible quadratic because f has no 2-adic root.  Hensel's lemma
+    gives the split from the coprime one mod 2; the degrees and the
+    modulus 2^HENSEL_SPLIT_PRECISION are what it fixes, recorded, not
+    computed by a lift."""
 
     scale: Fraction
     g_degree: int
@@ -259,7 +269,9 @@ def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2R
     """NOT rule: a certified 2-adic root of a square-free polynomial is
     a linear factor of multiplicity one.  ``squarefree`` is what the
     caller already knows about f (the positivity certificate tells it);
-    left out, ``is_squarefree`` decides."""
+    left out, ``is_squarefree`` decides.  A witness the root tree took
+    on f's square-free part shows f is not square-free after all, and
+    the rule declines."""
     if f.degree < 1:
         return None
     if squarefree is None:
@@ -267,7 +279,7 @@ def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2R
     if not squarefree:
         return None
     status = z2_root_status(f)
-    if status.tag != ROOT_EXISTS:
+    if status.tag != ROOT_EXISTS or status.witness.on_squarefree_part:
         return None
     return SimpleZ2Root(status)
 
@@ -291,7 +303,8 @@ def _two_square(a_poly: RatPoly, c: Fraction) -> TwoSquareSplit | None:
 def rule_eisenstein(f: RatPoly, diagram: NewtonDiagram | None = None
                     ) -> EisensteinEvenDegree | None:
     """SOS rule: Eisenstein-irreducible of even degree.  ``diagram`` is
-    f's Newton diagram when the caller already has it."""
+    f's Newton diagram when the caller already has it; it is trusted,
+    and ``verify_certificate`` is the check."""
     if f.degree % 2 != 0 or f.degree < 2:
         return None
     if diagram is None:
@@ -303,7 +316,9 @@ def rule_eisenstein(f: RatPoly, diagram: NewtonDiagram | None = None
 
 def rule_pure_even_divisor(f: RatPoly, diagram: NewtonDiagram | None = None
                            ) -> PureEvenDivisor | None:
-    """SOS rule: pure diagram with even slope denominator."""
+    """SOS rule: pure diagram with even slope denominator.  ``diagram``
+    is f's Newton diagram when the caller already has it; it is
+    trusted, and ``verify_certificate`` is the check."""
     if f.degree < 1:
         return None
     if diagram is None:
@@ -316,43 +331,47 @@ def rule_pure_even_divisor(f: RatPoly, diagram: NewtonDiagram | None = None
     return None
 
 
-def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
-    """SOS rule: on the primitive integer model with odd leading
-    coefficient, every irreducible factor of the mod-2 image having
-    even degree forces every monic 2-adic factor to even degree."""
+def _mod2_factors(f: RatPoly) -> list[tuple[int, int]] | None:
+    """The irreducible factors, bit-packed with their multiplicities, of
+    the mod-2 image of f's primitive integer model; None when its
+    leading coefficient is even (or f is zero)."""
     coeffs = primitive_integer_coeffs(f)
     if not coeffs or coeffs[-1] % 2 == 0:
         return None
     bits = f2.f2_from_coeffs(coeffs)
-    factors = f2.f2_factor(bits) if bits > 1 else []
-    if all(f2.f2_degree(p) % 2 == 0 for p, _ in factors):
+    return f2.f2_factor(bits) if bits > 1 else []
+
+
+def rule_mod2_even_degrees(f: RatPoly) -> Mod2EvenDegrees | None:
+    """SOS rule: on the primitive integer model with odd leading
+    coefficient, every irreducible factor of the mod-2 image having
+    even degree forces every monic 2-adic factor to even degree."""
+    factors = _mod2_factors(f)
+    if factors is not None and all(f2.f2_degree(p) % 2 == 0 for p, _ in factors):
         return Mod2EvenDegrees(tuple(factors))
     return None
 
 
 def hensel_split_even_parts(f: RatPoly, scale: Fraction) -> HenselSplitEvenParts | None:
-    """SOS evidence for an f whose scaled model q = scale * f reads
-    g1 * x^2 mod 2, with x prime to g1 and every factor of g1 of even
-    degree: the lift of that split to 2^HENSEL_SPLIT_PRECISION, whose
-    quadratic factor is irreducible because q has no 2-adic root.  The
-    PICKY route builds it, the pipeline does not run it."""
-    scaled = f * scale
-    coeffs = primitive_integer_coeffs(scaled)
-    if not coeffs or coeffs[-1] % 2 == 0:
+    """SOS evidence for an f whose scaled model q = scale * f has a unit
+    content and reads g1 * x^2 mod 2 (primitive model, odd leading
+    coefficient), with x prime to g1 and every factor of g1 of even
+    degree.  By Hensel's lemma q = g * h over Z_2 with g monic of degree
+    deg q - 2 reducing to g1, so every factor of g has even degree, and h
+    a quadratic, irreducible because q has no 2-adic root.  Only these
+    hypotheses are checked; no lift is built.  The PICKY route builds
+    it, the pipeline does not run it."""
+    q = f * scale
+    facs = dict(_mod2_factors(q) or ())  # empty for an even leading coefficient
+    if facs.get(0b10, 0) != 2 or any(p != 0b10 and f2.f2_degree(p) % 2 for p in facs):
         return None
-    bits = f2.f2_from_coeffs(coeffs)
-    facs = dict(f2.f2_factor(bits))
-    if facs.get(2, 0) != 2 or any(p != 2 and f2.f2_degree(p) % 2 for p in facs):
+    if ord2(q.content)[0] != 0:  # q = c * P is integral, with P's image mod 2
         return None
-    try:
-        factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
-    except ValueError:  # the scaled model is not odd-cleared integral
-        return None
-    status = z2_root_status(scaled)
+    status = z2_root_status(q)
     if status.tag != NO_ROOT:
         return None
-    return HenselSplitEvenParts(Fraction(scale), len(factors.g) - 1, len(factors.h) - 1,
-                                factors.modulus, status)
+    return HenselSplitEvenParts(Fraction(scale), q.degree - 2, 2,
+                                1 << HENSEL_SPLIT_PRECISION, status)
 
 
 def quadratic_nonsquare_disc(f: RatPoly) -> QuadraticNonSquareDisc | None:
@@ -380,7 +399,8 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
     and the pipeline asserts that no input collects both SOS4-type and
     NOT_SOS4-type evidence.  ``positivity`` is ``is_positive_on_reals(f)``
     when the caller already holds it; the gate then reads it instead of
-    testing f again.
+    testing f again.  It is trusted, not checked: a wrong one can give a
+    wrong certificate, which ``verify_certificate`` refuses.
     """
     if f.is_zero:
         raise ValueError("cannot certify the zero polynomial")
@@ -458,8 +478,11 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         except ValueError:  # not a split of f, or c = 0
             return False
     if isinstance(ev, SimpleZ2Root):
+        # a root of the square-free part of a non-square-free f may be a
+        # repeated one, so only a witness on f itself concludes
         return (ev.status.tag == ROOT_EXISTS
                 and ev.status.witness is not None
+                and not ev.status.witness.on_squarefree_part
                 and verify_root_witness(f, ev.status.witness)
                 and positivity.on_squarefree_part)
     if isinstance(ev, TwoSquareSplit):
@@ -472,6 +495,6 @@ def verify_certificate(f: RatPoly, cert: Sos4Certificate) -> bool:
         return rule_mod2_even_degrees(f) == ev
     if isinstance(ev, QuadraticNonSquareDisc):
         return quadratic_nonsquare_disc(f) == ev
-    # the one kind left: HenselSplitEvenParts, at the one precision such a
-    # split is lifted to (a lift's cost grows with its modulus)
+    # the one kind left: HenselSplitEvenParts, whose lemma hypotheses are
+    # checked again at the recorded scale; verification runs no lift
     return hensel_split_even_parts(f, ev.scale) == ev

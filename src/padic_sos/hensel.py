@@ -5,7 +5,9 @@ the ``zpoly`` kernel's arithmetic:
 
 * ``hensel_split``: lift a coprime factorization modulo 2 to one
   modulo 2^m, doubling the precision each round with Bezout cofactors
-  carried along;
+  carried along.  No library path calls it: the PICKY route's evidence
+  (``certifier.hensel_split_even_parts``) checks only the hypotheses of
+  Hensel's lemma, so only the tests and perfbench's tracer use it;
 * ``z2_root_status``: decide whether a rational polynomial has a root
   in the 2-adic field with a root tree (Panayi's algorithm).  A node
   (c, j, g) has g(y) = f(c + 2^j*y) / 2^v primitive and branches only
@@ -197,11 +199,6 @@ def _odd_cleared_scaled(f: RatPoly) -> tuple[list[int], int]:
     if c.denominator % 2 == 0:
         raise ValueError("polynomial is not 2-adically integral")
     return [c.numerator * x for x in f.primitive_part], c.denominator
-
-
-def reduce_mod2(f: RatPoly) -> int:
-    """Image of the odd-cleared polynomial over the two-element field."""
-    return f2_from_coeffs(_odd_cleared_scaled(f)[0])
 
 
 # ---------------------------------------------------------------------------

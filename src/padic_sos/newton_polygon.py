@@ -94,7 +94,9 @@ def is_pure(diagram: NewtonDiagram) -> bool:
 def eisenstein_irreducible(f: RatPoly, diagram: NewtonDiagram | None = None) -> bool:
     """Sufficient irreducibility test over the 2-adic field: pure with
     segment rise coprime to the degree.  False only means "no verdict".
-    ``diagram`` is f's diagram when the caller already has it."""
+    ``diagram`` is f's diagram when the caller already has it; it is
+    trusted, not recomputed (``certifier.verify_certificate`` is the
+    check)."""
     if f.degree < 1:
         return False
     d = newton_diagram(f) if diagram is None else diagram

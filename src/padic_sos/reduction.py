@@ -78,8 +78,7 @@ from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
                       _least_exponent, _positivity, _proved_positive,
                       _squarefree_decomposition, discriminant,
-                      is_positive_on_reals, is_squarefree,
-                      primitive_integer_coeffs)
+                      is_positive_on_reals, primitive_integer_coeffs)
 from .record import Record
 from .newton_polygon import newton_diagram
 
@@ -460,7 +459,8 @@ def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
             raise ArithmeticError(
                 "quadratic discriminant unexpectedly a 2-adic square")
     else:
-        # 4^l g = 4^l f - base = (x^2+x+1)^(2k) * x^2 mod 2: lift that split
+        # 4^l g = 4^l f - base = (x^2+x+1)^(2k) * x^2 mod 2, a split Hensel's
+        # lemma lifts to Z_2
         evidence = hensel_split_even_parts(g, Fraction(4 ** ell))
         if evidence is None:
             raise ArithmeticError(
@@ -486,13 +486,14 @@ def _obstruction(f: RatPoly, k0: int, ell_pos: int,
     # * q(gamma) = 4^(l+a) (u - C(gamma)^(2k)) + sum_j>=1 4^l f_j gamma^j has
     #   ord2 >= 2l+2a+3 = 2(l+a+1)+1: C(gamma)^(2k) = 1 mod 2^(l+a+1) and
     #   u = 1 mod 8, and ord2(4^l f_j gamma^j) >= 3l+a >= 2l+2a+3.
-    # So only square-freeness is searched.  It fails only where lambda = 4^l
-    # is a root of the parametric discriminant, a polynomial in lambda of
+    # So only square-freeness is searched: q of degree d is square-free
+    # exactly when disc(q) != 0.  It fails only where lambda = 4^l is a
+    # root of the parametric discriminant, a polynomial in lambda of
     # degree at most 2d-2 whose top coefficient is disc f != 0 (f is
     # square-free); the loop passes at most 2d-2 values of l.
     a = k0 // 2
     ell = max(a + 3, ell_pos, 1)
-    while not is_squarefree(q := f * (4 ** ell) - base):
+    while (disc := discriminant(q := f * (4 ** ell) - base)) == 0:
         ell += 1
     coeffs = primitive_integer_coeffs(q)
     witness = _certify(coeffs, zpoly.diff(coeffs), 2 ** (ell + a), False)
@@ -507,7 +508,7 @@ def _obstruction(f: RatPoly, k0: int, ell_pos: int,
     if not verify_certificate(g, cert):
         raise ArithmeticError("obstruction certificate failed to re-verify")
     return ObstructionReport(f, ell, witness.gamma, witness.delta, refined,
-                             REFINE_PRECISION, g, cert, discriminant(q))
+                             REFINE_PRECISION, g, cert, disc)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ precision.  The three loops it replaced are kept here:
 * ``budgeted_padic_sqrt``: Newton's iteration on x^2 - u from 1 with
   two guard digits and a budget of bit_length+3 steps.
 
+The PICKY route's ``HenselSplitEvenParts`` evidence checks only the
+hypotheses of Hensel's lemma and records the degrees and modulus they
+fix.  Its first form lifted the split mod 2 to 2^64 with
+``hensel.hensel_split`` and read them off the lift; it is kept as
+``lifted_hensel_split_even_parts``.
+
 ``reduce_auto`` decides its route from the core.  Its first form tried
 the routes in order, recorded a route that raised ``ValueError`` as
 skipped and went on to the next, with GR4 behind NOS; it is kept as
@@ -59,15 +65,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from padic_sos import zpoly
-from padic_sos.hensel import RootWitness, _certify, _odd_cleared_scaled
+from padic_sos import f2, zpoly
+from padic_sos.hensel import (NO_ROOT, RootWitness, _certify,
+                              _odd_cleared_scaled, hensel_split, z2_root_status)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                _least_exponent, is_positive_on_reals,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
-from padic_sos.certifier import SOS4, certify_sos4
+from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
+                                 certify_sos4)
 from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
@@ -302,6 +310,31 @@ def obstruction_witness(f: RatPoly) -> tuple[int, int, int, int]:
                     q, gamma, delta, REFINE_PRECISION)
         ell += 1
     raise ArithmeticError("no certifiable obstruction witness found")
+
+
+def lifted_hensel_split_even_parts(f: RatPoly, scale: Fraction) -> HenselSplitEvenParts | None:
+    """``certifier.hensel_split_even_parts`` as first written: the mod-2
+    test on the primitive model of q = scale * f, then the lift of
+    g1 * x^2 to 2^HENSEL_SPLIT_PRECISION (None where ``hensel_split``
+    refuses q's content), the degrees and modulus read off the lift,
+    and the root status last."""
+    scaled = f * scale
+    coeffs = primitive_integer_coeffs(scaled)
+    if not coeffs or coeffs[-1] % 2 == 0:
+        return None
+    bits = f2.f2_from_coeffs(coeffs)
+    facs = dict(f2.f2_factor(bits))
+    if facs.get(2, 0) != 2 or any(p != 2 and f2.f2_degree(p) % 2 for p in facs):
+        return None
+    try:
+        factors = hensel_split(scaled, bits >> 2, 0b100, HENSEL_SPLIT_PRECISION)
+    except ValueError:  # the scaled model is not odd-cleared integral
+        return None
+    status = z2_root_status(scaled)
+    if status.tag != NO_ROOT:
+        return None
+    return HenselSplitEvenParts(Fraction(scale), len(factors.g) - 1, len(factors.h) - 1,
+                                factors.modulus, status)
 
 
 def y_coordinate_lift(base: list[int], g: list[int], c: int, j: int, r: int,

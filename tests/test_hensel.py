@@ -7,8 +7,8 @@ import pytest
 from padic_sos.f2 import (f2_degree, f2_divmod, f2_factor, f2_from_coeffs,
                           f2_mod, f2_mul, f2_to_str, f2_xgcd)
 from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, hensel_split,
-                              newton_refine, reduce_mod2,
-                              verify_root_witness, z2_root_status)
+                              newton_refine, verify_root_witness,
+                              z2_root_status)
 from padic_sos.ratpoly import RatPoly, primitive_integer_coeffs
 
 CYC = RatPoly([1, 1, 1])
@@ -229,16 +229,9 @@ def test_newton_refine_valuation_invariant():
         assert (r ** 3 + 7) % (1 << m) == 0
 
 
-def test_reduce_mod2():
-    assert reduce_mod2(RatPoly([6, 1, 1])) == 0b110
-    assert reduce_mod2(RatPoly([F(1, 3), 1])) == 0b11
-    with pytest.raises(ValueError):
-        reduce_mod2(RatPoly([F(1, 2), 1]))
-
-
 def test_odd_clearing_reads_the_content_denominator():
     import math
-    from padic_sos.hensel import _odd_cleared_scaled, reduce_mod2
+    from padic_sos.hensel import _odd_cleared_scaled
     rng = random.Random(5)
     for _ in range(200):
         f = RatPoly([F(rng.randint(-50, 50), rng.choice((1, 3, 5, 9, 15, 21)))
@@ -249,4 +242,4 @@ def test_odd_clearing_reads_the_content_denominator():
         assert _odd_cleared_scaled(f) == ([int(c * lcm) for c in f.coeffs], lcm)
     assert _odd_cleared_scaled(RatPoly([F(1, 3), F(2, 5), 7])) == ([5, 6, 105], 15)
     with pytest.raises(ValueError, match="not 2-adically integral"):
-        reduce_mod2(RatPoly([F(1, 6), 1]))
+        _odd_cleared_scaled(RatPoly([F(1, 6), 1]))

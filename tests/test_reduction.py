@@ -9,8 +9,8 @@ from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
                                  PureEvenDivisor, verify_certificate)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2
-from padic_sos.ratpoly import (RatPoly, discriminant, is_positive_on_reals,
-                               is_squarefree)
+from padic_sos.ratpoly import (RatPoly, _least_exponent, discriminant,
+                               is_positive_on_reals, is_squarefree)
 from padic_sos.reduction import (InconclusiveReport, NonTermination,
                                  ObstructionReport, ReductionResult,
                                  palindromic_counterexample, reduce_auto,
@@ -234,6 +234,24 @@ def test_picky_obstruction_on_square_constant():
     assert ord2(value)[0] >= 2 * rep.delta + 1
     assert rep.parametric_disc_value != 0
     assert rep.parametric_disc_value == discriminant(q)
+
+
+def test_obstruction_moves_past_a_member_with_a_repeated_factor():
+    # f = ((x^2+x+1)^2 x^2 + Q^2 R) / 64 with Q = x^2+x+33, R = 63x^2+64:
+    # the search starts at l = max(a + 3, l_pos, 1) = 3 (f(0) = 33^2 is odd),
+    # where q = 64 f - base = Q^2 R has a repeated factor, so it takes l = 4
+    base = CYC ** 2 * RatPoly.monomial(2)
+    f = RatPoly([1089, 66, 1139, 67, 67, 2, 1])
+    assert f * 64 - base == RatPoly([33, 1, 1]) ** 2 * RatPoly([64, 0, 63])
+    assert is_squarefree(f) and ord2(f[0])[0] == 0
+    assert (_least_exponent(f, -base) + 1) // 2 <= 3
+    assert discriminant(f * 64 - base) == 0
+    rep = reduce_twice_odd_degree(f)
+    assert isinstance(rep, ObstructionReport)
+    assert rep.ell == 4 and rep.gamma == 2 ** 4
+    assert verify_certificate(rep.residual, rep.certificate)
+    assert rep.parametric_disc_value == discriminant(f * 256 - base) != 0
+    assert (rep.ell, rep.gamma, rep.delta, rep.refined_root) == oracles.obstruction_witness(f)
 
 
 def test_obstruction_search_matches_the_reference():

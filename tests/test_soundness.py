@@ -11,14 +11,14 @@ no matter what the rules say; INCONCLUSIVE is always acceptable.
 import random
 from fractions import Fraction as F
 
-from padic_sos import certifier
+from padic_sos import certifier, hensel
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, HenselSplitEvenParts,
                                  OddSquareSplit, PureEvenDivisor, SimpleZ2Root,
                                  Sos4Certificate, TwoSquareSplit, certify_sos4,
-                                 verify_certificate)
+                                 rule_simple_z2_root, verify_certificate)
 from padic_sos.hensel import (ROOT_EXISTS, RootStatus, RootWitness,
-                              hensel_split, verify_root_witness)
+                              hensel_split, verify_root_witness, z2_root_status)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2
 from padic_sos.ratpoly import RatPoly, discriminant, is_positive_on_reals
@@ -168,7 +168,10 @@ def test_verify_certificate_rejects_tampering(monkeypatch):
         lifts.append(precision)
         return hensel_split(f, g1, h1, precision)
 
-    monkeypatch.setattr(certifier, "hensel_split", recording_split)
+    # certifier binds no lift of its own, so a lift would be recorded here
+    assert "hensel_split" not in vars(certifier)
+    monkeypatch.setattr(hensel, "hensel_split", recording_split)
+    assert verify_certificate(res.residual, res.certificate)
     for tampered in (dict(g_degree=99, h_degree=7, modulus=3), dict(g_degree=99),
                      dict(h_degree=7), dict(modulus=3), dict(modulus=2 ** 64 + 1),
                      dict(modulus=2 ** 32), dict(modulus=2 ** 2 ** 16),
@@ -176,9 +179,33 @@ def test_verify_certificate_rejects_tampering(monkeypatch):
                      dict(scale=ev.scale / 2)):
         bad = replace(res.certificate, evidence=replace(ev, **tampered))
         assert not verify_certificate(res.residual, bad), tampered
-    # any modulus but the recorded 2^64 is refused before a lift, whose
-    # cost would grow with it
-    assert set(lifts) == {64}
+    # the split is checked from Hensel's lemma's hypotheses: no modulus,
+    # however large, makes verification build a lift
+    assert lifts == []
+
+
+def test_a_root_of_the_squarefree_part_is_no_simple_root():
+    # x^2 + 7 has a 2-adic root (-7 = 1 mod 8), so the root tree finds
+    # one on the square-free part of the perfect square (x^2 + 7)^2
+    sq = RatPoly([7, 0, 1]) ** 2
+    status = z2_root_status(sq)
+    assert status.tag == ROOT_EXISTS and status.witness.on_squarefree_part
+    assert rule_simple_z2_root(sq, squarefree=True) is None
+    # a positivity certificate that wrongly claims sq square-free
+    claim = replace(is_positive_on_reals(sq), on_squarefree_part=True)
+    cert = certify_sos4(sq, positivity=claim)
+    assert (cert.verdict, cert.rule) == (SOS4, "two_square_split")
+    assert not verify_certificate(sq, cert)
+    assert verify_certificate(sq, certify_sos4(sq))
+    # the square-free x^4 + 24x^2 + 119 = (x^2 + 7)(x^2 + 17): its root
+    # witness relabelled as taken on the square-free part, which is f
+    f = RatPoly([119, 0, 24, 0, 1])
+    cert = certify_sos4(f)
+    assert isinstance(cert.evidence, SimpleZ2Root) and verify_certificate(f, cert)
+    relabelled = replace(cert.evidence.status.witness, on_squarefree_part=True)
+    assert verify_root_witness(f, relabelled)
+    bad = replace(cert, evidence=SimpleZ2Root(RootStatus(ROOT_EXISTS, relabelled)))
+    assert not verify_certificate(f, bad)
 
 
 def test_verify_certificate_reads_rule_verdict_and_exactness():

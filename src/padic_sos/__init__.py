@@ -21,7 +21,7 @@ _EXPORTS = {
     "hensel": ("HenselFactors", "RootStatus", "RootWitness", "hensel_split",
                "newton_refine", "verify_root_witness", "z2_root_status"),
     "newton_polygon": ("NewtonDiagram", "Segment", "eisenstein_irreducible",
-                       "factor_degree_divisor", "is_pure", "newton_diagram"),
+                       "newton_diagram", "pure_slope"),
     "padic": ("PadicApprox", "is_square_in_q2", "ord2", "padic_sqrt"),
     "ratpoly": ("PositivityCertificate", "RatPoly",
                 "count_distinct_and_real_roots", "discriminant",

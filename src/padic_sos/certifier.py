@@ -47,12 +47,15 @@ has just gated f hands its positivity certificate in, and the gate
 reads it instead of testing f again; ``_certify_positive`` runs the
 rules behind the gate.
 
-The rules and the pipeline trust what a caller hands them (a
-positivity certificate, a Newton diagram); ``verify_certificate`` is the
-check, and takes nothing from the caller but f and the certificate.  It
-accepts a certificate only when its verdict and rule are the ones its
-evidence class names (INCONCLUSIVE: no rule, no evidence) and its
-positivity certificate is f's own.  It re-runs the deterministic rules
+The two Newton-diagram rules decide from ``newton_polygon.pure_slope``
+and build f's diagram only for the evidence they return.
+
+The rules and the pipeline trust the positivity certificate a caller
+hands them; ``verify_certificate`` is the check, and takes nothing from
+the caller but f and the certificate.  It accepts a certificate only
+when its verdict and rule are the ones its evidence class names
+(INCONCLUSIVE: no rule, no evidence) and its positivity certificate is
+f's own.  It re-runs the deterministic rules
 (Eisenstein, pure even divisor, mod-2 even degrees, the quadratic
 discriminant, the Hensel split's hypotheses at the recorded scale) on f
 and the odd split rule on the recorded split, and asks for the evidence
@@ -64,14 +67,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from operator import mul
 
 from . import f2
 from .hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, verify_root_witness,
                      z2_root_status)
 from .newton_polygon import (NewtonDiagram, eisenstein_irreducible,
-                             factor_degree_divisor, is_pure, newton_diagram)
+                             newton_diagram, pure_slope)
 from .padic import is_square_in_q2, ord2
 from .ratpoly import (PositivityCertificate, RatPoly, _from_ints,
                       _negative_somewhere, _positivity, is_squarefree,
@@ -300,35 +302,19 @@ def _two_square(a_poly: RatPoly, c: Fraction) -> TwoSquareSplit | None:
     return None
 
 
-def rule_eisenstein(f: RatPoly, diagram: NewtonDiagram | None = None
-                    ) -> EisensteinEvenDegree | None:
-    """SOS rule: Eisenstein-irreducible of even degree.  ``diagram`` is
-    f's Newton diagram when the caller already has it; it is trusted,
-    and ``verify_certificate`` is the check."""
-    if f.degree % 2 != 0 or f.degree < 2:
+def rule_eisenstein(f: RatPoly) -> EisensteinEvenDegree | None:
+    """SOS rule: Eisenstein-irreducible of even degree."""
+    if f.degree % 2 != 0 or not eisenstein_irreducible(f):
         return None
-    if diagram is None:
-        diagram = newton_diagram(f)
-    if eisenstein_irreducible(f, diagram):
-        return EisensteinEvenDegree(diagram)
-    return None
+    return EisensteinEvenDegree(newton_diagram(f))
 
 
-def rule_pure_even_divisor(f: RatPoly, diagram: NewtonDiagram | None = None
-                           ) -> PureEvenDivisor | None:
-    """SOS rule: pure diagram with even slope denominator.  ``diagram``
-    is f's Newton diagram when the caller already has it; it is
-    trusted, and ``verify_certificate`` is the check."""
-    if f.degree < 1:
+def rule_pure_even_divisor(f: RatPoly) -> PureEvenDivisor | None:
+    """SOS rule: pure diagram with even slope denominator e."""
+    slope = pure_slope(f)
+    if slope is None or slope.denominator % 2 != 0:
         return None
-    if diagram is None:
-        diagram = newton_diagram(f)
-    if not is_pure(diagram):
-        return None
-    e = factor_degree_divisor(diagram)
-    if e % 2 == 0:
-        return PureEvenDivisor(e, diagram)
-    return None
+    return PureEvenDivisor(slope.denominator, newton_diagram(f))
 
 
 def _mod2_factors(f: RatPoly) -> list[tuple[int, int]] | None:
@@ -425,15 +411,14 @@ def _certify_positive(f: RatPoly, positivity: PositivityCertificate,
     checked witness or None."""
     if split is None:
         split = complete_square_split(f)
-    diagram = cache(lambda: newton_diagram(f))  # one for both diagram rules
     # the split is checked (a witness) or exact by construction (the
     # search), so the split rules run without their witness check
     producers = (
         lambda: _odd_split(*split) if split and split[1] != 0 else None,
         lambda: rule_simple_z2_root(f, positivity.on_squarefree_part),
         lambda: _two_square(*split) if split else None,
-        lambda: rule_eisenstein(f, diagram()),
-        lambda: rule_pure_even_divisor(f, diagram()),
+        lambda: rule_eisenstein(f),
+        lambda: rule_pure_even_divisor(f),
         lambda: rule_mod2_even_degrees(f),
     )
     found: list[Evidence] = []

@@ -2,7 +2,9 @@
 
 The diagram of a polynomial is the lower convex hull of the points
 (i, ord2(c_i)) over its nonzero coefficients.  Two consequences are
-used downstream:
+used downstream, and both need only whether the diagram is pure (a
+nonzero constant term and one segment, from (0, v_0) to (d, v_d)) and
+that segment's slope:
 
 * generalized Eisenstein criterion: a polynomial with nonzero constant
   term whose diagram is one segment of slope k/deg, gcd(k, deg) = 1,
@@ -12,6 +14,12 @@ used downstream:
   factor over the 2-adic field has degree divisible by e.  (Factor
   diagrams are segments of the same slope between lattice points, so
   their widths are multiples of e.)
+
+``pure_slope`` decides both from the chord between the two end
+points: the hull is that one segment exactly when no point lies below
+it.  The hull itself (``newton_diagram``) is built only where it is
+printed, in the ``newton-polygon`` document and in the evidence of the
+two rules.
 """
 
 from __future__ import annotations
@@ -44,14 +52,6 @@ class NewtonDiagram(Record):
     vertices: tuple[tuple[int, int], ...]
     segments: tuple[Segment, ...]
 
-    @property
-    def is_segment(self) -> bool:
-        return len(self.segments) == 1
-
-    @property
-    def constant_term_present(self) -> bool:
-        return bool(self.points) and self.points[0][0] == 0
-
 
 def _lower_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     hull: list[tuple[int, int]] = []
@@ -83,33 +83,28 @@ def newton_diagram(f: RatPoly) -> NewtonDiagram:
     return NewtonDiagram(tuple(pts), tuple(verts), tuple(segs))
 
 
-def is_pure(diagram: NewtonDiagram) -> bool:
-    """Nonzero constant term and a single-segment hull.
+def pure_slope(f: RatPoly) -> Fraction | None:
+    """The slope (v_d - v_0)/d of f's diagram when it is pure, else None.
 
-    A one-coefficient diagram (a constant, or a monomial c*x^d) has no
-    segment, so it is not pure."""
-    return diagram.constant_term_present and diagram.is_segment
+    Pure means deg f = d >= 1, a nonzero constant term and every point
+    (j, v_j) on or above the chord from (0, v_0) to (d, v_d), that is
+    d*v_j >= (d-j)*v_0 + j*v_d: the hull drops collinear points, so it
+    is then the one segment.  The content shifts every point alike, so
+    the primitive part is read."""
+    p = f.primitive_part
+    d = len(p) - 1
+    if d < 1 or not p[0]:
+        return None
+    v0, vd = ord2_int(p[0]), ord2_int(p[d])
+    for j in range(1, d):
+        if p[j] and d * ord2_int(p[j]) < (d - j) * v0 + j * vd:
+            return None
+    return Fraction(vd - v0, d)
 
 
-def eisenstein_irreducible(f: RatPoly, diagram: NewtonDiagram | None = None) -> bool:
+def eisenstein_irreducible(f: RatPoly) -> bool:
     """Sufficient irreducibility test over the 2-adic field: pure with
-    segment rise coprime to the degree.  False only means "no verdict".
-    ``diagram`` is f's diagram when the caller already has it; it is
-    trusted, not recomputed (``certifier.verify_certificate`` is the
-    check)."""
-    if f.degree < 1:
-        return False
-    d = newton_diagram(f) if diagram is None else diagram
-    if not is_pure(d):
-        return False
-    (x1, y1), (x2, y2) = d.vertices[0], d.vertices[-1]
-    rise, run = y2 - y1, x2 - x1
-    return gcd(abs(rise), run) == 1
-
-
-def factor_degree_divisor(diagram: NewtonDiagram) -> int:
-    """Reduced denominator e of the pure diagram's slope: every
-    irreducible factor over the 2-adic field has degree divisible by e."""
-    if not is_pure(diagram):
-        raise ValueError("factor degree divisor requires a pure diagram")
-    return diagram.segments[0].slope.denominator
+    segment rise coprime to the degree, that is, a slope whose reduced
+    denominator is the degree.  False only means "no verdict"."""
+    slope = pure_slope(f)
+    return slope is not None and slope.denominator == f.degree

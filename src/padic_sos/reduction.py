@@ -80,7 +80,7 @@ from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
                       _squarefree_decomposition, discriminant,
                       is_positive_on_reals, primitive_integer_coeffs)
 from .record import Record
-from .newton_polygon import newton_diagram
+from .newton_polygon import pure_slope
 
 METHOD_ZERO = "ZERO"
 METHOD_ALG6 = "ALG6"
@@ -363,11 +363,9 @@ def _nos_candidates(f: RatPoly, a: int):
 
 
 def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
-    c0 = f[0]
-    v, u = ord2(c0)
-    _require(v % 2 == 0 and u % 4 == 3,
+    _require(_is_square_times_three_mod_four(f[0]),
              "constant term not of the form 2^(2a)(4k+3)")
-    a = v // 2
+    a = ord2(f[0])[0] // 2
     d = f.degree
     tried = 0
     trace = []
@@ -378,8 +376,9 @@ def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
         h = RatPoly.monomial(d // 2, Fraction(1, 2 ** ell)) + RatPoly(
             [Fraction(2 ** a, n)])
         g = f - h * h
-        diagram = newton_diagram(g)
-        if diagram.vertices != ((0, 2 * a + 1), (d, -2 * ell)):
+        # the diagram is exactly the segment (0, 2a+1)-(d, -2l)
+        if (pure_slope(g) is None or g.degree != d
+                or ord2(g[0])[0] != 2 * a + 1 or ord2(g[d])[0] != -2 * ell):
             if len(trace) < 50:
                 trace.append(("N", n, "l", ell, "rejected", "diagram"))
             continue

@@ -54,6 +54,12 @@ fix.  Its first form lifted the split mod 2 to 2^64 with
 ``hensel.hensel_split`` and read them off the lift; it is kept as
 ``lifted_hensel_split_even_parts``.
 
+The certifier's Newton-diagram rules decide purity from the chord
+(``newton_polygon.pure_slope``) and build the hull only for their
+evidence.  Their first forms read everything off the hull, and are
+kept here: ``hull_is_pure``, ``hull_eisenstein_irreducible``,
+``hull_rule_eisenstein`` and ``hull_rule_pure_even_divisor``.
+
 ``reduce_auto`` decides its route from the core.  Its first form tried
 the routes in order, recorded a route that raised ``ValueError`` as
 skipped and went on to the next, with GR4 behind NOS; it is kept as
@@ -68,14 +74,14 @@ from fractions import Fraction
 from padic_sos import f2, zpoly
 from padic_sos.hensel import (NO_ROOT, RootWitness, _certify,
                               _odd_cleared_scaled, hensel_split, z2_root_status)
-from padic_sos.newton_polygon import newton_diagram
+from padic_sos.newton_polygon import NewtonDiagram, newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                _least_exponent, is_positive_on_reals,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
-from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, HenselSplitEvenParts,
-                                 certify_sos4)
+from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, EisensteinEvenDegree,
+                                 HenselSplitEvenParts, PureEvenDivisor, certify_sos4)
 from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
@@ -335,6 +341,45 @@ def lifted_hensel_split_even_parts(f: RatPoly, scale: Fraction) -> HenselSplitEv
         return None
     return HenselSplitEvenParts(Fraction(scale), len(factors.g) - 1, len(factors.h) - 1,
                                 factors.modulus, status)
+
+
+def hull_is_pure(diagram: NewtonDiagram) -> bool:
+    """Nonzero constant term and a single-segment hull (a one-point
+    diagram has no segment, so it is not pure)."""
+    return (bool(diagram.points) and diagram.points[0][0] == 0
+            and len(diagram.segments) == 1)
+
+
+def hull_eisenstein_irreducible(f: RatPoly) -> bool:
+    """The Eisenstein test read off the hull: pure, with the segment's
+    rise coprime to its run."""
+    if f.degree < 1:
+        return False
+    d = newton_diagram(f)
+    if not hull_is_pure(d):
+        return False
+    (x1, y1), (x2, y2) = d.vertices[0], d.vertices[-1]
+    return math.gcd(abs(y2 - y1), x2 - x1) == 1
+
+
+def hull_rule_eisenstein(f: RatPoly) -> EisensteinEvenDegree | None:
+    if f.degree % 2 != 0 or f.degree < 2:
+        return None
+    if hull_eisenstein_irreducible(f):
+        return EisensteinEvenDegree(newton_diagram(f))
+    return None
+
+
+def hull_rule_pure_even_divisor(f: RatPoly) -> PureEvenDivisor | None:
+    """The divisor rule read off the hull: e is the denominator of the
+    one segment's Fraction slope."""
+    if f.degree < 1:
+        return None
+    d = newton_diagram(f)
+    if not hull_is_pure(d):
+        return None
+    e = d.segments[0].slope.denominator
+    return PureEvenDivisor(e, d) if e % 2 == 0 else None
 
 
 def y_coordinate_lift(base: list[int], g: list[int], c: int, j: int, r: int,

@@ -6,8 +6,10 @@ import pytest
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, Mod2EvenDegrees,
                                  NotPositive, OddSquareSplit, PureEvenDivisor,
-                                 SimpleZ2Root, Sos4Certificate, TwoSquareSplit,
+                                 QuadraticNonSquareDisc, SimpleZ2Root,
+                                 Sos4Certificate, TwoSquareSplit,
                                  certify_sos4, complete_square_split,
+                                 quadratic_nonsquare_disc,
                                  rule_eisenstein, rule_mod2_even_degrees,
                                  rule_odd_split_witness,
                                  rule_pure_even_divisor, rule_simple_z2_root,
@@ -67,8 +69,18 @@ def test_complete_square_split():
     assert a == RatPoly([F(1, 260), F(2, 65)]) and c == F(63, 16 * 4225)
     assert complete_square_split(RatPoly([3, 0, 2])) is None  # lead not square
     assert complete_square_split(RatPoly([1, 1, 1, 1])) is None  # odd degree
+    assert complete_square_split(RatPoly([1, 0, -1])) is None  # negative lead
     # not a perfect polynomial square despite the everywhere-square values
     assert complete_square_split(ALWAYS_SQUARE)[1] != 0
+
+
+def test_quadratic_nonsquare_disc():
+    # disc -8 = -2 * 4 is not a 2-adic square; -7 = 1 mod 8 is
+    assert quadratic_nonsquare_disc(RatPoly([2, 0, 1])) == QuadraticNonSquareDisc(F(-8))
+    assert quadratic_nonsquare_disc(RatPoly([2, 1, 1])) is None
+    # only a quadratic is read
+    assert quadratic_nonsquare_disc(RatPoly([2, 0, 0, 1])) is None
+    assert quadratic_nonsquare_disc(RatPoly([2, 0, 0, 0, 1])) is None
 
 
 def test_rule_odd_split_witness():
@@ -189,25 +201,43 @@ def test_verdict_invariant_under_integer_shift():
             assert cert.verdict == NOT_SOS4
 
 
-def test_one_newton_diagram_per_certification(monkeypatch):
+def test_newton_diagram_built_only_for_evidence(monkeypatch):
+    import oracles
+
     import padic_sos.certifier as certifier
+    from padic_sos import newton_polygon
     calls = []
-    original = certifier.newton_diagram
+    original = newton_polygon.newton_diagram
 
     def recording(f):
         calls.append(f)
         return original(f)
 
+    diagram_rules = (oracles.hull_rule_eisenstein, oracles.hull_rule_pure_even_divisor)
+    cases = {  # f -> (rule by default, diagram-rule evidence it holds)
+        RatPoly([2, 0, 1]): ("eisenstein", 2),
+        RatPoly([6, 0, 0, 0, 1]): ("eisenstein", 2),
+        RatPoly([12, 0, 0, 0, 1]): ("pure_even_divisor", 1),
+        # x^4 + 4 = (x^2)^2 + 2^2: the split concludes first, though e = 2
+        RatPoly([4, 0, 0, 0, 1]): ("two_square_split", 1),
+        RatPoly([3, 1, 1, 1, 1]): ("mod2_even_degrees", 0),
+        RatPoly([7, 0, 1]): ("odd_split_witness", 0),
+        X2P1: ("two_square_split", 0),
+        ALWAYS_SQUARE: (None, 0),
+    }
+    for f, (_, held) in cases.items():
+        assert sum(rule(f) is not None for rule in diagram_rules) == held
     monkeypatch.setattr(certifier, "newton_diagram", recording)
-    cases = [RatPoly([2, 0, 1]), RatPoly([6, 0, 0, 0, 1]), ALWAYS_SQUARE,
-             RatPoly([3, 1, 1, 1, 1])]
-    for f in cases:
+    monkeypatch.setattr(newton_polygon, "newton_diagram", recording)
+    for f, (rule, held) in cases.items():
         calls.clear()
-        cert = certify_sos4(f, check_all_rules=True)
-        # the Eisenstein and pure-divisor rules both ran on one diagram
-        assert calls == [f]
-        if cert.rule in ("eisenstein", "pure_even_divisor"):
-            assert cert.evidence.diagram == original(f)
+        cert = certify_sos4(f)
+        assert cert.rule == rule
+        # a certification that no diagram rule concludes builds no diagram
+        assert calls == ([f] if rule in ("eisenstein", "pure_even_divisor") else [])
+        calls.clear()
+        certify_sos4(f, check_all_rules=True)
+        assert calls == [f] * held
 
 
 def test_certify_reads_a_positivity_certificate_in_hand(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from padic_sos.f2 import (f2_degree, f2_divmod, f2_factor, f2_from_coeffs,
                           f2_mod, f2_mul, f2_to_str, f2_xgcd)
-from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, hensel_split,
+from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,
                               newton_refine, verify_root_witness,
                               z2_root_status)
 from padic_sos.ratpoly import RatPoly, primitive_integer_coeffs
@@ -141,6 +141,10 @@ def test_root_status_examples():
     # reciprocal root of negative valuation, found through the reversal
     st = z2_root_status(RatPoly([-1, 0, 4]))
     assert st.tag == ROOT_EXISTS and st.witness.on_reversal
+    # a nonzero constant has no root; zero has every root
+    assert z2_root_status(RatPoly([F(3, 2)])) == RootStatus(NO_ROOT, None)
+    with pytest.raises(ValueError, match="every root"):
+        z2_root_status(RatPoly())
 
 
 def test_root_status_on_twice_odd_family_with_square_constant():

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from padic_sos.hensel import ROOT_EXISTS, z2_root_status
-from padic_sos.newton_polygon import (eisenstein_irreducible,
-                                      factor_degree_divisor, is_pure,
-                                      newton_diagram)
+from padic_sos.newton_polygon import (eisenstein_irreducible, newton_diagram,
+                                      pure_slope)
 from padic_sos.ratpoly import RatPoly
 from padic_sos.reduction import palindromic_counterexample
 
@@ -41,11 +40,17 @@ def test_counterexample_shift_diagram():
 
 
 def test_is_pure():
-    assert is_pure(newton_diagram(RatPoly([2, 0, 1])))
-    assert is_pure(newton_diagram(RatPoly([1, 1, 1])))  # slope-0 segment
-    assert not is_pure(newton_diagram(RatPoly([4, 2, 0, 1])))
+    assert pure_slope(RatPoly([2, 0, 1])) == F(-1, 2)
+    assert pure_slope(RatPoly([1, 1, 1])) == 0  # slope-0 segment
+    assert pure_slope(RatPoly([4, 2, 0, 1])) is None
     # no constant term: not pure even though the hull is a segment
-    assert not is_pure(newton_diagram(RatPoly([0, 1, 1])))
+    assert pure_slope(RatPoly([0, 1, 1])) is None
+    # one point (a constant or a monomial) has no segment
+    assert pure_slope(RatPoly([3])) is None
+    assert pure_slope(RatPoly([0, 0, 4])) is None
+    assert pure_slope(RatPoly()) is None
+    # the content shifts every point alike
+    assert pure_slope(RatPoly([F(2, 3), 0, F(1, 3)])) == F(-1, 2)
 
 
 def test_eisenstein_irreducible():
@@ -56,18 +61,17 @@ def test_eisenstein_irreducible():
 
 
 def test_factor_degree_divisor():
-    assert factor_degree_divisor(newton_diagram(RatPoly([2, 0, 1]))) == 2
-    assert factor_degree_divisor(newton_diagram(RatPoly([1, 1, 1]))) == 1
+    assert pure_slope(RatPoly([2, 0, 1])).denominator == 2
+    assert pure_slope(RatPoly([1, 1, 1])).denominator == 1
     # endpoints (0, -2), (4, 2): slope 1 with a lattice midpoint on it
-    d = newton_diagram(RatPoly([F(1, 4), 0, 1, 0, 4]))
+    f = RatPoly([F(1, 4), 0, 1, 0, 4])
+    d = newton_diagram(f)
     assert d.vertices == ((0, -2), (4, 2))
     assert d.segments[0].lattice_length == 4
-    assert factor_degree_divisor(d) == 1
+    assert pure_slope(f) == 1
     # endpoints (0, -2), (4, 1): rise 3 coprime to 4 -> e = 4
-    d = newton_diagram(RatPoly([F(1, 4), 0, 0, 0, 2]))
-    assert factor_degree_divisor(d) == 4
-    with pytest.raises(ValueError):
-        factor_degree_divisor(newton_diagram(RatPoly([4, 2, 0, 1])))
+    assert pure_slope(RatPoly([F(1, 4), 0, 0, 0, 2])).denominator == 4
+    assert pure_slope(RatPoly([4, 2, 0, 1])) is None
 
 
 def test_hull_dominates_all_points():
@@ -97,10 +101,9 @@ def test_divisor_of_products_of_equal_slope_pures():
     f = RatPoly([2, 0, 1])
     g = RatPoly([4, 0, 0, 0, 1])
     prod = f * g
-    d = newton_diagram(prod)
-    assert is_pure(d)
-    e = factor_degree_divisor(d)
-    assert e == 2
+    slope = pure_slope(prod)
+    assert slope == F(-1, 2)
+    e = slope.denominator
     assert f.degree % e == 0 and g.degree % e == 0
 
 

@@ -13,6 +13,8 @@ from padic_sos.ratpoly import (RatPoly, _least_exponent, discriminant,
                                is_positive_on_reals, is_squarefree)
 from padic_sos.reduction import (InconclusiveReport, NonTermination,
                                  ObstructionReport, ReductionResult,
+                                 _constant_three_mod_four,
+                                 _is_square_times_three_mod_four,
                                  palindromic_counterexample, reduce_auto,
                                  reduce_constant_three_mod_four,
                                  reduce_cyclotomic_power, reduce_iterative,
@@ -134,6 +136,14 @@ def test_nos_reduce_hypothesis_gate():
         reduce_constant_three_mod_four(RatPoly([1, 0, 1]))
     with pytest.raises(ValueError, match="integer"):
         reduce_constant_three_mod_four(RatPoly([F(3, 5), 0, 1]))
+    # the body reads the constant term as a 2-adic residue, as reduce_auto
+    # does: 3/5 = 3 mod 4 in Z_2, though Fraction(3, 5) % 4 is 3/5
+    assert _is_square_times_three_mod_four(F(3, 5))
+    f = RatPoly([F(3, 5), 0, 1])
+    res = check_result(f, _constant_three_mod_four(f))
+    assert res.method == "NOS" and ord2(res.residual[0])[0] == 1
+    with pytest.raises(ValueError, match="constant term"):
+        _constant_three_mod_four(RatPoly([F(1, 5), 0, 1]))
 
 
 def test_gr4_reduce():

@@ -16,7 +16,8 @@ from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, HenselSplitEvenParts,
                                  OddSquareSplit, PureEvenDivisor, SimpleZ2Root,
                                  Sos4Certificate, TwoSquareSplit, certify_sos4,
-                                 rule_simple_z2_root, verify_certificate)
+                                 rule_eisenstein, rule_simple_z2_root,
+                                 verify_certificate)
 from padic_sos.hensel import (ROOT_EXISTS, RootStatus, RootWitness,
                               hensel_split, verify_root_witness, z2_root_status)
 from padic_sos.newton_polygon import newton_diagram
@@ -156,6 +157,14 @@ def test_verify_certificate_rejects_tampering(monkeypatch):
     bad = replace(cert, evidence=PureEvenDivisor(
         2, newton_diagram(RatPoly([2, 0, 1]))))
     assert not verify_certificate(p, bad)
+
+    # SOS4 evidence on an f that is not positive: x^2 - 2 is Eisenstein,
+    # so the rule gives its evidence back, and only the positivity guard
+    # refuses the certificate
+    neg = RatPoly([-2, 0, 1])
+    ev = rule_eisenstein(neg)
+    assert isinstance(ev, EisensteinEvenDegree) and rule_eisenstein(neg) == ev
+    assert not verify_certificate(neg, Sos4Certificate.of(is_positive_on_reals(neg), ev))
 
     # Hensel-split degrees and modulus that the lift does not give
     res = reduce_twice_odd_degree(RatPoly([3, 1, 0, 0, 0, 0, 1]))

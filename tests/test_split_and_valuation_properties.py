@@ -1,7 +1,8 @@
 """Hypothesis properties of the square split and the 2-adic valuation
 against their straightforward reference constructions: the split found
 by subtracting A*A from f, the valuation found by dividing out 2 one
-step at a time, and the ALG6 / ALGN slope bound taken on Fractions."""
+step at a time, the ALG6 / ALGN slope bound taken on Fractions, and
+the purity, Eisenstein and divisor facts read off the full hull."""
 
 import math
 from fractions import Fraction as F
@@ -11,8 +12,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from padic_sos.certifier import complete_square_split  # noqa: E402
-from padic_sos.newton_polygon import newton_diagram  # noqa: E402
+from padic_sos.certifier import (complete_square_split, rule_eisenstein,  # noqa: E402
+                                 rule_pure_even_divisor)
+from padic_sos.newton_polygon import (eisenstein_irreducible,  # noqa: E402
+                                      newton_diagram, pure_slope)
 from padic_sos.padic import ord2  # noqa: E402
 from padic_sos.ratpoly import RatPoly  # noqa: E402
 from padic_sos.reduction import _valuation_bounds  # noqa: E402
@@ -23,6 +26,12 @@ RATIONALS = st.fractions(min_value=-30, max_value=30, max_denominator=16)
 NONZERO = st.builds(lambda n, d, k: F(n, d) * F(2) ** k,
                     st.integers(-(2 ** 80), 2 ** 80).filter(bool),
                     st.integers(1, 2 ** 70), st.integers(-70, 70))
+# valuations in a narrow band, so that pure diagrams are common
+NEAR_UNIT = st.builds(lambda u, k: F(u) * F(2) ** k,
+                      st.sampled_from([1, -1, 3, -3, 5, F(1, 3), F(-7, 5)]),
+                      st.integers(-3, 3))
+DIAGRAM_COEFFS = st.lists(NEAR_UNIT | NONZERO | st.just(F(0)), min_size=1,
+                          max_size=11).filter(lambda cs: cs[-1] != 0)
 SETTINGS = hypothesis.settings(max_examples=120, deadline=None)
 
 
@@ -92,6 +101,29 @@ def test_ord2_matches_division_loop(q):
 def test_newton_diagram_points_are_coefficient_valuations(coeffs):
     points = newton_diagram(RatPoly(coeffs)).points
     assert points == tuple((i, reference_ord2(c)[0]) for i, c in enumerate(coeffs) if c)
+
+
+@SETTINGS
+@hypothesis.given(DIAGRAM_COEFFS)
+@hypothesis.example([F(2), F(0), F(1)])
+@hypothesis.example([F(1, 4), F(0), F(1), F(0), F(4)])
+@hypothesis.example([F(0), F(1), F(1)])
+def test_pure_slope_is_the_slope_of_a_one_segment_hull(coeffs):
+    f = RatPoly(coeffs)
+    segments = newton_diagram(f).segments
+    one = len(segments) == 1 and segments[0].start[0] == 0
+    assert pure_slope(f) == (segments[0].slope if one else None)
+
+
+@SETTINGS
+@hypothesis.given(DIAGRAM_COEFFS)
+@hypothesis.example([F(2), F(0), F(1)])
+@hypothesis.example([F(12), F(0), F(0), F(0), F(1)])
+def test_diagram_rules_match_their_hull_forms(coeffs):
+    f = RatPoly(coeffs)
+    assert eisenstein_irreducible(f) == oracles.hull_eisenstein_irreducible(f)
+    assert rule_eisenstein(f) == oracles.hull_rule_eisenstein(f)
+    assert rule_pure_even_divisor(f) == oracles.hull_rule_pure_even_divisor(f)
 
 
 @SETTINGS

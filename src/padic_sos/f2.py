@@ -1,10 +1,10 @@
 """Polynomials over the field with two elements, packed into integers.
 
 Bit i of the integer is the coefficient of x^i, so addition is xor and
-the zero polynomial is 0.  Provides ring arithmetic, gcd/xgcd, modular
-powers, and a complete deterministic factorization (square-free split,
-distinct-degree, then equal-degree splitting with trace polynomials
-over a fixed sequence of test elements).
+the zero polynomial is 0.  Provides ring arithmetic, gcd/xgcd, and a
+complete deterministic factorization: a distinct-degree sieve with a
+square step, then equal-degree splitting with trace polynomials over a
+fixed sequence of test elements.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ def f2_mul(a: int, b: int) -> int:
 def f2_divmod(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    m, n = f2_degree(a), f2_degree(b)
-    if m < n:
-        return 0, a
-    q = 0
-    b <<= m - n
-    for i in range(m - n, -1, -1):
-        if a >> (n + i) & 1:
-            a ^= b
-            q |= 1 << i
-        b >>= 1
+    n, q = b.bit_length(), 0
+    while (s := a.bit_length() - n) >= 0:  # cancel the top term of a
+        q |= 1 << s
+        a ^= b << s
     return q, a
 
 
@@ -62,17 +56,6 @@ def f2_xgcd(a: int, b: int) -> tuple[int, int, int]:
         s0, s1 = s1, s0 ^ f2_mul(q, s1)
         t0, t1 = t1, t0 ^ f2_mul(q, t1)
     return a, s0, t0
-
-
-def f2_pow_mod(a: int, e: int, mod: int) -> int:
-    result = 1
-    a = f2_mod(a, mod)
-    while e:
-        if e & 1:
-            result = f2_mod(f2_mul(result, a), mod)
-        a = f2_mod(f2_mul(a, a), mod)
-        e >>= 1
-    return result
 
 
 def f2_derivative(a: int) -> int:
@@ -116,24 +99,6 @@ def f2_to_str(a: int) -> str:
     return " + ".join(terms)
 
 
-def _distinct_degree(w: int) -> list[tuple[int, int]]:
-    """Split square-free w into (product-of-factors, common degree) pairs."""
-    out = []
-    h = 2  # the polynomial x
-    i = 1
-    while f2_degree(w) >= 2 * i:
-        h = f2_pow_mod(h, 2, w)  # x^(2^i) mod w
-        g = f2_gcd(w, h ^ 2)
-        if g != 1:
-            out.append((g, i))
-            w = f2_divmod(w, g)[0]
-            h = f2_mod(h, w)
-        i += 1
-    if f2_degree(w) > 0:
-        out.append((w, f2_degree(w)))
-    return out
-
-
 def _equal_degree_split(g: int, i: int) -> list[int]:
     """Factor a square-free product of degree-i irreducibles.
 
@@ -159,27 +124,34 @@ def _equal_degree_split(g: int, i: int) -> list[int]:
 
 def f2_factor(f: int) -> list[tuple[int, int]]:
     """Complete factorization into irreducibles with multiplicities,
-    sorted by (degree, bit pattern); the product reconstructs f."""
+    sorted by (degree, bit pattern); the product reconstructs f.
+
+    A distinct-degree sieve on f itself (von zur Gathen-Gerhard, Modern
+    Computer Algebra, ch. 14).  Once every factor of degree below i is
+    divided out, gcd(f, x^(2^i) - x) is the product of the distinct
+    degree-i factors: it is square-free because x^(2^i) - x is, so
+    repeated factors need no separate pass.  A square f (f' = 0) is
+    replaced by its root at twice the weight, which keeps the sieve
+    short on powers of high-degree factors.  Once deg f < 2i, f has no
+    factor of degree <= deg f / 2, so it is 1 or irreducible.
+    """
     if f == 0:
         raise ValueError("cannot factor the zero polynomial")
-    factors: dict[int, int] = {}
-
-    def absorb(g: int, weight: int) -> None:
-        if f2_degree(g) < 1:
-            return
-        dg = f2_derivative(g)
-        if dg == 0:
-            absorb(f2_even_part_root(g), 2 * weight)
-            return
-        w = f2_divmod(g, f2_gcd(g, dg))[0]  # square-free, odd-multiplicity part
-        for block, i in _distinct_degree(w):
-            for p in _equal_degree_split(block, i):
+    factors = []
+    weight, h, i = 1, 2, 1  # h = x^(2^(i-1)) (mod f)
+    while f2_degree(f) >= 2 * i:
+        if f2_derivative(f) == 0:
+            f, weight = f2_even_part_root(f), 2 * weight
+            continue
+        h = f2_mod(f2_mul(h, h), f)
+        g = f2_gcd(f, h ^ 2)
+        if g != 1:
+            for p in _equal_degree_split(g, i):
                 e = 0
-                while f2_mod(g, p) == 0:
-                    g = f2_divmod(g, p)[0]
-                    e += 1
-                factors[p] = factors.get(p, 0) + weight * e
-        absorb(g, weight)
-
-    absorb(f, 1)
-    return sorted(factors.items(), key=lambda kv: (f2_degree(kv[0]), kv[0]))
+                while f2_mod(f, p) == 0:
+                    f, e = f2_divmod(f, p)[0], e + 1
+                factors.append((p, weight * e))
+        i += 1
+    if f2_degree(f) > 0:
+        factors.append((f, weight))
+    return sorted(factors)  # integer order on bits is (degree, bit pattern) order

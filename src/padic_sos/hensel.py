@@ -126,7 +126,6 @@ def _root_tree(coeffs: list[int], switch: int):
                         continue  # r is not a root of g mod 2
                     if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
                         yield _lift(base, g, c, j, r, on_reversal)
-                        return
                     deeper.append((c + (r << j), j + 1, _descend(g, r)))
             level = deeper
     yield None

@@ -478,13 +478,15 @@ def _squarefree_decomposition(f: RatPoly, last: list[int]
 
 
 def squarefree_part(f: RatPoly) -> RatPoly:
-    """Monic product of the distinct irreducible factors of f."""
+    """Monic product of the distinct irreducible factors of f: f over
+    gcd(f, f'), the last term of the remainder sequence of
+    ``_root_counts``."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return RatPoly([1])
-    g = poly_gcd(f, f.derivative())
-    return _monic(tuple(zpoly.divide(f.primitive_part, g.primitive_part)[0]))
+    g = _from_ints(_root_counts(f)[2]).primitive_part
+    return _monic(tuple(zpoly.divide(f.primitive_part, g)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ kept here: ``hull_is_pure``, ``hull_eisenstein_irreducible``,
 the routes in order, recorded a route that raised ``ValueError`` as
 skipped and went on to the next, with GR4 behind NOS; it is kept as
 ``try_and_skip_reduce_auto``.
+
+``f2.f2_factor`` runs one distinct-degree sieve on f itself, with a
+square step, and ``f2.f2_divmod`` cancels the top term of the dividend
+directly.  Their first forms are kept here on their own GF(2)
+arithmetic: ``bitwise_f2_divmod``, which visits every bit of the
+quotient, and ``squarefree_pass_f2_factor``, a recursive square-free
+pass (division by gcd(g, g')) feeding a separate distinct-degree split
+(``distinct_degree``) driven by a modular power (``f2_pow_mod``).
 """
 
 from __future__ import annotations
@@ -585,3 +593,105 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
     note = ALWAYS_SQUARE_NOTE if shifts_all_square else (
         "no certified route applies to this input")
     return InconclusiveReport(note, tuple(trace), first)
+
+
+def bitwise_f2_divmod(a: int, b: int) -> tuple[int, int]:
+    """GF(2) division visiting every bit of the quotient."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    m, n = f2.f2_degree(a), f2.f2_degree(b)
+    if m < n:
+        return 0, a
+    q = 0
+    b <<= m - n
+    for i in range(m - n, -1, -1):
+        if a >> (n + i) & 1:
+            a ^= b
+            q |= 1 << i
+        b >>= 1
+    return q, a
+
+
+def _ref_mod(a: int, b: int) -> int:
+    return bitwise_f2_divmod(a, b)[1]
+
+
+def _ref_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _ref_mod(a, b)
+    return a
+
+
+def f2_pow_mod(a: int, e: int, mod: int) -> int:
+    result = 1
+    a = _ref_mod(a, mod)
+    while e:
+        if e & 1:
+            result = _ref_mod(f2.f2_mul(result, a), mod)
+        a = _ref_mod(f2.f2_mul(a, a), mod)
+        e >>= 1
+    return result
+
+
+def distinct_degree(w: int) -> list[tuple[int, int]]:
+    """Split square-free w into (product-of-factors, common degree) pairs."""
+    out = []
+    h = 2  # the polynomial x
+    i = 1
+    while f2.f2_degree(w) >= 2 * i:
+        h = f2_pow_mod(h, 2, w)  # x^(2^i) mod w
+        g = _ref_gcd(w, h ^ 2)
+        if g != 1:
+            out.append((g, i))
+            w = bitwise_f2_divmod(w, g)[0]
+            h = _ref_mod(h, w)
+        i += 1
+    if f2.f2_degree(w) > 0:
+        out.append((w, f2.f2_degree(w)))
+    return out
+
+
+def _ref_equal_degree_split(g: int, i: int) -> list[int]:
+    """Trace splitting of a square-free product of degree-i irreducibles."""
+    if f2.f2_degree(g) == i:
+        return [g]
+    u = 2
+    while True:
+        trace = 0
+        t = _ref_mod(u, g)
+        for _ in range(i):
+            trace ^= t
+            t = _ref_mod(f2.f2_mul(t, t), g)
+        d = _ref_gcd(g, trace)
+        if 0 < f2.f2_degree(d) < f2.f2_degree(g):
+            rest = bitwise_f2_divmod(g, d)[0]
+            return _ref_equal_degree_split(d, i) + _ref_equal_degree_split(rest, i)
+        u += 1
+
+
+def squarefree_pass_f2_factor(f: int) -> list[tuple[int, int]]:
+    """``f2.f2_factor`` as first written: a recursive square-free pass,
+    then distinct-degree and equal-degree splitting of each part."""
+    if f == 0:
+        raise ValueError("cannot factor the zero polynomial")
+    factors: dict[int, int] = {}
+
+    def absorb(g: int, weight: int) -> None:
+        if f2.f2_degree(g) < 1:
+            return
+        dg = f2.f2_derivative(g)
+        if dg == 0:
+            absorb(f2.f2_even_part_root(g), 2 * weight)
+            return
+        w = bitwise_f2_divmod(g, _ref_gcd(g, dg))[0]  # square-free, odd-multiplicity part
+        for block, i in distinct_degree(w):
+            for p in _ref_equal_degree_split(block, i):
+                e = 0
+                while _ref_mod(g, p) == 0:
+                    g = bitwise_f2_divmod(g, p)[0]
+                    e += 1
+                factors[p] = factors.get(p, 0) + weight * e
+        absorb(g, weight)
+
+    absorb(f, 1)
+    return sorted(factors.items(), key=lambda kv: (f2.f2_degree(kv[0]), kv[0]))

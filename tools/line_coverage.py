@@ -55,9 +55,10 @@ def statements(source: str) -> list[tuple[int, range]]:
     return sorted(out, key=lambda s: s[0])
 
 
-def trace_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under the line tracer; its exit code and the lines
-    run in each module of the package, by file name."""
+def trace_lines(run):
+    """Call ``run()`` under the line tracer, with src on sys.path and
+    the repository as working directory; its result and the lines run
+    in each module of the package, by file name."""
     hits: dict[str, set[int]] = {p.name: set() for p in PACKAGE.glob("*.py")}
     owner: dict[str, set[int] | None] = {}  # code file name -> its hit set
 
@@ -79,16 +80,23 @@ def trace_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
         return local
 
-    import pytest
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(args)
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, hits
+
+
+def trace_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest under the line tracer; its exit code and the lines
+    run in each module of the package, by file name."""
+    import pytest
+    code, hits = trace_lines(lambda: pytest.main(args))
     return int(code), hits
 
 

@@ -5,8 +5,10 @@ its exit code.  The argvs are the benchmark's CLI documents
 reduce and certify corpora at seeds 31 and 32, ``sos4-certify`` on the
 certify corpus at seed 31, ``reduce --method M`` for every method M on
 the reduce corpus at seed 31 (error exits included), and ``alg9-demo``
-at every k and N of the alg9 family.  Each runs in-process through
-``cli.main``.
+at every k and N of the alg9 family, then a fixed argv or two for each
+subcommand those leave out (``positivity``, ``sturm``, ``padic-square``,
+``padic-sqrt``, ``family``) and one JSON-array ``--poly``.  Each runs
+in-process through ``cli.main``.
 
 A change that must not alter any document keeps this test passing.  A
 change that alters documents on purpose regenerates the file, with
@@ -24,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
-from padic_sos.cli import _REDUCE_METHODS, main  # noqa: E402
+from padic_sos.cli import _COMMANDS, _REDUCE_METHODS, main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_documents.json"
 
@@ -44,8 +46,21 @@ def golden_argvs() -> list[list[str]]:
               for item in corpus.corpus("reduce-corpus", 31, 4)]
     argvs += [["alg9-demo", "--k", str(k), "--N", str(n)]
               for k in corpus.ALG9_KS for n in corpus.ALG9_NS]
+    argvs += [["positivity", "--poly", "x^4 - 3*x^2 + 1"],
+              ["positivity", "--poly", "x^4 + 2*x^2 + 1"],
+              ["sturm", "--poly", "x^5 - 5*x^3 + 4*x + 1"],
+              ["padic-square", "--value", "17"],
+              ["padic-square", "--value", "12/7"],
+              ["padic-sqrt", "--value", "68/9", "--precision", "20"],
+              ["family", "--k", "1", "--N", "67"],
+              ["family", "--g", "x^3 - 2*x + 1", "--a", "2"],
+              ["reduce", "--method", "auto", "--poly", '["5", "-1/2", "3"]']]
     seen = set()
     return [a for a in argvs if tuple(a) not in seen and not seen.add(tuple(a))]
+
+
+def test_every_subcommand_has_a_golden_document():
+    assert set(_COMMANDS) <= {argv[0] for argv in golden_argvs()}
 
 
 def run(argv: list[str]) -> tuple[str, int]:

@@ -100,6 +100,6 @@ class Record:
 def replace(obj: Record, /, **changes) -> Record:
     """A new record of ``obj``'s type with the named fields changed, as
     ``dataclasses.replace`` builds it (an unknown name is a TypeError)."""
-    values = {f: getattr(obj, f) for f in obj._fields}
-    values.update(changes)
-    return type(obj)(**values)
+    values = [changes.pop(f) if f in changes else getattr(obj, f) for f in obj._fields]
+    # a name left in ``changes`` is no field: the constructor refuses it
+    return type(obj)(*values, **changes)

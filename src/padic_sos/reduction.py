@@ -35,18 +35,21 @@ the first whose value is not a 2-adic square.  Only a core that is a
 2-adic square at every shift is left undecided.  GR4 runs only when it
 is asked for (``reduce_cyclotomic_power``).
 
-Positivity is tested or proved once per polynomial.  Each public route
-gates its input with one ``PositivityCertificate`` and hands it to a
-private body (``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``,
-...), which takes it as gated.  ``reduce_auto`` runs one remainder
-sequence of (f, f') on its input: the gate (``ratpoly._positivity``)
-reads f's certificate off it, and on a non-square-free f its last
-term, gcd(f, f'), feeds the square-free decomposition.  The core's
-certificate then follows from f > 0 with no test of its own, and
-``reduce_auto`` calls the bodies, the shifted ones (NOS, PICKY) after
-one pass over ``SHIFTS``.  A residual f - h^2 of ALG6, ALGN, ALG9, GR4
-or PICKY is positive by construction, since h^2 is bounded by a
-certified epsilon; its certificate comes from
+Positivity is tested or proved once per polynomial.  ``reduce_auto``
+and every public route prepare their input one way (``_prepare``): one
+remainder sequence of (f, f') gives the gate (``ratpoly._positivity``)
+f's certificate, and on a non-square-free f its last term, gcd(f, f'),
+feeds the square-free decomposition f = square_part^2 * core.  The
+core's certificate then follows from f > 0 with no test of its own.
+Each route checks its own preconditions on the core (degree class,
+integer coefficients, NOS's constant term) and runs its private body
+(``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``, ...)
+there; ``reduce_auto`` runs the shifted ones (NOS, PICKY) after one
+pass over ``SHIFTS``.  ``_transport`` takes every outcome back to the
+input.  So no route refuses a repeated factor, and a constant core
+(f = c * g^2) is ZERO under every route.  A residual f - h^2 of ALG6,
+ALGN, ALG9, GR4 or PICKY is positive by construction, since h^2 is
+bounded by a certified epsilon; its certificate comes from
 ``ratpoly._proved_positive``, which decides only square-freeness.  The
 certificate in hand goes to ``certify_sos4``, which reads it instead of
 testing the same polynomial again, and the residual the route built
@@ -79,7 +82,7 @@ from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
                       _least_exponent, _positivity, _proved_positive,
                       _squarefree_decomposition, discriminant,
                       is_positive_on_reals, primitive_integer_coeffs)
-from .record import Record
+from .record import Record, replace
 from .newton_polygon import pure_slope
 
 METHOD_ZERO = "ZERO"
@@ -99,7 +102,8 @@ REFINE_PRECISION = 64
 class Transform(Record):
     """How a result on the normalized core transports to the input:
     residual(x) * scale^2 = square_part(x)^2 * core_residual(x - shift).
-    """
+    ``reduce_auto`` sets the scale and shift its route ran at;
+    ``_transport`` adds the square part."""
 
     square_part: RatPoly = RatPoly([1])
     scale: Fraction = Fraction(1)
@@ -107,7 +111,7 @@ class Transform(Record):
 
     @property
     def trivial(self) -> bool:
-        return (self.square_part == RatPoly([1]) and self.scale == 1
+        return (self.square_part == Transform.square_part and self.scale == 1
                 and self.shift == 0)
 
 
@@ -140,16 +144,23 @@ class IterateRecord(Record):
 
 
 class NonTermination(Record):
+    """ALG9's iterates on the input's core; ``transform`` takes the core
+    to the input."""
+
     cap: int
     l_init: int
     epsilon: Fraction
     iterates: tuple[IterateRecord, ...]
+    transform: Transform = Transform()
 
 
 class ObstructionReport(Record):
     """The subtraction family provably fails: for the exhibited l the
     difference f - 2^(-2l)(x^2+x+1)^(2k)x^2 is positive yet has a
-    certified simple 2-adic root, so it is not a sum of four squares."""
+    certified simple 2-adic root, so it is not a sum of four squares.
+    f (``input_poly``) is the input's core; ``transform`` takes it to the
+    input, whose family square_part^2 * (f - ...) keeps that root at odd
+    multiplicity."""
 
     input_poly: RatPoly
     ell: int
@@ -160,6 +171,7 @@ class ObstructionReport(Record):
     residual: RatPoly
     certificate: Sos4Certificate
     parametric_disc_value: Fraction
+    transform: Transform = Transform()
 
 
 class InconclusiveReport(Record):
@@ -173,14 +185,49 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _require_squarefree_positive(f: RatPoly) -> PositivityCertificate:
-    """One positivity certificate gates a route: its rank tells
-    square-freeness, its verdict strict positivity.  The private route
-    bodies below it take f as gated."""
-    positivity = is_positive_on_reals(f)
-    _require(positivity.on_squarefree_part, "input must be square-free")
-    _require(positivity.verdict, "input must be positive on R")
-    return positivity
+def _prepare(f: RatPoly) -> tuple[RatPoly, RatPoly, PositivityCertificate]:
+    """The square part, square-free core and core certificate of f =
+    square_part^2 * core, after the one gate that f is strictly positive
+    on R.  A square-free f is its own core; otherwise the gate's
+    gcd(f, f') feeds the square-free decomposition f = unit * prod g_i^i."""
+    if f.is_zero:
+        raise ValueError("input must be strictly positive on R")
+    positivity, last = _positivity(f)
+    if not positivity.verdict:
+        raise ValueError("input must be strictly positive on R")
+    square_part = RatPoly([1])
+    core = f
+    if not positivity.on_squarefree_part:
+        unit, parts = _squarefree_decomposition(f, last)
+        core = RatPoly([unit])
+        for g_i, mult in parts:
+            square_part = square_part * g_i ** (mult // 2)
+            if mult % 2 == 1:
+                core = core * g_i
+        # the core's certificate, proved: it is a product of pairwise
+        # coprime square-free parts, so square-free, with deg core
+        # distinct complex roots; f = square_part^2 * core > 0 leaves
+        # square_part no real root, so core > 0 on R (no real root,
+        # core(0) > 0); and its leading coefficient is lc f > 0, the
+        # g_i being monic
+        positivity = PositivityCertificate(core.degree, 0, 1, 1, True, True)
+    return square_part, core, positivity
+
+
+def _on_core(f: RatPoly, body):
+    """``body(core, positivity)`` run on f's prepared core, its outcome
+    transported to f.  A positive constant core is SOS4, so it gets
+    ``reduce_auto``'s ZERO result whatever the route."""
+    square_part, core, positivity = _prepare(f)
+    return _transport((_auto if core.degree == 0 else body)(core, positivity),
+                      f, square_part)
+
+
+def _integral(core: RatPoly) -> RatPoly:
+    """The core, which NOS, GR4 and PICKY take only with integer
+    coefficients."""
+    _require(core.content.denominator == 1, "integer coefficients required")
+    return core
 
 
 def _finish(method: str, f: RatPoly, h: RatPoly, residual: RatPoly,
@@ -218,9 +265,7 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     """Subtract 2^(-2l) when the leading coefficient has odd 2-adic
     valuation; the loop makes gcd(d, 2l + kd) = 1 so the difference is
     Eisenstein-irreducible of even degree."""
-    _require(not f.is_zero and f.degree >= 2, "need degree >= 2")
-    _require_squarefree_positive(f)
-    return _gcd_route(f, 1)
+    return _on_core(f, lambda core, _: _gcd_route(core, 1))
 
 
 def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
@@ -228,10 +273,10 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     gcd(d, 2l + kd) to 2, leaving a pure diagram whose slope
     denominator 2*d0 is even.  Odd kd delegates to the odd-valuation
     route."""
-    _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
-             "degree must be a positive multiple of 4")
-    _require_squarefree_positive(f)
-    return _gcd_route(f, 2)
+    def body(core, _):
+        _require(core.degree % 4 == 0, "degree must be a positive multiple of 4")
+        return _gcd_route(core, 2)
+    return _on_core(f, body)
 
 
 def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
@@ -278,9 +323,11 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     the per-iterate record instead of looping forever (some inputs
     provably never succeed)."""
     _require(cap >= 0, "cap must be nonnegative")
-    _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
-             "need positive even degree")
-    positivity = _require_squarefree_positive(f)
+    return _on_core(f, lambda core, positivity: _iterative(core, positivity, cap))
+
+
+def _iterative(f: RatPoly, positivity: PositivityCertificate,
+               cap: int) -> ReductionResult | NonTermination:
     first = certify_sos4(f, positivity=positivity)
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first, f,
@@ -321,12 +368,7 @@ def reduce_constant_three_mod_four(f: RatPoly) -> ReductionResult:
     f - (x^(d/2)/2^l + 2^a/N)^2 is positive with Newton diagram exactly
     the segment (0, 2a+1)-(d, -2l) free of interior lattice points,
     hence Eisenstein-irreducible of even degree."""
-    _require(not f.is_zero and f.degree >= 2 and f.degree % 2 == 0,
-             "need positive even degree")
-    _require(f.content.denominator == 1,
-             "integer coefficients required")
-    _require(is_positive_on_reals(f).verdict, "input must be positive on R")
-    return _constant_three_mod_four(f)
+    return _on_core(f, lambda core, _: _constant_three_mod_four(_integral(core)))
 
 
 def _nos_candidates(f: RatPoly, a: int):
@@ -397,12 +439,10 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
     """Degree 4k: subtract 2^(-2l)(x^2+x+1)^(2k).  After scaling by
     2^(2l) the difference reduces mod 2 to (x^2+x+1)^(2k), so every
     2-adic factor has even degree."""
-    _require(not f.is_zero and f.degree % 4 == 0 and f.degree >= 4,
-             "degree must be a positive multiple of 4")
-    _require(f.content.denominator == 1,
-             "integer coefficients required")
-    _require_squarefree_positive(f)
-    return _cyclotomic_power(f)
+    def body(core, _):
+        _require(core.degree % 4 == 0, "degree must be a positive multiple of 4")
+        return _cyclotomic_power(_integral(core))
+    return _on_core(f, body)
 
 
 def _cyclotomic_power(f: RatPoly) -> ReductionResult:
@@ -428,12 +468,10 @@ def reduce_twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     the same family is certifiably NOT a sum of four squares: the
     scaled difference has a simple 2-adic root near 2^(l+a), returned
     as a verified obstruction."""
-    _require(not f.is_zero and f.degree >= 2 and (f.degree - 2) % 4 == 0,
-             "degree must be 2 mod 4 (that is, 2*(2k+1))")
-    _require(f.content.denominator == 1,
-             "integer coefficients required")
-    _require_squarefree_positive(f)
-    return _twice_odd_degree(f)
+    def body(core, _):
+        _require(core.degree % 4 == 2, "degree must be 2 mod 4 (that is, 2*(2k+1))")
+        return _twice_odd_degree(_integral(core))
+    return _on_core(f, body)
 
 
 def _twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
@@ -581,16 +619,24 @@ def _square_clearing_scale(f: RatPoly) -> int:
     return d_out
 
 
-def _transport(result: ReductionResult, f: RatPoly, square_part: RatPoly,
-               scale: int, shift: Fraction, trace: tuple) -> ReductionResult:
-    transform = Transform(square_part, Fraction(scale), shift)
-    h = square_part * result.h.shift(-shift) * Fraction(1, scale)
+def _transport(outcome, f: RatPoly, square_part: RatPoly):
+    """``outcome`` of a route body on f's core taken to f = square_part^2 *
+    core.  The outcome's transform holds the scale and shift the body ran
+    at, and h becomes square_part * h_core(x - shift) / scale.  A
+    NonTermination or ObstructionReport stays on the core and only
+    gains the transform; an InconclusiveReport, or an outcome on f
+    itself, is returned as it is."""
+    if isinstance(outcome, InconclusiveReport) or (
+            square_part.degree == 0 and outcome.transform.trivial):
+        return outcome  # f is its own core, unshifted and unscaled
+    transform = replace(outcome.transform, square_part=square_part)
+    if not isinstance(outcome, ReductionResult):
+        return replace(outcome, transform=transform)
+    shift, scale = transform.shift, transform.scale
+    h = square_part * outcome.h.shift(-shift) * (1 / scale)
     residual = f - h * h
-    core = result.residual
-    assert residual * (scale * scale) == square_part * square_part * core.shift(-shift)
-    return ReductionResult(result.method, f, h, residual, result.certificate,
-                           result.certified_poly, result.parameters,
-                           trace + result.trace, transform)
+    assert residual * scale ** 2 == square_part * square_part * outcome.residual.shift(-shift)
+    return replace(outcome, input_poly=f, h=h, residual=residual, transform=transform)
 
 
 def _is_square_times_three_mod_four(value: Fraction) -> bool:
@@ -612,37 +658,15 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     Raises ValueError for inputs that are not strictly positive on the
     reals.
     """
-    if f.is_zero:
-        raise ValueError("input must be strictly positive on R")
-    positivity, last = _positivity(f)
-    if not positivity.verdict:
-        raise ValueError("input must be strictly positive on R")
-    # a square-free f is its own core; otherwise the gate's gcd(f, f')
-    # feeds the square-free decomposition f = unit * prod g_i^i
-    square_part = RatPoly([1])
-    core = f
-    if not positivity.on_squarefree_part:
-        unit, parts = _squarefree_decomposition(f, last)
-        core = RatPoly([unit])
-        for g_i, mult in parts:
-            square_part = square_part * g_i ** (mult // 2)
-            if mult % 2 == 1:
-                core = core * g_i
-        # the core's certificate, proved: it is a product of pairwise
-        # coprime square-free parts, so square-free, with deg core
-        # distinct complex roots; f = square_part^2 * core > 0 leaves
-        # square_part no real root, so core > 0 on R (no real root,
-        # core(0) > 0); and its leading coefficient is lc f > 0, the
-        # g_i being monic
-        positivity = PositivityCertificate(core.degree, 0, 1, 1, True, True)
+    return _on_core(f, _auto)
+
+
+def _auto(core: RatPoly, positivity: PositivityCertificate
+          ) -> ReductionResult | InconclusiveReport:
     first = certify_sos4(core, positivity=positivity)
-    trace = [("certify", first.verdict)]
+    trace = (("certify", first.verdict),)
     if first.verdict == SOS4:
-        residual = f
-        assert residual == square_part * square_part * core
-        return ReductionResult(METHOD_ZERO, f, RatPoly(), residual, first,
-                               core, {}, tuple(trace),
-                               Transform(square_part, Fraction(1), Fraction(0)))
+        return ReductionResult(METHOD_ZERO, core, RatPoly(), core, first, core, {}, trace)
 
     # a positive constant is SOS4, so the core has even degree >= 2
     scale, shift = 1, Fraction(0)
@@ -661,12 +685,12 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
                 picky_shift = shift
         else:
             if picky_shift is None:
-                return InconclusiveReport(ALWAYS_SQUARE_NOTE, tuple(trace), first)
+                return InconclusiveReport(ALWAYS_SQUARE_NOTE, trace, first)
             route, body, shift = f"picky@shift={picky_shift}", _twice_odd_degree, picky_shift
         # scaling by a square keeps the constant term 4^a(4k+3), which NOS
         # checks, or not a 2-adic square, so PICKY finds no obstruction
         shifted = core.shift(shift)
         scale = _square_clearing_scale(shifted)
         res = body(shifted * (scale * scale))
-    trace.append((route, f"succeeded ({res.method})"))
-    return _transport(res, f, square_part, scale, shift, tuple(trace))
+    return replace(res, trace=trace + ((route, f"succeeded ({res.method})"),) + res.trace,
+                   transform=Transform(scale=Fraction(scale), shift=shift))

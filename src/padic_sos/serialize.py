@@ -278,8 +278,19 @@ def _trace_entry(t):
     return iterate_to_json(t)
 
 
+def _with_transform(out: dict, transform, **polys) -> dict:
+    """``out`` with the outcome's transform to its input, and ``polys``
+    with it, when the transform is not trivial."""
+    if not transform.trivial:
+        out["transform"] = {"square_part": poly_to_json(transform.square_part),
+                            "scale": frac_str(transform.scale),
+                            "shift": frac_str(transform.shift),
+                            **{k: poly_to_json(v) for k, v in polys.items()}}
+    return out
+
+
 def result_to_json(res: ReductionResult) -> dict:
-    out = {
+    return _with_transform({
         "method": res.method,
         "input": poly_to_json(res.input_poly),
         "h": poly_to_json(res.h),
@@ -288,15 +299,7 @@ def result_to_json(res: ReductionResult) -> dict:
         "certificate": certificate_to_json(res.certificate),
         "parameters": _params_to_json(res.parameters),
         "trace": [_trace_entry(t) for t in res.trace],
-    }
-    if not res.transform.trivial:
-        out["transform"] = {
-            "square_part": poly_to_json(res.transform.square_part),
-            "scale": frac_str(res.transform.scale),
-            "shift": frac_str(res.transform.shift),
-            "certified_poly": poly_to_json(res.certified_poly),
-        }
-    return out
+    }, res.transform, certified_poly=res.certified_poly)
 
 
 def iterate_to_json(rec: IterateRecord) -> dict:
@@ -309,16 +312,16 @@ def iterate_to_json(rec: IterateRecord) -> dict:
 
 
 def nontermination_to_json(nt: NonTermination) -> dict:
-    return {
+    return _with_transform({
         "cap": nt.cap,
         "l_init": nt.l_init,
         "epsilon": frac_str(nt.epsilon),
         "iterates": [iterate_to_json(it) for it in nt.iterates],
-    }
+    }, nt.transform)
 
 
 def obstruction_to_json(rep: ObstructionReport) -> dict:
-    return {
+    return _with_transform({
         "obstruction": True,
         "input": poly_to_json(rep.input_poly),
         "l": rep.ell,
@@ -329,7 +332,7 @@ def obstruction_to_json(rep: ObstructionReport) -> dict:
         "residual": poly_to_json(rep.residual),
         "certificate": certificate_to_json(rep.certificate),
         "parametric_disc_value": frac_str(rep.parametric_disc_value),
-    }
+    }, rep.transform)
 
 
 def outcome_to_json(outcome) -> tuple[dict, str]:

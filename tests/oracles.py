@@ -97,6 +97,7 @@ from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  _cyclotomic_power, _gcd_route,
                                  _is_square_times_three_mod_four,
                                  _square_clearing_scale, _transport, _twice_odd_degree)
+from padic_sos.record import replace
 
 
 def primitive_remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
@@ -560,6 +561,12 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
                                core, {}, tuple(trace),
                                Transform(square_part, Fraction(1), Fraction(0)))
 
+    def transport(res, scale, shift):
+        # the route ran on scale^2 * core(x + shift), after the steps so far
+        return _transport(replace(res, trace=tuple(trace) + res.trace,
+                                  transform=Transform(scale=Fraction(scale), shift=shift)),
+                          f, square_part)
+
     def by_shift(route, applies, body):
         for shift in SHIFTS:
             if applies(core(shift)):
@@ -568,7 +575,7 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
                 res = attempt(f"{route}@shift={shift}",
                               lambda: body(shifted * (scale * scale)))
                 if res:
-                    return _transport(res, f, square_part, scale, shift, tuple(trace))
+                    return transport(res, scale, shift)
         return None
 
     res = None
@@ -577,14 +584,14 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
     elif core.degree % 4 == 0 and core.degree >= 4:
         res = attempt("algn", lambda: _gcd_route(core, 2))
     if res:
-        return _transport(res, f, square_part, 1, Fraction(0), tuple(trace))
+        return transport(res, 1, Fraction(0))
     if res := by_shift("nos", _is_square_times_three_mod_four, _constant_three_mod_four):
         return res
     if core.degree % 4 == 0 and core.degree >= 4:
         scale = _square_clearing_scale(core)
         res = attempt("gr4", lambda: _cyclotomic_power(core * (scale * scale)))
         if res:
-            return _transport(res, f, square_part, scale, Fraction(0), tuple(trace))
+            return transport(res, scale, Fraction(0))
     picky = core.degree >= 2 and (core.degree - 2) % 4 == 0
     if picky and (res := by_shift("picky", lambda v: not is_square_in_q2(v),
                                   _twice_odd_degree)):

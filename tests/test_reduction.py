@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
 import oracles
 from padic_sos import zpoly
 from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
@@ -10,7 +13,7 @@ from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2
 from padic_sos.ratpoly import (RatPoly, _least_exponent, discriminant,
-                               is_positive_on_reals, is_squarefree)
+                               is_positive_on_reals, is_squarefree, poly_gcd)
 from padic_sos.reduction import (InconclusiveReport, NonTermination,
                                  ObstructionReport, ReductionResult,
                                  _constant_three_mod_four,
@@ -158,8 +161,8 @@ def test_gr4_reduce():
     assert is_positive_on_reals(g).verdict
     with pytest.raises(ValueError):
         reduce_cyclotomic_power(RatPoly([1, 0, 1]))  # degree 2
-    with pytest.raises(ValueError):
-        reduce_cyclotomic_power((RatPoly([1, 0, 1]) ** 2))  # not square-free
+    # a constant core: (x^2+1)^2 is ZERO, not refused
+    assert reduce_cyclotomic_power((RatPoly([1, 0, 1]) ** 2)).method == "ZERO"
 
 
 def test_gr4_reduce_random_inputs():
@@ -409,20 +412,38 @@ def test_reduce_auto_gates_a_squarefree_core_once(gated, coeffs, method):
     assert gated[0] == f and gated.count(f) == 1
 
 
+def alg9(f):
+    return reduce_iterative(f, cap=3)
+
+
+ROUTES = (reduce_odd_valuation, reduce_multiple_of_four, alg9,
+          reduce_constant_three_mod_four, reduce_cyclotomic_power,
+          reduce_twice_odd_degree)
+
+
 def test_reduce_auto_gates_input_once_and_never_its_core(gated, remainder_pairs):
-    core = RatPoly([3, 0, 1])
-    f = X2P1 ** 2 * core
-    res = reduce_auto(f)
-    # f is gated once, before any route; the core's certificate is
-    # proved from the decomposition, not tested
-    assert gated[0] == f and gated.count(f) == 1
-    assert core not in gated
-    # the gate's gcd(f, f') feeds the decomposition, so no pair of
-    # polynomials runs through the remainder sequence twice
-    assert len(set(remainder_pairs)) == len(remainder_pairs)
-    a = f.primitive_part
-    assert remainder_pairs[0] == (a, tuple(c // 2 for c in zpoly.diff(a)))
-    check_result(f, res)
+    for route, core in ((reduce_auto, RatPoly([3, 0, 1])),
+                        (reduce_odd_valuation, RatPoly([5, 1, 0, 0, 2])),
+                        (reduce_multiple_of_four, RatPoly([3, 1, 0, 0, 4])),
+                        (alg9, RatPoly([3, 1, 0, 0, 4])),
+                        (reduce_constant_three_mod_four, RatPoly([3, 0, 1])),
+                        (reduce_cyclotomic_power, RatPoly([3, 1, 0, 0, 4])),
+                        (reduce_twice_odd_degree, RatPoly([3, 0, 1]))):
+        gated.clear()
+        remainder_pairs.clear()
+        f = X2P1 ** 2 * core
+        res = route(f)
+        # f is gated once, before any route; the core's certificate is
+        # proved from the decomposition, not tested
+        assert gated[0] == f and gated.count(f) == 1, route
+        assert core not in gated
+        # the gate's gcd(f, f') feeds the decomposition, so no pair of
+        # polynomials runs through the remainder sequence twice
+        assert len(set(remainder_pairs)) == len(remainder_pairs)
+        a = f.primitive_part
+        assert remainder_pairs[0] == (a, RatPoly(list(zpoly.diff(a))).primitive_part)
+        check_outcome(f, res)
+        assert res.transform.square_part == X2P1
 
 
 def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):
@@ -433,24 +454,65 @@ def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):
     assert f.reverse() not in gated
 
 
-@pytest.mark.parametrize("route, not_squarefree, not_positive", [
-    (reduce_odd_valuation, X2P1 ** 2, RatPoly([-2, 0, 1])),
-    (reduce_multiple_of_four, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
-    (reduce_iterative, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
-    (reduce_cyclotomic_power, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
-    (reduce_twice_odd_degree, X2P1 ** 2 * RatPoly([3, 0, 1]),
-     RatPoly([-2, 0, 0, 0, 0, 0, 1])),
-])
-def test_routes_gate_on_squarefree_then_positive(route, not_squarefree, not_positive):
-    assert is_positive_on_reals(not_squarefree).verdict
-    assert is_squarefree(not_positive)
-    with pytest.raises(ValueError, match="input must be square-free"):
-        route(not_squarefree)
-    with pytest.raises(ValueError, match="input must be positive on R"):
-        route(not_positive)
-    # neither square-free nor positive: square-freeness is reported first
-    with pytest.raises(ValueError, match="input must be square-free"):
-        route(-not_squarefree)
+def check_outcome(f, outcome):
+    """A result satisfies check_result on f; an obstruction's certificate
+    verifies on its residual."""
+    if isinstance(outcome, ObstructionReport):
+        assert verify_certificate(outcome.residual, outcome.certificate)
+    elif isinstance(outcome, ReductionResult):
+        check_result(f, outcome)
+
+
+def kind(route, f):
+    """The method or outcome type a route gives on f, or its refusal."""
+    try:
+        outcome = route(f)
+    except ValueError as exc:
+        return "refused: " + str(exc), None
+    return getattr(outcome, "method", type(outcome).__name__), outcome
+
+
+@st.composite
+def positive(draw, degrees):
+    """A^2 + B^2 + c, of degree 2m for m in ``degrees``."""
+    m = draw(st.sampled_from(degrees))
+    small = st.integers(-4, 4)
+    a = RatPoly(draw(st.lists(small, min_size=m, max_size=m)) + [draw(st.integers(1, 4))])
+    b = RatPoly(draw(st.lists(small, min_size=m, max_size=m)))
+    return a * a + b * b + RatPoly([draw(st.integers(1, 9))])
+
+
+@st.composite
+def squarefree_positive_and_coprime(draw):
+    """(f, g): f > 0 square-free, times a positive rational, and g
+    non-constant, with no real root and coprime to f; deg g^2 f <= 8."""
+    g = draw(positive([1])) * draw(st.sampled_from([1, -2, F(1, 3)]))
+    f = draw(positive([1, 2])) * draw(st.sampled_from([1, 2, 3, F(1, 3)]))
+    hypothesis.assume(is_squarefree(f) and poly_gcd(f, g).degree == 0)
+    return f, g
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(squarefree_positive_and_coprime())
+def test_routes_run_on_the_core(pair):
+    """A repeated factor is no longer refused: g^2 f and lc(g)^2 f share
+    their core, so every route gives both the same outcome, transported."""
+    f, g = pair
+    core = f * g.leading ** 2
+    for route in (reduce_auto,) + ROUTES:
+        on_input, outcome = kind(route, g * g * f)
+        assert on_input == kind(route, core)[0], route
+        check_outcome(g * g * f, outcome)
+        for not_positive in (-(g * g * f), RatPoly([-1, 1]) ** 2 * f):
+            with pytest.raises(ValueError, match="strictly positive"):
+                route(not_positive)
+
+
+@pytest.mark.parametrize("f", [RatPoly([5]), X2P1 ** 2 * 3, CYC ** 4 * F(1, 7)])
+def test_a_constant_core_is_zero_under_every_route(f):
+    zero = reduce_auto(f)
+    assert zero.method == "ZERO" and zero.h.is_zero and zero.residual == f
+    assert all(route(f) == zero for route in ROUTES)
 
 
 def test_square_clearing_scale_reads_the_content_denominator():

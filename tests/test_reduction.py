@@ -454,6 +454,30 @@ def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):
     assert f.reverse() not in gated
 
 
+@pytest.mark.parametrize("route, not_squarefree, not_positive", [
+    (reduce_odd_valuation, X2P1 ** 2, RatPoly([-2, 0, 1])),
+    (reduce_multiple_of_four, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_iterative, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_cyclotomic_power, X2P1 ** 2, RatPoly([-2, 0, 0, 0, 1])),
+    (reduce_twice_odd_degree, X2P1 ** 2 * RatPoly([3, 0, 1]),
+     RatPoly([-2, 0, 0, 0, 0, 0, 1])),
+])
+def test_routes_gate_on_squarefree_then_positive(route, not_squarefree, not_positive):
+    """The one gate is positivity: a positive input with a repeated factor
+    runs on its square-free core, a non-positive one is refused whether
+    or not it is square-free."""
+    assert is_positive_on_reals(not_squarefree).verdict
+    assert is_squarefree(not_positive)
+    outcome = route(not_squarefree)
+    check_outcome(not_squarefree, outcome)
+    if isinstance(outcome, ReductionResult):
+        assert outcome.transform.square_part == X2P1
+    with pytest.raises(ValueError, match="input must be strictly positive on R"):
+        route(not_positive)
+    with pytest.raises(ValueError, match="input must be strictly positive on R"):
+        route(-not_squarefree)
+
+
 def check_outcome(f, outcome):
     """A result satisfies check_result on f; an obstruction's certificate
     verifies on its residual."""

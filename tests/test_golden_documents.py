@@ -7,8 +7,12 @@ certify corpus at seed 31, ``reduce --method M`` for every method M on
 the reduce corpus at seed 31 (error exits included), and ``alg9-demo``
 at every k and N of the alg9 family, then a fixed argv or two for each
 subcommand those leave out (``positivity``, ``sturm``, ``padic-square``,
-``padic-sqrt``, ``family``) and one JSON-array ``--poly``.  Each runs
-in-process through ``cli.main``.
+``padic-sqrt``, ``family``), one JSON-array ``--poly``, and the
+root-tree and certify paths the corpora miss: ``root-status`` with an
+exact witness on f, one on the square-free part, one on the reversal
+and an inexact one, ``sos4-certify`` on a polynomial that is not
+positive, and ``sos4-certify --witness``.  Each runs in-process through
+``cli.main``.
 
 A change that must not alter any document keeps this test passing.  A
 change that alters documents on purpose regenerates the file, with
@@ -54,7 +58,13 @@ def golden_argvs() -> list[list[str]]:
               ["padic-sqrt", "--value", "68/9", "--precision", "20"],
               ["family", "--k", "1", "--N", "67"],
               ["family", "--g", "x^3 - 2*x + 1", "--a", "2"],
-              ["reduce", "--method", "auto", "--poly", '["5", "-1/2", "3"]']]
+              ["reduce", "--method", "auto", "--poly", '["5", "-1/2", "3"]'],
+              ["root-status", "--poly", "x^3 - 5*x^2 + 7*x - 3"],
+              ["root-status", "--poly", "x^2 - 2*x + 1"],
+              ["root-status", "--poly", "2*x - 1"],
+              ["root-status", "--poly", "x^2 - 17"],
+              ["sos4-certify", "--poly", "x^2 - 2"],
+              ["sos4-certify", "--poly", "x^2 + 7", "--witness", "x:7"]]
     seen = set()
     return [a for a in argvs if tuple(a) not in seen and not seen.add(tuple(a))]
 

@@ -4,10 +4,11 @@ Three capabilities, all exact and all on integer coefficient lists with
 the ``zpoly`` kernel's arithmetic:
 
 * ``hensel_split``: lift a coprime factorization modulo 2 to one
-  modulo 2^m, doubling the precision each round with Bezout cofactors
-  carried along.  No library path calls it: the PICKY route's evidence
-  (``certifier.hensel_split_even_parts``) checks only the hypotheses of
-  Hensel's lemma, so only the tests and perfbench's tracer use it;
+  modulo 2^m by linear lifting, one 2-adic digit per step, each step a
+  solve over the two-element field.  No library path calls it: the
+  PICKY route's evidence (``certifier.hensel_split_even_parts``) checks
+  only the hypotheses of Hensel's lemma, so only the tests and
+  perfbench's tracer use it;
 * ``z2_root_status``: decide whether a rational polynomial has a root
   in the 2-adic field with a root tree (Panayi's algorithm).  A node
   (c, j, g) has g(y) = f(c + 2^j*y) / 2^v primitive and branches only
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 
 from . import zpoly
-from .f2 import f2_from_coeffs, f2_mul, f2_xgcd
+from .f2 import f2_divmod, f2_from_coeffs, f2_mod, f2_mul, f2_xgcd
 from .padic import ord2_int
 from .ratpoly import RatPoly, primitive_integer_coeffs, squarefree_part
 from .record import Record, replace
@@ -226,41 +227,27 @@ def hensel_split(f: RatPoly, g1: int, h1: int, precision: int = 64) -> HenselFac
     g1 and h1 are bit-packed; they must be coprime mod 2 and their
     product must equal the reduction of f.  Raises ValueError when
     either hypothesis fails, or when precision < 1.
+
+    Linear lifting, one 2-adic digit per step: with scale*f = g*h mod
+    2^k, the digit e = (scale*f - g*h) / 2^k mod 2 is solved as h1*dg +
+    g1*dh = e mod 2 by dg = t*e mod g1 (s*g1 + t*h1 = 1), so deg dg <
+    deg g1 keeps g monic, and then g1 divides e - h1*dg exactly.  Adding
+    2^k*dg and 2^k*dh makes the factors exact mod 2^(k+1) with every
+    coefficient in [0, 2^(k+1)).  By Hensel's lemma this lift is unique.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
     coeffs, scale = _odd_cleared_scaled(f)
-    fbits = f2_from_coeffs(coeffs)
-    if f2_mul(g1, h1) != fbits:
+    if f2_mul(g1, h1) != f2_from_coeffs(coeffs):
         raise ValueError("reduction of f does not equal g1*h1 mod 2")
-    d, s, t = f2_xgcd(g1, h1)
+    d, _, t = f2_xgcd(g1, h1)
     if d != 1:
         raise ValueError("g1 and h1 are not coprime mod 2")
-
-    g = _bits_to_poly(g1)
-    h = _bits_to_poly(h1)
-    a = _bits_to_poly(s)  # a*g + b*h = 1 mod 2
-    b = _bits_to_poly(t)
-    k = 1
-    while k < precision:
-        k = 2 * k
-        m = 1 << k
-        e = zpoly.mod(zpoly.sub(coeffs, zpoly.mul(g, h)), m)
-        _, dg = zpoly.divide(zpoly.mul(b, e), g, m)
-        dh, rem = zpoly.divide(zpoly.sub(e, zpoly.mul(h, dg)), g, m)
-        if rem:
-            raise ArithmeticError("lifting step left a nonzero remainder")
-        g = zpoly.mod(zpoly.add(g, dg), m)
-        h = zpoly.mod(zpoly.add(h, dh), m)
-        # refresh the Bezout identity at the doubled precision:
-        # a' = a - a*err + q2*h, b' = b + r2 with -b*err = q2*g + r2
-        err = zpoly.mod(zpoly.sub(zpoly.add(zpoly.mul(a, g), zpoly.mul(b, h)), [1]), m)
-        q2, r2 = zpoly.divide(zpoly.mul([-c for c in b], err), g, m)
-        a = zpoly.mod(zpoly.add(zpoly.sub(a, zpoly.mul(a, err)), zpoly.mul(q2, h)), m)
-        b = zpoly.mod(zpoly.add(b, r2), m)
-    modulus = 1 << precision
-    g = zpoly.mod(g, modulus)
-    h = zpoly.mod(h, modulus)
-    if zpoly.mod(zpoly.sub(coeffs, zpoly.mul(g, h)), modulus):
-        raise ArithmeticError("lifted factors do not multiply back to f")
-    return HenselFactors(tuple(g), tuple(h), modulus, precision, scale)
+    g, h = _bits_to_poly(g1), _bits_to_poly(h1)
+    for k in range(1, precision):
+        e = f2_from_coeffs([c >> k for c in zpoly.sub(coeffs, zpoly.mul(g, h))])
+        dg = f2_mod(f2_mul(t, e), g1)
+        dh = f2_divmod(e ^ f2_mul(h1, dg), g1)[0]
+        g = zpoly.add(g, _bits_to_poly(dg), 1, 1 << k)
+        h = zpoly.add(h, _bits_to_poly(dh), 1, 1 << k)
+    return HenselFactors(tuple(g), tuple(h), 1 << precision, precision, scale)

@@ -14,7 +14,9 @@ on integers with one content gcd per result.  The integer arithmetic
 on P (products, sums, derivatives, Taylor shifts and the exact
 quotients of the square-free decomposition) is the ``zpoly`` kernel's.
 The Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``,
-``hash``) is built on first use and cached.
+``hash``) is built on first use and cached.  ``RatPoly`` is a ring
+without division: no library path divides two rational polynomials,
+and the quotients the module needs are exact ones of primitive parts.
 
 Root counting, square-freeness, gcds, Sturm counts and resultants run
 on one fraction-free kernel: a Sturm-signed subresultant sequence of
@@ -239,36 +241,6 @@ class RatPoly:
                 break
             base = zpoly.mul(base, base)
         return _model(self._c ** n, tuple(result))
-
-    def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if not isinstance(other, RatPoly) or other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        a, b = self._p, other._p
-        steps = len(a) - len(b) + 1
-        if steps <= 0:
-            return RatPoly(), self
-        # pseudo-division on the primitive parts: lb^steps * a = q*b + r
-        n, lb = len(b), b[-1]
-        r, q = list(a), [0] * steps
-        for k in range(steps - 1, -1, -1):
-            c = r.pop()
-            if lb != 1:
-                r = [lb * x for x in r]
-                q = [lb * x for x in q]
-            q[k] = c
-            if c:
-                for i in range(n - 1):
-                    r[k + i] -= c * b[i]
-        c1, c2, scale = self._c, other._c, lb ** steps
-        return (_from_ints(q, c1.numerator * c2.denominator,
-                           c1.denominator * c2.numerator * scale),
-                _from_ints(r, c1.numerator, c1.denominator * scale))
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)

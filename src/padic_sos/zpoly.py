@@ -6,8 +6,10 @@ and ``hensel`` and ``padic`` lift 2-adic roots with ``lift_root``, the
 package's one Newton loop.  A polynomial is a list ``a`` with ``a[i]``
 the coefficient of x^i; results carry no trailing zero, and the zero
 polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
-m is ordinary integer arithmetic followed by ``mod``.  The module
-imports nothing from the package, so any module can use it.
+m is ordinary integer arithmetic followed by ``mod``.  ``divide`` is
+division over Z only: by a monic divisor, or by an exact divisor as in
+``ratpoly``'s square-free quotients.  The module imports nothing from
+the package, so any module can use it.
 """
 
 from __future__ import annotations
@@ -103,26 +105,20 @@ def taylor_shift(a: Poly, r: int) -> list[int]:
     return h
 
 
-def divide(a: Poly, b: Poly, m: int = 0) -> tuple[list[int], list[int]]:
+def divide(a: Poly, b: Poly) -> tuple[list[int], list[int]]:
     """(q, r) with a = q*b + r and deg r < deg b, for a nonzero b whose
     leading coefficient divides the top coefficient at every step: b
-    monic, or b dividing a exactly over Z (then r is empty).  With a
-    modulus m and b monic, each quotient digit is taken mod m, so
-    a = q*b + r (mod m) with q and r reduced into [0, m)."""
+    monic, or b dividing a exactly over Z (then r is empty)."""
     n, lb = len(b), b[-1]
     r = list(a)
     q = [0] * max(len(a) - n + 1, 0)
     for k in range(len(a) - n, -1, -1):
         c = r[k + n - 1] // lb
-        if m:
-            c %= m
         if c:
             q[k] = c
             for i in range(n):
                 r[k + i] -= c * b[i]
     del r[n - 1:]
-    if m:
-        return mod(q, m), mod(r, m)
     return trim(q), trim(r)
 
 

@@ -7,7 +7,8 @@ slower paths it replaced, kept here as oracles:
 
 * the primitive remainder sequence, which divides every term by its
   content, with the root counts and the monic gcd read off it;
-* the Sturm chain over Fractions (``RatPoly.__mod__``);
+* the Sturm chain over Fractions, on the oracle's own long division
+  (``fraction_divmod``), since ``RatPoly`` has no division;
 * the Sylvester matrix with a Fraction elimination determinant and a
   cofactor expansion.
 
@@ -194,22 +195,40 @@ def yun_squarefree_decomposition(f: RatPoly) -> tuple[Fraction, list[tuple[RatPo
     return unit, parts
 
 
+def fraction_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """(q, r) with a = q*b + r and deg r < deg b, by Fraction long
+    division of ascending coefficient sequences, b with a nonzero top
+    coefficient; q and r carry no trailing zero."""
+    r, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r.pop() / b[-1]
+        for i in range(len(b) - 1):
+            r[k + i] -= c * b[i]
+    while q and not q[-1]:
+        q.pop()
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def sturm_chain_count(f: RatPoly) -> int:
     """Real roots of a square-free f by Sturm sign variations at -infinity
-    and +infinity, with the chain and its square-free check on Fractions."""
+    and +infinity, with the chain and its square-free check on Fraction
+    coefficient lists (``fraction_divmod``)."""
     if f.is_zero:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return 0
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
+    chain = [list(f.coeffs), [i * c for i, c in enumerate(f.coeffs)][1:]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in fraction_divmod(chain[-2], chain[-1])[1]])
+    if not chain[-1]:
         chain.pop()
-    if chain[-1].degree > 0:
+    if len(chain[-1]) > 1:
         raise ValueError("Sturm count requires square-free input")
-    at_pos = [1 if p.leading > 0 else -1 for p in chain]
-    at_neg = [s if p.degree % 2 == 0 else -s for s, p in zip(at_pos, chain)]
+    at_pos = [1 if p[-1] > 0 else -1 for p in chain]
+    at_neg = [s if len(p) % 2 == 1 else -s for s, p in zip(at_pos, chain)]
     return variations(at_neg) - variations(at_pos)
 
 

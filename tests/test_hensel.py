@@ -3,6 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from padic_sos import zpoly
 
 from padic_sos.f2 import (f2_degree, f2_divmod, f2_factor, f2_from_coeffs,
                           f2_mod, f2_mul, f2_to_str, f2_xgcd)
@@ -112,6 +116,45 @@ def test_hensel_split_with_odd_denominators():
     res = hensel_split(f, 0b10, 0b11, 8)
     assert res.scale == 5
     assert_split(f, 0b10, 0b11, res)
+
+
+@st.composite
+def coprime_splits(draw):
+    """(f, g1, h1): f with odd-denominator coefficients, and the image of
+    scale*f mod 2 split into coprime g1*h1 by sending each irreducible
+    power of its factorization to one side."""
+    nums = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=9))
+    dens = st.sampled_from([1, 1, 3, 5, 7, 9, 15])
+    f = RatPoly([F(n, draw(dens)) for n in nums])
+    image = f2_from_coeffs([f.content.numerator * c for c in f.primitive_part])
+    assume(image)
+    g1 = h1 = 1
+    for p, mult in f2_factor(image):
+        power = 1
+        for _ in range(mult):
+            power = f2_mul(power, p)
+        if draw(st.booleans()):
+            g1 = f2_mul(g1, power)
+        else:
+            h1 = f2_mul(h1, power)
+    return f, g1, h1
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_splits(), st.integers(1, 64), st.integers(1, 64))
+def test_hensel_split_lifts_agree_across_precisions(split, k, big_k):
+    """The lift at K is monic with the right images, has coefficients in
+    [0, 2^K) and multiplies back to scale*f mod 2^K; reduced mod 2^k for
+    k <= K it is the lift at k."""
+    f, g1, h1 = split
+    k, big_k = min(k, big_k), max(k, big_k)
+    low, high = hensel_split(f, g1, h1, k), hensel_split(f, g1, h1, big_k)
+    assert high.g[-1] == 1
+    assert (f2_from_coeffs(high.g), f2_from_coeffs(high.h)) == (g1, h1)
+    assert all(0 <= c < high.modulus for c in high.g + high.h)
+    scaled = [int(c * high.scale) for c in f.coeffs]
+    assert zpoly.mod(zpoly.sub(scaled, zpoly.mul(high.g, high.h)), high.modulus) == []
+    assert (zpoly.mod(high.g, 1 << k), zpoly.mod(high.h, 1 << k)) == (list(low.g), list(low.h))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Differential tests of the content x primitive-part ``RatPoly``.
 
 The oracle is the Fraction-tuple class it replaced (``FracPoly``, kept
-here verbatim apart from its name and docstring) with its
+here verbatim apart from its name, its docstring and its division
+operators, which ``RatPoly`` no longer has) with its
 ``primitive_integer_coeffs``.
 On hypothesis-drawn rational polynomials, with zero, trailing-zero,
 negative and large-denominator inputs, every operation must give the
@@ -173,31 +174,6 @@ class FracPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "FracPoly") -> tuple["FracPoly", "FracPoly"]:
-        if not isinstance(other, FracPoly) or other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self._coeffs) - len(other._coeffs) + 1, 1)
-        rem = list(self._coeffs)
-        d, lc = other.degree, other.leading
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            factor = rem[-1] / lc
-            q[k] = factor
-            for i, c in enumerate(other._coeffs):
-                rem[k + i] -= factor * c
-            rem.pop()
-        return FracPoly(q), FracPoly(rem)
-
-    def __floordiv__(self, other: "FracPoly") -> "FracPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "FracPoly") -> "FracPoly":
-        return divmod(self, other)[1]
-
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
 
@@ -327,22 +303,6 @@ def test_scalar_operations_match_the_oracle(a, q):
 def test_powers_match_the_oracle(a, n):
     f, ref = both(a)
     agree(f ** n, ref ** n)
-
-
-@SETTINGS
-@given(COEFFS, COEFFS)
-def test_division_matches_the_oracle(a, b):
-    (f, fr), (g, gr) = both(a), both(b)
-    if g.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divmod(f, g)
-        return
-    q, r = divmod(f, g)
-    qr, rr = divmod(fr, gr)
-    agree(q, qr)
-    agree(r, rr)
-    agree(f // g, fr // gr)
-    agree(f % g, fr % gr)
 
 
 @SETTINGS

@@ -2,9 +2,8 @@
 
 The oracle is sympy's ``Poly`` over ZZ: on hypothesis-drawn ascending
 integer lists every ``zpoly`` function must give the coefficients
-sympy gives, and ``coprime_mod`` the gcd sympy takes over F_p.
-Division by a monic divisor modulo 2^k is checked through its defining
-identity, and the ALG6 / ALGN gcd loop of ``reduction`` by brute force
+sympy gives, and ``coprime_mod`` the gcd sympy takes over F_p.  The
+ALG6 / ALGN gcd loop of ``reduction`` is checked by brute force
 against its termination guard.
 """
 
@@ -60,17 +59,6 @@ def test_exact_division_matches_exquo(q, b):
     quotient = from_sympy(to_sympy(a).exquo(to_sympy(b)))
     assert quotient == q
     assert zpoly.divide(a, b) == (quotient, [])
-
-
-@settings(max_examples=200, deadline=None)
-@given(polys, st.lists(ints, max_size=6), st.integers(1, 80))
-def test_monic_division_mod_power_of_two(a, low, k):
-    m = 1 << k
-    g = low + [1]
-    q, r = zpoly.divide(a, g, m)
-    assert len(r) < len(g)
-    assert all(0 <= c < m for c in q + r)
-    assert zpoly.mod(zpoly.sub(a, zpoly.add(zpoly.mul(q, g), r)), m) == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -355,10 +355,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may start with "-" (-12/7, -x^2+7), which argparse
+# would read as an option; main joins such a value to its flag with "="
+_SIGNED_VALUE_FLAGS = ("--poly", "--value", "--witness", "--g")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    joined: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if (joined and joined[-1] in _SIGNED_VALUE_FLAGS
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

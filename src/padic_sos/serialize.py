@@ -120,12 +120,14 @@ def poly_from_json(data) -> RatPoly:
 
 
 _TERM = re.compile(
-    r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?P<star>\*)?(?P<var>x)?(?:\^(?P<exp>[0-9]+))?$")
+    r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?:(?<=[0-9])\*(?=x))?(?P<var>x)?(?:\^(?P<exp>[0-9]+))?$")
 
 
 def parse_poly(text: str) -> RatPoly:
     """Parse either a JSON coefficient array or a human form such as
-    "4/4225*x^2 + 1/4225*x + 4/4225"."""
+    "4/4225*x^2 + 1/4225*x + 4/4225".  In the human form every sign is
+    followed by a term, and a ``*`` stands only between a coefficient
+    and x; anything else is a ``PolyParseError`` at its position."""
     text = text.strip()
     if not text:
         raise PolyParseError("empty polynomial")
@@ -145,7 +147,7 @@ def parse_poly(text: str) -> RatPoly:
     if compact[:1] in "+-":
         sign = -1 if compact[0] == "-" else 1
         pos = 1
-    while pos < len(compact):
+    while True:  # every sign is followed by a term, the last one too
         end = pos
         while end < len(compact) and compact[end] not in "+-":
             end += 1
@@ -175,8 +177,6 @@ def parse_poly(text: str) -> RatPoly:
             break
         sign = -1 if compact[end] == "-" else 1
         pos = end + 1
-    if not coeffs:
-        raise PolyParseError("no terms found")
     size = max(coeffs) + 1
     return _bounded_poly([coeffs.get(i, Fraction(0)) for i in range(size)])
 

@@ -50,6 +50,18 @@ def test_parse_poly_errors():
         parse_poly('["1", "1/0"]')
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x+", 2), ("x^2 -", 4), ("2*", 0), ("*x", 0), ("+", 1), ("2*x*", 0)])
+def test_parse_poly_refuses_a_dangling_operator(capsys, text, position):
+    """A trailing sign, or a ``*`` without a coefficient before it and x
+    after it, is a parse error at its position (on the text without
+    spaces), and the CLI exits 1."""
+    with pytest.raises(PolyParseError, match=f"at position {position}$"):
+        parse_poly(text)
+    code, out, err = run_cli(capsys, "positivity", "--poly", text)
+    assert code == 1 and not out and f"at position {position}" in err
+
+
 def test_parse_poly_exponent_cap(capsys):
     assert parse_poly(f"x^{MAX_EXPONENT} + 1").degree == MAX_EXPONENT
     assert parse_poly("x^00002") == RatPoly([0, 0, 1])
@@ -336,6 +348,32 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "constant term" in err
     code, _, _ = run_cli(capsys, "reduce", "--method", "bogus", "--poly", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["padic-square", "--value", "-12/7"],
+    ["padic-sqrt", "--value", "-7", "--precision", "8"],
+    ["sos4-certify", "--poly", "-x^2+7"],
+    ["root-status", "--poly", "-x^3+2"],
+    ["sos4-certify", "--poly", "x^2+7", "--witness", "-x:7"],
+    ["family", "--g", "-x^3+2*x-1"],
+    ["family", "--g", "-x^2+1"],
+    ["positivity", "--poly", "-x^2 +"],
+])
+def test_a_value_starting_with_a_minus_sign_reads_as_with_equals(capsys, argv):
+    """``--flag -value`` gives the stdout and exit code of ``--flag=-value``
+    for --poly, --value, --witness and --g."""
+    flag = next(i for i, a in enumerate(argv) if a in ("--poly", "--value", "--witness", "--g")
+                and argv[i + 1].startswith("-"))
+    joined = argv[:flag] + [f"{argv[flag]}={argv[flag + 1]}"] + argv[flag + 2:]
+    spaced = run_cli(capsys, *argv)
+    assert "expected one argument" not in spaced[2]
+    assert spaced[:2] == run_cli(capsys, *joined)[:2]
+
+
+def test_a_flag_after_a_value_flag_is_not_its_value(capsys):
+    code, _, err = run_cli(capsys, "padic-square", "--value", "--out", "x")
+    assert code == 1 and "argument --value: expected one argument" in err
 
 
 # each subcommand's options besides -h, as its --help lists them

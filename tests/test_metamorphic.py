@@ -1,4 +1,4 @@
-"""Metamorphic soundness properties of ``certify_sos4``.
+"""Metamorphic soundness properties of ``certify_sos4`` and ``reduce_auto``.
 
 By Pourchet's criterion, whether f is a sum of four squares depends only
 on the odd-degree Q_2-irreducible factors of odd multiplicity of f.  So a
@@ -11,6 +11,11 @@ and a product of two SOS4 polynomials is SOS4 (Euler's four-square
 identity holds in any commutative ring).  Two conclusive verdicts on an
 orbit must agree, and every conclusive certificate must re-verify.
 INCONCLUSIVE is always allowed.
+
+A ``ReductionResult`` of ``reduce_auto`` writes f = h^2 + r with r a
+certified sum of four squares, so r(a*x + b) is one too, and
+``reduce_auto`` must also run on f(a*x + b) and return a reduction that
+holds there.
 """
 
 from fractions import Fraction as F
@@ -23,6 +28,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,  # noqa: E402
                                  certify_sos4, verify_certificate)
 from padic_sos.ratpoly import RatPoly  # noqa: E402
+from padic_sos.reduction import ReductionResult, reduce_auto  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None)
 SMALL = st.integers(-5, 5)
@@ -95,3 +101,21 @@ def test_verdict_invariant_under_square_factor(f, g):
 def test_product_of_sos4_is_never_refuted(f1, f2):
     if conclusive(f1) == SOS4 and conclusive(f2) == SOS4:
         assert conclusive(f1 * f2) != NOT_SOS4, (f1, f2)
+
+
+@SETTINGS
+@hypothesis.given(positive(), NONZERO_RATIONAL, st.builds(F, SMALL, st.integers(1, 4)))
+def test_reduce_auto_under_affine_change_of_variables(f, a, b):
+    """The residual r of f's reduction stays a sum of four squares under
+    x -> a*x + b, and reduce_auto(f(a*x + b)) returns without raising; a
+    ReductionResult it returns has f(a*x + b) - h^2 = residual and a
+    certificate that verifies."""
+    res = reduce_auto(f)
+    if isinstance(res, ReductionResult):
+        assert conclusive(affine(res.residual, a, b)) != NOT_SOS4, (f, a, b)
+    g = affine(f, a, b)
+    moved = reduce_auto(g)
+    if isinstance(moved, ReductionResult):
+        assert g - moved.h * moved.h == moved.residual
+        assert moved.certificate.verdict == SOS4
+        assert verify_certificate(moved.certified_poly, moved.certificate)

@@ -224,9 +224,10 @@ def hensel_split(f: RatPoly, g1: int, h1: int, precision: int = 64) -> HenselFac
     """Lift the factorization [f] = g1*h1 over the two-element field to
     scale*f = g*h mod 2^precision with g monic, [g] = g1, [h] = h1.
 
-    g1 and h1 are bit-packed; they must be coprime mod 2 and their
-    product must equal the reduction of f.  Raises ValueError when
-    either hypothesis fails, or when precision < 1.
+    g1 and h1 are bit-packed; g1 must be nonzero (the image of a monic
+    g), they must be coprime mod 2 and their product must equal the
+    reduction of f.  Raises ValueError when a hypothesis fails, or when
+    precision < 1.
 
     Linear lifting, one 2-adic digit per step: with scale*f = g*h mod
     2^k, the digit e = (scale*f - g*h) / 2^k mod 2 is solved as h1*dg +
@@ -237,6 +238,8 @@ def hensel_split(f: RatPoly, g1: int, h1: int, precision: int = 64) -> HenselFac
     """
     if precision < 1:
         raise ValueError("precision must be positive")
+    if not g1:
+        raise ValueError("g1 is zero, so no monic g reduces to it")
     coeffs, scale = _odd_cleared_scaled(f)
     if f2_mul(g1, h1) != f2_from_coeffs(coeffs):
         raise ValueError("reduction of f does not equal g1*h1 mod 2")

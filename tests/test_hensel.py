@@ -105,6 +105,9 @@ def test_hensel_split_rejects_bad_inputs():
         hensel_split(RatPoly([6, 1, 1]), 0b10, 0b10, 8)  # not coprime
     with pytest.raises(ValueError):
         hensel_split(RatPoly([1, 1, 1]), 0b10, 0b11, 8)  # product mismatch
+    for precision in (1, 8):  # 2x + 2 = 0 * 1 mod 2, but no monic g has image 0
+        with pytest.raises(ValueError, match="g1 is zero"):
+            hensel_split(RatPoly([2, 2]), 0, 1, precision)
     f = RatPoly([6, 1, 1])
     assert_split(f, 0b10, 0b11, hensel_split(f, 0b10, 0b11, 1))
     with pytest.raises(ValueError, match="precision must be positive"):

@@ -363,9 +363,8 @@ def test_error_exit_codes(capsys):
 def test_a_value_starting_with_a_minus_sign_reads_as_with_equals(capsys, argv):
     """``--flag -value`` gives the stdout and exit code of ``--flag=-value``
     for --poly, --value, --witness and --g."""
-    flag = next(i for i, a in enumerate(argv) if a in ("--poly", "--value", "--witness", "--g")
-                and argv[i + 1].startswith("-"))
-    joined = argv[:flag] + [f"{argv[flag]}={argv[flag + 1]}"] + argv[flag + 2:]
+    i = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[:2] != "--")
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
     spaced = run_cli(capsys, *argv)
     assert "expected one argument" not in spaced[2]
     assert spaced[:2] == run_cli(capsys, *joined)[:2]

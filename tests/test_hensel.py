@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_sos import zpoly
-
 from padic_sos.f2 import (f2_degree, f2_divmod, f2_factor, f2_from_coeffs,
                           f2_mod, f2_mul, f2_to_str, f2_xgcd)
 from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, hensel_split,

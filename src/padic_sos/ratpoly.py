@@ -13,10 +13,11 @@ powers need no gcd; sums, derivatives, Taylor shifts and evaluation run
 on integers with one content gcd per result.  The integer arithmetic
 on P (products, sums, derivatives, Taylor shifts and the exact
 quotients of the square-free decomposition) is the ``zpoly`` kernel's.
-The Fraction coefficient tuple (``coeffs``, ``f[i]``, ``str``,
-``hash``) is built on first use and cached.  ``RatPoly`` is a ring
-without division: no library path divides two rational polynomials,
-and the quotients the module needs are exact ones of primitive parts.
+The Fraction coefficients (``coeffs``, ``f[i]``, ``str``, ``hash``)
+are read off (c, P) on each use; no second copy is kept.  ``RatPoly``
+is a ring without division: no library path divides two rational
+polynomials, and the quotients the module needs are exact ones of
+primitive parts.
 
 Root counting, square-freeness, gcds, Sturm counts and resultants run
 on one fraction-free kernel: a Sturm-signed subresultant sequence of
@@ -69,24 +70,13 @@ class RatPoly:
     """Dense univariate polynomial with exact rational coefficients,
     stored as content times primitive part (see the module docstring)."""
 
-    __slots__ = ("_c", "_p", "_fr")
+    __slots__ = ("_c", "_p")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._fr = tuple(cs)
-        if not cs:
-            self._c, self._p = _ZERO, ()
-            return
-        # the content of reduced fractions is gcd(numerators) /
-        # lcm(denominators): a prime of the gcd divides no denominator
-        g = math.gcd(*(c.numerator for c in cs))
-        if cs[-1] < 0:
-            g = -g
         lcm = math.lcm(*(c.denominator for c in cs))
-        self._c = Fraction(g, lcm)
-        self._p = tuple(c.numerator // g * (lcm // c.denominator) for c in cs)
+        f = _from_ints([c.numerator * (lcm // c.denominator) for c in cs], 1, lcm)
+        self._c, self._p = f._c, f._p
 
     @classmethod
     def constant(cls, c) -> "RatPoly":
@@ -109,13 +99,9 @@ class RatPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Ascending reduced Fraction coefficients, built from the model
-        on first use and cached."""
-        fr = self._fr
-        if fr is None:
-            n, d = self._c.numerator, self._c.denominator
-            fr = self._fr = tuple(Fraction(n * x, d) for x in self._p)
-        return fr
+        """Ascending reduced Fraction coefficients, read off the model."""
+        n, d = self._c.numerator, self._c.denominator
+        return tuple(Fraction(n * x, d) for x in self._p)
 
     @property
     def degree(self) -> int:
@@ -134,8 +120,6 @@ class RatPoly:
 
     def __getitem__(self, i: int) -> Fraction:
         if 0 <= i < len(self._p):
-            if self._fr is not None:
-                return self._fr[i]
             return self._c * self._p[i]
         return _ZERO
 
@@ -228,19 +212,10 @@ class RatPoly:
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n == 0:
-            return RatPoly([1])
-        if not self._p:
-            return self
-        result, base, k = None, self._p, n
-        while True:
-            if k & 1:
-                result = base if result is None else zpoly.mul(result, base)
-            k >>= 1
-            if not k:
-                break
-            base = zpoly.mul(base, base)
-        return _model(self._c ** n, tuple(result))
+        if n <= 1:
+            return self if n else RatPoly([1])
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
@@ -293,7 +268,7 @@ class RatPoly:
 def _model(c: Fraction, p: tuple[int, ...]) -> RatPoly:
     """The polynomial c*P for a P already in model form."""
     f = object.__new__(RatPoly)
-    f._c, f._p, f._fr = c, p, None
+    f._c, f._p = c, p
     return f
 
 
@@ -302,7 +277,7 @@ def _from_ints(ints: list[int], num: int = 1, den: int = 1) -> RatPoly:
     zeros are stripped and the signed content moves into c."""
     zpoly.trim(ints)
     if not ints:
-        return RatPoly()
+        return _model(_ZERO, ())
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g

@@ -1,15 +1,17 @@
 """Frozen value records without generated code.
 
-A ``Record`` subclass behaves as the same class under
-``@dataclass(frozen=True)`` did: positional and keyword construction
-with class-level defaults, the same ``TypeError`` messages for a
-missing, unknown or duplicated argument, equality only between
-instances of one type, a hash of the field tuple, the dataclass
-``repr``, and ``AttributeError`` on assignment or deletion.  The fields
-are the names annotated in the class body, in order, after those of a
-record base; unannotated class attributes (``kind`` tags) and
-properties are not fields.  A field left at its default is not copied
-into the instance: reading it finds the class attribute.
+A ``Record`` subclass keeps what the library used of
+``@dataclass(frozen=True)``: positional and keyword construction with
+class-level defaults, equality only between instances of one type, a
+hash of the field tuple, the dataclass ``repr``, ``replace``,
+``AttributeError`` on assignment or deletion, and the class-definition
+check for a default before a required field.  A call that does not
+bind each field at most once and every required field is one
+``TypeError`` naming the class and its fields.  The fields are the
+names annotated in the class body, in order, after those of a record
+base; unannotated class attributes (``kind`` tags) and properties are
+not fields.  A field left at its default is not copied into the
+instance: reading it finds the class attribute.
 
 One generic set of methods serves every class.  A dataclass compiles
 six functions per class when its module loads, and ``import
@@ -45,35 +47,17 @@ class Record:
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
         """All field values in order from a call with keywords or a
-        wrong number of positional values, checked as Python checks a
-        call to the dataclass's generated ``__init__`` (same messages,
-        in the same order)."""
-        fields, required = cls._fields, cls._required
-        for name in kwargs:
-            if name not in fields:
-                raise cls._call_error(f"got an unexpected keyword argument {name!r}")
-            if name in fields[:len(args)]:
-                raise cls._call_error(f"got multiple values for argument {name!r}")
-        if len(args) > len(fields):
-            takes = len(fields) + 1  # counting self
-            if required < len(fields):
-                takes = f"from {required + 1} to {takes}"
-            s = "s" if required < len(fields) or takes != 1 else ""
-            raise cls._call_error(f"takes {takes} positional argument{s} "
-                                  f"but {len(args) + 1} were given")
+        wrong number of positional values."""
+        fields = cls._fields
         values = dict(zip(fields, args), **kwargs)
-        missing = [repr(f) for f in fields[:required] if f not in values]
-        if missing:
-            names = (" and ".join(missing) if len(missing) < 3
-                     else ", ".join(missing[:-1]) + ", and " + missing[-1])
-            s = "s" if len(missing) > 1 else ""
-            raise cls._call_error(f"missing {len(missing)} required positional "
-                                  f"argument{s}: {names}")
+        # fewer values than arguments: a positional value past the last
+        # field, or a keyword that repeats a positional one
+        if (len(values) < len(args) + len(kwargs)
+                or any(name not in fields for name in kwargs)
+                or any(f not in values for f in fields[:cls._required])):
+            raise TypeError(f"{cls.__qualname__} takes the fields ({', '.join(fields)}), "
+                            f"each at most once, the first {cls._required} required")
         return [values[f] if f in values else getattr(cls, f) for f in fields]
-
-    @classmethod
-    def _call_error(cls, message: str) -> TypeError:
-        return TypeError(f"{cls.__qualname__}.__init__() {message}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -127,7 +127,9 @@ def parse_poly(text: str) -> RatPoly:
     """Parse either a JSON coefficient array or a human form such as
     "4/4225*x^2 + 1/4225*x + 4/4225".  In the human form every sign is
     followed by a term, and a ``*`` stands only between a coefficient
-    and x; anything else is a ``PolyParseError`` at its position."""
+    and x; anything else is a ``PolyParseError`` at its position in
+    ``text``."""
+    lead = len(text) - len(text.lstrip())
     text = text.strip()
     if not text:
         raise PolyParseError("empty polynomial")
@@ -141,6 +143,9 @@ def parse_poly(text: str) -> RatPoly:
         return poly_from_json(data)
 
     compact = text.replace(" ", "")
+    # where each character of ``compact`` stands in the caller's text;
+    # a trailing empty term stands at the end
+    where = [lead + i for i, ch in enumerate(text) if ch != " "] + [lead + len(text)]
     coeffs: dict[int, Fraction] = {}
     pos = 0
     sign = 1
@@ -152,17 +157,18 @@ def parse_poly(text: str) -> RatPoly:
         while end < len(compact) and compact[end] not in "+-":
             end += 1
         term = compact[pos:end]
+        at = where[pos]
         m = _TERM.match(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
-            raise PolyParseError(f"cannot parse term {term!r} at position {pos}")
+            raise PolyParseError(f"cannot parse term {term!r} at position {at}")
         if m.group("exp") is not None and m.group("var") is None:
-            raise PolyParseError(f"exponent without variable in {term!r} at position {pos}")
+            raise PolyParseError(f"exponent without variable in {term!r} at position {at}")
         try:
             coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
         except ZeroDivisionError as exc:
-            raise PolyParseError(f"zero denominator in {term!r} at position {pos}") from exc
+            raise PolyParseError(f"zero denominator in {term!r} at position {at}") from exc
         except ValueError as exc:  # more digits than int() converts
-            raise PolyParseError(f"bad coefficient at position {pos}: {exc}") from exc
+            raise PolyParseError(f"bad coefficient at position {at}: {exc}") from exc
         exp = 0
         if m.group("var"):
             digits = m.group("exp") or "1"
@@ -170,7 +176,7 @@ def parse_poly(text: str) -> RatPoly:
             if (len(digits.lstrip("0")) > len(str(MAX_EXPONENT))
                     or int(digits) > MAX_EXPONENT):
                 raise PolyParseError(
-                    f"exponent at position {pos} exceeds {MAX_EXPONENT}")
+                    f"exponent at position {at} exceeds {MAX_EXPONENT}")
             exp = int(digits)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coef
         if end >= len(compact):

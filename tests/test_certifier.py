@@ -94,6 +94,9 @@ def test_rule_odd_split_witness():
     assert rule_odd_split_witness(RatPoly([3, 0, 1]), RatPoly([0, 1]), F(3)) is None
     with pytest.raises(ValueError):
         rule_odd_split_witness(X2P1, RatPoly([0, 1]), F(5))
+    a = RatPoly([1, 1, 0, 1])
+    with pytest.raises(ValueError, match="odd split rule needs c nonzero"):
+        rule_odd_split_witness(a * a, a, F(0))
 
 
 def test_rule_simple_z2_root():
@@ -283,3 +286,6 @@ def test_non_positive_inputs_run_each_remainder_pair_once(remainder_pairs):
     remainder_pairs.clear()
     assert not verify_certificate(with_roots, forged)
     runs_each_pair_once()
+    # NotPositive forged on a positive f is refused
+    assert not verify_certificate(
+        X2P1, Sos4Certificate.of(is_positive_on_reals(X2P1), NotPositive()))

@@ -51,11 +51,12 @@ def test_parse_poly_errors():
 
 
 @pytest.mark.parametrize("text, position", [
-    ("x+", 2), ("x^2 -", 4), ("2*", 0), ("*x", 0), ("+", 1), ("2*x*", 0)])
+    ("x+", 2), ("x^2 -", 5), ("2*", 0), ("*x", 0), ("+", 1), ("2*x*", 0),
+    ("x + y", 4), ("x^2 + 2 *", 6), ("  \tx + y", 7)])
 def test_parse_poly_refuses_a_dangling_operator(capsys, text, position):
-    """A trailing sign, or a ``*`` without a coefficient before it and x
-    after it, is a parse error at its position (on the text without
-    spaces), and the CLI exits 1."""
+    """A trailing sign, a ``*`` without a coefficient before it and x
+    after it, or a term in another variable, is a parse error at its
+    position in the text passed, and the CLI exits 1."""
     with pytest.raises(PolyParseError, match=f"at position {position}$"):
         parse_poly(text)
     code, out, err = run_cli(capsys, "positivity", "--poly", text)
@@ -81,6 +82,8 @@ def test_json_array_length_cap(tmp_path, capsys):
     assert parse_poly(json.dumps(at_cap)).degree == MAX_EXPONENT
     with pytest.raises(PolyParseError, match="more than"):
         poly_from_json(at_cap + ["1"])
+    with pytest.raises(PolyParseError, match="must be an array of strings"):
+        poly_from_json({})
     src = tmp_path / "long.json"
     src.write_text(json.dumps(at_cap + ["1"]))
     code, out, err = run_cli(capsys, "positivity", "--poly-file", str(src))
@@ -348,6 +351,17 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "constant term" in err
     code, _, _ = run_cli(capsys, "reduce", "--method", "bogus", "--poly", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["positivity"], "provide --poly or --poly-file"),
+    (["sos4-certify", "--poly", "x^2+1", "--witness", "x"],
+     "witness must look like 'A-poly:c'"),
+    (["family", "--k", "1"], "family needs either --g/--a or --k/--N"),
+])
+def test_missing_or_malformed_inputs_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -101,7 +101,9 @@ def test_hensel_split_twice_odd_shape():
 
 def test_hensel_split_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        hensel_split(RatPoly([6, 1, 1]), 0b10, 0b10, 8)  # not coprime
+        hensel_split(RatPoly([6, 1, 1]), 0b10, 0b10, 8)  # product mismatch too
+    with pytest.raises(ValueError, match="not coprime mod 2"):
+        hensel_split(RatPoly([0, 0, 1]), 0b10, 0b10, 8)
     with pytest.raises(ValueError):
         hensel_split(RatPoly([1, 1, 1]), 0b10, 0b11, 8)  # product mismatch
     for precision in (1, 8):  # 2x + 2 = 0 * 1 mod 2, but no monic g has image 0

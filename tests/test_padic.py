@@ -48,6 +48,12 @@ def test_square_test_against_residue_search():
         assert is_square_in_q2(q) == brute_square_mod(q, 14), q
 
 
+def test_unit_residue_needs_an_odd_rational():
+    assert unit_residue(F(3, 5), 8) == 7  # 5 * 7 = 3 mod 8
+    with pytest.raises(ValueError, match="unit residue needs an odd rational"):
+        unit_residue(F(2), 8)
+
+
 def test_square_multiplicativity():
     rng = random.Random(103)
     for _ in range(200):

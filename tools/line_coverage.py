@@ -7,7 +7,9 @@ statement counts as run when any line of its header runs: all lines of
 a simple statement, and the decorators through the line before the
 body of a compound one.  Docstrings are not statements.  Code run in
 child processes (the cold-start CLI tests, the benchmark children) is
-not seen, and two statements on one line share its fate.
+not seen, and two statements on one line share its fate.  The bodies of
+``if TYPE_CHECKING:`` and ``if __name__ == "__main__":`` run in no
+test process, so they are skipped and only counted.
 
 Standard library and pytest only.
 
@@ -16,7 +18,8 @@ Usage: python3 tools/line_coverage.py [pytest arguments]
 The pytest arguments default to ``-q -p no:cacheprovider tests
 perfbench``.  The output is one "<module>: <n> of <total> statements
 not run" line per module of src/padic_sos, sorted by name, each followed
-by "  <line>  <source>" for every statement not run, then a total line.
+by "  <line>  <source>" for every statement not run, then a total line
+that also gives the number of statements skipped.
 The exit status is pytest's.
 """
 
@@ -53,6 +56,18 @@ def statements(source: str) -> list[tuple[int, range]]:
             end = node.end_lineno
         out.append((node.lineno, range(start, end + 1)))
     return sorted(out, key=lambda s: s[0])
+
+
+def unrunnable_lines(source: str) -> set[int]:
+    """Lines of the bodies of ``if TYPE_CHECKING:`` and ``if __name__ ==
+    "__main__":`` in ``source``."""
+    lines: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "__name__ == '__main__'"):
+            for stmt in node.body:
+                lines.update(range(stmt.lineno, stmt.end_lineno + 1))
+    return lines
 
 
 def trace_lines(run):
@@ -102,19 +117,23 @@ def trace_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 def main(argv: list[str]) -> int:
     code, hits = trace_pytest(argv[1:] or DEFAULT_ARGS)
-    missed_total = stmt_total = 0
+    missed_total = stmt_total = skipped_total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
         run = hits[path.name]
-        stmts = statements(source)
+        skip = unrunnable_lines(source)
+        every = statements(source)
+        stmts = [s for s in every if s[0] not in skip]
+        skipped_total += len(every) - len(stmts)
         missed = [line for line, header in stmts if run.isdisjoint(header)]
         missed_total += len(missed)
         stmt_total += len(stmts)
         print(f"{path.name}: {len(missed)} of {len(stmts)} statements not run")
         for line in missed:
             print(f"  {line:4d}  {text[line - 1].strip()}")
-    print(f"total: {missed_total} of {stmt_total} statements not run")
+    print(f"total: {missed_total} of {stmt_total} statements not run, "
+          f"{skipped_total} skipped")
     return code
 
 

@@ -73,6 +73,13 @@ arithmetic: ``bitwise_f2_divmod``, which visits every bit of the
 quotient, and ``squarefree_pass_f2_factor``, a recursive square-free
 pass (division by gcd(g, g')) feeding a separate distinct-degree split
 (``distinct_degree``) driven by a modular power (``f2_pow_mod``).
+
+``hensel.z2_root_status`` proves square-freeness mod a prime where it
+can and then walks a forced chain of its root tree in one step.  The
+tree it replaced, which descends one 2-adic digit per node and at its
+pause always takes the square-free part, is kept as
+``level_by_level_z2_root_status`` (on ``level_by_level_root_tree`` and
+``level_by_level_descend``).
 """
 
 from __future__ import annotations
@@ -81,8 +88,8 @@ import math
 from fractions import Fraction
 
 from padic_sos import f2, zpoly
-from padic_sos.hensel import (NO_ROOT, RootWitness, _certify,
-                              _odd_cleared_scaled, hensel_split, z2_root_status)
+from padic_sos.hensel import (NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness, _certify,
+                              _lift, _odd_cleared_scaled, hensel_split, z2_root_status)
 from padic_sos.newton_polygon import NewtonDiagram, newton_diagram
 from padic_sos.padic import ord2, ord2_int
 from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
@@ -721,3 +728,61 @@ def squarefree_pass_f2_factor(f: int) -> list[tuple[int, int]]:
 
     absorb(f, 1)
     return sorted(factors.items(), key=lambda kv: (f2.f2_degree(kv[0]), kv[0]))
+
+
+_PAUSED = "paused"
+
+
+def level_by_level_descend(g: list[int], r: int) -> list[int]:
+    """g(r + 2y) divided by the power of 2 in its content."""
+    h = [c << i for i, c in enumerate(zpoly.taylor_shift(g, r))]
+    v = ord2_int(math.gcd(*h))
+    return [c >> v for c in h]
+
+
+def level_by_level_root_tree(coeffs: list[int], switch: int):
+    """The root tree over Z_2, then over 2Z_2 for the reversal when the
+    leading coefficient is even, one 2-adic digit per node, level by
+    level.  Yields ``_PAUSED`` after ``switch`` nodes, then the first
+    certified witness, or None once every node is closed."""
+    trees = [(coeffs, False)]
+    if coeffs[-1] % 2 == 0:
+        trees.append((coeffs[::-1], True))
+    nodes = 0
+    for base, on_reversal in trees:
+        level = ([(0, 1, level_by_level_descend(base, 0))] if on_reversal
+                 else [(0, 0, base)])
+        while level:
+            deeper = []
+            for c, j, g in level:
+                nodes += 1
+                if nodes == switch:
+                    yield _PAUSED
+                for r in (0, 1):
+                    if (g[0] if r == 0 else sum(g)) % 2:
+                        continue
+                    if (g[1] if r == 0 else sum(g[1::2])) % 2:
+                        yield _lift(base, g, c, j, r, on_reversal)
+                    deeper.append((c + (r << j), j + 1, level_by_level_descend(g, r)))
+            level = deeper
+    yield None
+
+
+def level_by_level_z2_root_status(f: RatPoly) -> RootStatus:
+    """``z2_root_status`` on the level-by-level tree: after 4 nodes per
+    degree it takes f's square-free part, runs on if f is square-free
+    and otherwise reruns on the part and marks the witness."""
+    coeffs = primitive_integer_coeffs(f)
+    if len(coeffs) == 1:
+        return RootStatus(NO_ROOT, None)
+    walk = level_by_level_root_tree(coeffs, 4 * (len(coeffs) - 1))
+    witness = next(walk)
+    if witness is _PAUSED:
+        part = squarefree_part(f)
+        if part.degree == f.degree:
+            witness = next(walk)
+        else:
+            witness = next(level_by_level_root_tree(primitive_integer_coeffs(part), 0))
+            if witness is not None:
+                witness = replace(witness, on_squarefree_part=True)
+    return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)

@@ -33,7 +33,8 @@ import math
 from . import zpoly
 from .f2 import f2_divmod, f2_from_coeffs, f2_mod, f2_mul, f2_xgcd
 from .padic import ord2_int
-from .ratpoly import RatPoly, primitive_integer_coeffs, squarefree_part
+from .ratpoly import (RatPoly, _squarefree_mod_p, primitive_integer_coeffs,
+                      squarefree_part)
 from .record import Record, replace
 
 ROOT_EXISTS = "RootExists"
@@ -104,30 +105,81 @@ def _lift(base: list[int], g: list[int], c: int, j: int, r: int,
     return witness
 
 
-def _root_tree(coeffs: list[int], switch: int):
+def _forced_steps(g: list[int]) -> int:
+    """For g = lc*y^n mod 2 with lc odd and n >= 2, the s with every
+    root of g in 2^s*Z_2: s = min over i < n of floor(ord2(g_i) / (n - i)),
+    from the last segment of g's Newton polygon.  0 for any other g, and
+    for g = lc*y^n, which is no square-free polynomial's node."""
+    n = len(g) - 1
+    if n < 2 or not g[-1] & 1 or any(x & 1 for x in g[2:-1]):
+        return 0
+    return min((ord2_int(x) // (n - i) for i, x in enumerate(g[:-1]) if x), default=0)
+
+
+def _path_key(c: int, depth: int) -> int:
+    """The place of the node with residue c at ``depth`` in its level:
+    its residues, first residue most significant, as one integer."""
+    return int(format(c, f"0{depth}b")[::-1], 2)
+
+
+def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
     """Breadth-first root tree over Z_2 of the primitive integer
     polynomial ``coeffs``, then, with an even leading coefficient, over
-    2Z_2 for its reversal.  A generator: it yields ``_PAUSED`` once,
-    after ``switch`` nodes, and then its result: the first certified
-    witness, or None once every node is closed."""
+    2Z_2 for its reversal.  A generator of the first certified witness,
+    or None once every node is closed.
+
+    ``squarefree`` is True when coeffs is known square-free, False when
+    ``_squarefree_mod_p`` failed on it, and None before that is tried.
+    While it is not True the walk checks, once, after ``switch`` nodes:
+    ``_squarefree_mod_p`` first, and if that fails it yields ``_PAUSED``
+    and the caller sends True when coeffs is square-free after all.
+
+    Once coeffs is proved square-free, forced chains are skipped; not
+    before, since a skip moves the node at which the pause falls.  A
+    node g at depth j with g = lc*y^n mod 2 (``_forced_steps`` s >= 2)
+    has the one residue 0, not a simple root, and so have its
+    descendants down to depth j + s - 1, each g(2^t*y) / 2^(t*n).  The
+    walk puts g(2^s*y) / 2^(s*n) at depth j + s at once, and merges it
+    into that level where the level-by-level walk has it (``_path_key``),
+    so the witness found first is the same.  The first such chain tries
+    ``_squarefree_mod_p`` if nothing has yet."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
     nodes = 0
     for base, on_reversal in trees:
+        depth = int(on_reversal)
         level = [(0, 1, _descend(base, 0))] if on_reversal else [(0, 0, base)]
+        deferred: dict[int, list] = {}  # depth -> nodes a skipped chain put there
         while level:
             deeper = []
             for c, j, g in level:
                 nodes += 1
-                if nodes == switch:
-                    yield _PAUSED
+                if nodes == switch and not squarefree:
+                    if squarefree is None:
+                        squarefree = _squarefree_mod_p(coeffs)
+                    if not squarefree:
+                        squarefree = yield _PAUSED
                 for r in (0, 1):
                     if (g[0] if r == 0 else sum(g)) % 2:
                         continue  # r is not a root of g mod 2
                     if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
                         yield _lift(base, g, c, j, r, on_reversal)
+                    elif r == 0 and squarefree is not False and (s := _forced_steps(g)) > 1:
+                        if squarefree is None:
+                            squarefree = _squarefree_mod_p(coeffs)
+                        if squarefree:
+                            n = len(g) - 1
+                            deferred.setdefault(j + s, []).append(
+                                (c, j + s, [x >> s * (n - i) for i, x in enumerate(g)]))
+                            break  # 1 is not a root of a forced g mod 2
                     deeper.append((c + (r << j), j + 1, _descend(g, r)))
+            depth += 1
+            if deferred and (depth in deferred or not deeper):
+                if not deeper:
+                    depth = min(deferred)
+                deeper = sorted(deeper + deferred.pop(depth),
+                                key=lambda node: _path_key(node[0], depth))
             level = deeper
     yield None
 
@@ -136,9 +188,11 @@ def z2_root_status(f: RatPoly) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
     Works on the primitive integer model (roots are scale-invariant).
-    After ``SQUAREFREE_CHECK_NODES`` nodes per degree f's square-free
-    part is taken: if f is square-free the tree runs on to its end,
-    otherwise it reruns on the part and marks the witness.
+    After ``SQUAREFREE_CHECK_NODES`` nodes per degree, unless a forced
+    chain has proved it already, the tree asks whether f is square-free:
+    ``_squarefree_mod_p`` first, then f's square-free part.  If f is
+    square-free the tree runs on to its end, otherwise it reruns on the
+    part and marks the witness.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
@@ -150,9 +204,9 @@ def z2_root_status(f: RatPoly) -> RootStatus:
     if witness is _PAUSED:
         part = squarefree_part(f)
         if part.degree == f.degree:
-            witness = next(walk)
+            witness = walk.send(True)
         else:
-            witness = next(_root_tree(primitive_integer_coeffs(part), 0))
+            witness = next(_root_tree(primitive_integer_coeffs(part), 0, True))
             if witness is not None:
                 witness = replace(witness, on_squarefree_part=True)
     return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)

@@ -691,20 +691,27 @@ def _positivity(f: RatPoly) -> tuple[PositivityCertificate, list[int]]:
     return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict), last
 
 
-# the prime of the square-freeness test of ``_proved_positive``: below
+# the prime of the square-freeness proof ``_squarefree_mod_p``: below
 # 2^15, so residues and their products stay small ints
 SQUAREFREE_PRIME = 32749
+
+
+def _squarefree_mod_p(p: Sequence[int]) -> bool:
+    """Whether the integer polynomial p is proved square-free over Q
+    modulo ``SQUAREFREE_PRIME``: the prime does not divide lc(p) and p,
+    p' are coprime there (a repeated factor g^2 of p keeps its degree
+    mod the prime and divides p' there too).  False proves nothing."""
+    return bool(p[-1] % SQUAREFREE_PRIME) and zpoly.coprime_mod(
+        p, zpoly.diff(p), SQUAREFREE_PRIME)
 
 
 def _proved_positive(f: RatPoly) -> PositivityCertificate:
     """``is_positive_on_reals(f)`` for an f the caller has proved
     strictly positive on R.  Only square-freeness is left to decide.  If
-    p does not divide lc(f) and f, f' are coprime mod p, f is square-free
-    over Q (a repeated factor g^2 of f keeps its degree mod p and divides
-    f' there too), so f has deg f distinct complex roots and none real.
-    Otherwise the full test decides; the certificate is the same."""
-    p = f.primitive_part
-    if p[-1] % SQUAREFREE_PRIME and zpoly.coprime_mod(p, zpoly.diff(p), SQUAREFREE_PRIME):
+    ``_squarefree_mod_p`` proves it, f has deg f distinct complex roots
+    and none real.  Otherwise the full test decides; the certificate is
+    the same."""
+    if _squarefree_mod_p(f.primitive_part):
         return PositivityCertificate(f.degree, 0, 1, 1, True, True)
     return is_positive_on_reals(f)
 

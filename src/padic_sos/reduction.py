@@ -73,9 +73,9 @@ import math
 from fractions import Fraction
 
 from . import zpoly
-from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, certify_sos4,
-                        hensel_split_even_parts, quadratic_nonsquare_disc,
-                        verify_certificate)
+from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, _certify_positive,
+                        certify_sos4, complete_square_split, hensel_split_even_parts,
+                        quadratic_nonsquare_disc, verify_certificate)
 from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
 from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
@@ -328,7 +328,8 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
 
 def _iterative(f: RatPoly, positivity: PositivityCertificate,
                cap: int) -> ReductionResult | NonTermination:
-    first = certify_sos4(f, positivity=positivity)
+    split = complete_square_split(f)
+    first = _certify_positive(f, positivity, split)
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first, f,
                                {"note": "already a sum of four squares"})
@@ -341,18 +342,23 @@ def _iterative(f: RatPoly, positivity: PositivityCertificate,
     l = l_init = (e + 1) // 2
     iterates: list[IterateRecord] = []
 
-    def branch(h: RatPoly) -> BranchRecord:
+    def branch(h: RatPoly, split: tuple[RatPoly, Fraction] | None) -> BranchRecord:
         # l grows from l_init, so 4^(-l) <= eps.  Branch a: f - 4^(-l) >=
         # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
         # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
         candidate = f - h * h
-        return BranchRecord(h, candidate,
-                            certify_sos4(candidate, positivity=_proved_positive(candidate)))
+        return BranchRecord(h, candidate, _certify_positive(
+            candidate, _proved_positive(candidate), split))
 
     for _ in range(cap):
         records = []
         for k in (0, d // 2):  # branch a, h = 2^(-l); branch b, h = 2^(-l)x^(d/2)
-            rec = branch(RatPoly.monomial(k, Fraction(1, 2 ** l)))
+            h = RatPoly.monomial(k, Fraction(1, 2 ** l))
+            # f - 4^(-l) keeps f's top half, which alone fixes A in a split
+            # A^2 + c with deg A = d/2 (``complete_square_split``), so
+            # branch a's split is f's with c - 4^(-l); without one for f,
+            # and on branch b, whose top coefficient moves, it is searched
+            rec = branch(h, (split[0], split[1] - h[0] ** 2) if split and k == 0 else None)
             if rec.verdict == SOS4:
                 return _finish(METHOD_ALG9, f, rec.h, rec.candidate, rec.certificate,
                                {"l": l, "l_init": l_init, "epsilon": eps},

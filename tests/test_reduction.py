@@ -7,9 +7,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 import oracles
-from padic_sos import zpoly
+from padic_sos import certifier, reduction, zpoly
 from padic_sos.certifier import (NOT_SOS4, SOS4, OddSquareSplit,
-                                 PureEvenDivisor, verify_certificate)
+                                 PureEvenDivisor, certify_sos4, verify_certificate)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import ord2
 from padic_sos.ratpoly import (RatPoly, _least_exponent, discriminant,
@@ -114,6 +114,54 @@ def test_reduce_iterative_nontermination_small_cap():
         ev = it.branch_a.certificate.evidence
         assert isinstance(ev, OddSquareSplit)
         assert verify_certificate(it.branch_a.candidate, it.branch_a.certificate)
+
+
+def _branches(outcome):
+    """(candidate, certificate) of every ALG9 branch an outcome of
+    ``reduce_iterative`` records, on the core."""
+    if isinstance(outcome, NonTermination):
+        iterates = outcome.iterates
+    else:
+        iterates = outcome.trace if outcome.method == "ALG9" else ()
+    pairs = [(rec.candidate, rec.certificate)
+             for it in iterates for rec in (it.branch_a, it.branch_b)]
+    if isinstance(outcome, ReductionResult) and outcome.method == "ALG9":
+        pairs.append((outcome.certified_poly, outcome.certificate))
+    return pairs
+
+
+def test_alg9_branch_certificates_reuse_the_split_exactly(monkeypatch):
+    searches = []
+    original = certifier.complete_square_split
+    for module in (certifier, reduction):
+        monkeypatch.setattr(module, "complete_square_split",
+                            lambda f: searches.append(f) or original(f))
+    for k in (0, 1, 2):
+        f, _ = palindromic_counterexample(k, 65)
+        searches.clear()
+        outcome = reduce_iterative(f, cap=40)
+        # f's split once, then only branch b searches
+        assert searches == [f] + [it.branch_b.candidate for it in outcome.iterates]
+        for candidate, certificate in _branches(outcome):
+            assert certificate == certify_sos4(candidate)
+
+
+split_polys = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                       min_size=1, max_size=3).map(lambda cs: RatPoly(cs + [F(1)]))
+positive_constants = st.builds(F, st.integers(1, 40), st.integers(1, 9))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(split_polys, positive_constants, st.sampled_from([1, 1, 4, 9, 2, 3]),
+                  st.sampled_from([0, 0, 1, -1]))
+def test_alg9_branch_certificates_match_certify_sos4(a_poly, c, lead, bend):
+    """f = lead*A^2 + c + bend*x has the split (sqrt(lead)A, c) for a
+    square lead and bend 0, none for lead 2 or 3 and none, past degree
+    2, for a nonzero bend."""
+    f = a_poly * a_poly * lead + RatPoly([c, bend])
+    hypothesis.assume(is_positive_on_reals(f).verdict)
+    for candidate, certificate in _branches(reduce_iterative(f, cap=4)):
+        assert certificate == certify_sos4(candidate)
 
 
 def test_nos_reduce_example():

@@ -4,15 +4,19 @@ two must give equal ``RootStatus`` records, witness included, on random
 rational polynomials, on clustered 2-adic roots (several branches per
 level and long forced chains), on repeated factors (the pause), on even
 leading coefficients (the reversal tree) and on the ALG9 branch
-candidates of the palindromic family."""
+candidates of the palindromic family.  On a square-free f the walk told
+so from the start, which skips every forced chain, must find the same
+witness too; and the skips and the mod-p proof must really run."""
 
 from fractions import Fraction as F
 
 import pytest
 
 import oracles
-from padic_sos.hensel import z2_root_status
-from padic_sos.ratpoly import RatPoly
+from padic_sos import hensel
+from padic_sos.hensel import ROOT_EXISTS, _root_tree, z2_root_status
+from padic_sos.ratpoly import (SQUAREFREE_PRIME, RatPoly, is_squarefree,
+                               primitive_integer_coeffs)
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -22,7 +26,11 @@ X = RatPoly([0, 1])
 
 
 def assert_matches_reference(f):
-    assert z2_root_status(f) == oracles.level_by_level_z2_root_status(f), f
+    expected = oracles.level_by_level_z2_root_status(f)
+    assert z2_root_status(f) == expected, f
+    if is_squarefree(f) and f.degree > 0:
+        walk = _root_tree(primitive_integer_coeffs(f), 0, True)
+        assert next(walk) == expected.witness, f
 
 
 rationals = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8]))
@@ -81,3 +89,60 @@ def test_alg9_branch_candidates_match_the_reference(k):
     for it in outcome.iterates:
         assert_matches_reference(it.branch_a.candidate)
         assert_matches_reference(it.branch_b.candidate)
+
+
+def test_palindromic_family_matches_the_reference_at_other_n():
+    for k, n in ((0, 65), (1, 69), (2, 65)):
+        f, _ = palindromic_counterexample(k, n)
+        for it in reduce_iterative(f, cap=12).iterates:
+            assert_matches_reference(it.branch_a.candidate)
+            assert_matches_reference(it.branch_b.candidate)
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Calls of the library's and the reference's ``_descend``."""
+    calls = {"library": 0, "reference": 0}
+    for module, name, key in ((hensel, "_descend", "library"),
+                              (oracles, "level_by_level_descend", "reference")):
+        original = getattr(module, name)
+
+        def counting(g, r, original=original, key=key):
+            calls[key] += 1
+            return original(g, r)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_forced_chains_are_skipped(descents):
+    # branch b of the quadratic family member: g = y^2 mod 2 with ord2 of
+    # the constant 2l + 2, a chain of about l nodes below the root
+    f, _ = palindromic_counterexample(0, 65)
+    candidates = [it.branch_b.candidate for it in reduce_iterative(f, cap=20).iterates]
+    # roots clustered at a high 2-adic valuation
+    candidates.append((X - RatPoly([3 << 20])) * (X - RatPoly([5 << 20])) * X)
+    for g in candidates:
+        descents.update(library=0, reference=0)
+        assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
+        assert descents["library"] * 4 < descents["reference"], (g, descents)
+
+
+def test_the_pause_proves_square_freeness_mod_p_first(monkeypatch):
+    parts, proofs = [], []
+    for name, calls in (("squarefree_part", parts), ("_squarefree_mod_p", proofs)):
+        original = getattr(hensel, name)
+        monkeypatch.setattr(hensel, name, lambda f, original=original, calls=calls:
+                            calls.append(f) or original(f))
+    # roots -1 and 2^40 - 1 share 40 digits, all 1: a chain of nodes with
+    # the double residue 1, which is not forced, past the pause at 8 nodes
+    f = (X + RatPoly([1])) * (X - RatPoly([(1 << 40) - 1]))
+    assert z2_root_status(f) == oracles.level_by_level_z2_root_status(f)
+    assert z2_root_status(f).tag == ROOT_EXISTS
+    assert len(proofs) == 2 and parts == []
+    # times x^2 + 1 and (x - p)^2 + 1, which agree mod p: square-free
+    # over Q but not mod p, so the pause takes the square-free part
+    p = SQUAREFREE_PRIME
+    g = f * RatPoly([1, 0, 1]) * RatPoly([p * p + 1, -2 * p, 1])
+    assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
+    assert parts == [g]

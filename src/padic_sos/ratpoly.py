@@ -212,10 +212,11 @@ class RatPoly:
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n <= 1:
+        if n <= 1 or not self._p:
             return self if n else RatPoly([1])
-        half = self ** (n // 2)
-        return half * half * self if n & 1 else half * half
+        # the content is raised once; by Gauss's lemma P^n is primitive,
+        # and its top coefficient is positive
+        return _model(self._c ** n, tuple(_int_power(self._p, n)))
 
     def __call__(self, t) -> Fraction:
         return self.evaluate(t)
@@ -284,6 +285,15 @@ def _from_ints(ints: list[int], num: int = 1, den: int = 1) -> RatPoly:
     if g != 1:
         ints = [x // g for x in ints]
     return _model(Fraction(num * g, den), tuple(ints))
+
+
+def _int_power(p: Sequence[int], n: int) -> list[int]:
+    """p^n for n >= 1, by squaring."""
+    if n == 1:
+        return list(p)
+    half = _int_power(p, n // 2)
+    square = zpoly.mul(half, half)
+    return zpoly.mul(square, p) if n & 1 else square
 
 
 X = RatPoly([0, 1])

@@ -119,8 +119,10 @@ def poly_from_json(data) -> RatPoly:
     return _bounded_poly([_json_coeff(i, c) for i, c in enumerate(data)])
 
 
+# matched against a whole term (``fullmatch``), so no other character,
+# a newline or a tab included, passes
 _TERM = re.compile(
-    r"^(?P<coef>[0-9]+(?:/[0-9]+)?)?(?:(?<=[0-9])\*(?=x))?(?P<var>x)?(?:\^(?P<exp>[0-9]+))?$")
+    r"(?P<coef>[0-9]+(?:/[0-9]+)?)?(?:(?<=[0-9])\*(?=x))?(?P<var>x)?(?:\^(?P<exp>[0-9]+))?")
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -158,7 +160,7 @@ def parse_poly(text: str) -> RatPoly:
             end += 1
         term = compact[pos:end]
         at = where[pos]
-        m = _TERM.match(term)
+        m = _TERM.fullmatch(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise PolyParseError(f"cannot parse term {term!r} at position {at}")
         if m.group("exp") is not None and m.group("var") is None:

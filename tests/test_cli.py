@@ -52,11 +52,13 @@ def test_parse_poly_errors():
 
 @pytest.mark.parametrize("text, position", [
     ("x+", 2), ("x^2 -", 5), ("2*", 0), ("*x", 0), ("+", 1), ("2*x*", 0),
-    ("x + y", 4), ("x^2 + 2 *", 6), ("  \tx + y", 7)])
+    ("x + y", 4), ("x^2 + 2 *", 6), ("  \tx + y", 7), ("3/4\n+x", 0),
+    ("x^2\n\n+1", 0), ("x +\t1", 3)])
 def test_parse_poly_refuses_a_dangling_operator(capsys, text, position):
     """A trailing sign, a ``*`` without a coefficient before it and x
-    after it, or a term in another variable, is a parse error at its
-    position in the text passed, and the CLI exits 1."""
+    after it, a term in another variable, or a term with a newline or a
+    tab in it, is a parse error at its position in the text passed, and
+    the CLI exits 1."""
     with pytest.raises(PolyParseError, match=f"at position {position}$"):
         parse_poly(text)
     code, out, err = run_cli(capsys, "positivity", "--poly", text)

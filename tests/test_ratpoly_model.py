@@ -306,6 +306,26 @@ def test_powers_match_the_oracle(a, n):
 
 
 @SETTINGS
+@given(st.lists(RATIONALS, max_size=4), st.integers(2, 9),
+       st.sampled_from([Fraction(1), Fraction(1, 4225), Fraction(-7, 12), Fraction(64)]))
+def test_a_power_is_the_repeated_product(a, n, content):
+    f = RatPoly(a) * content
+    product = f
+    for _ in range(n - 1):
+        product = product * f
+    check_model(f ** n)
+    assert f ** n == product
+
+
+def test_a_high_power_of_the_cyclotomic_quadratic():
+    cyclotomic = RatPoly([1, 1, 1])
+    power = cyclotomic ** 16
+    agree(power, FracPoly([1, 1, 1]) ** 16)
+    assert power == (cyclotomic ** 8) * (cyclotomic ** 8)
+    assert power(1) == 3 ** 16 and power.degree == 32
+
+
+@SETTINGS
 @given(COEFFS, POINTS)
 def test_evaluation_and_shift_match_the_oracle(a, t):
     f, ref = both(a)

@@ -17,8 +17,13 @@ the ``zpoly`` kernel's arithmetic:
   simple root mod 2 is Newton-lifted until the classical conditions
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
-  negative valuation.  The tree ends on square-free input, and a
-  repeated factor sends it to ``ratpoly.squarefree_part``;
+  negative valuation.  The tree ends on square-free input.  After a
+  few nodes per degree it asks whether f is square-free: the proof mod
+  a prime (``ratpoly._squarefree_mod_p``) first, then
+  ``ratpoly.squarefree_part``, and a repeated factor reruns it on that
+  part.  Once f is proved square-free a forced chain, a node with
+  g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
+  walked in one step;
 * ``newton_refine``: push a certified witness to any target precision.
 
 Every witness is taken on the primitive integer model of f, and both

@@ -53,7 +53,10 @@ bounded by a certified epsilon; its certificate comes from
 ``ratpoly._proved_positive``, which decides only square-freeness.  The
 certificate in hand goes to ``certify_sos4``, which reads it instead of
 testing the same polynomial again, and the residual the route built
-goes into its result (``_finish``).
+goes into its result (``_finish``).  ALG9 searches f's split f = A^2 +
+c once: each branch a candidate f - 4^-l has the split (A, c - 4^-l),
+which goes to the rule pipeline (``certifier._certify_positive``)
+in place of a new search.
 
 Every certified epsilon is an exponent: ``ratpoly._least_exponent(f, g)``
 is the least k with f + 2^-k * g > 0 (g = -1 for ALG6, ALGN, ALG9 and

@@ -111,14 +111,23 @@ def _lift(base: list[int], g: list[int], c: int, j: int, r: int,
 
 
 def _forced_steps(g: list[int]) -> int:
-    """For g = lc*y^n mod 2 with lc odd and n >= 2, the s with every
-    root of g in 2^s*Z_2: s = min over i < n of floor(ord2(g_i) / (n - i)),
-    from the last segment of g's Newton polygon.  0 for any other g, and
-    for g = lc*y^n, which is no square-free polynomial's node."""
+    """For g = lc*y^n mod 2 with lc odd and n >= 2, every root of g lies
+    in 2^s*Z_2 for s = min over i < n of floor(ord2(g_i) / (n - i)), from
+    the last segment of g's Newton polygon.  That s when it is at least
+    2, else 0; an odd g_i with i < n gives 0, and so does g = lc*y^n,
+    which is no square-free polynomial's node."""
     n = len(g) - 1
-    if n < 2 or not g[-1] & 1 or any(x & 1 for x in g[2:-1]):
+    if n < 2 or not g[-1] & 1:
         return 0
-    return min((ord2_int(x) // (n - i) for i, x in enumerate(g[:-1]) if x), default=0)
+    s = 0
+    for i in range(n):
+        if x := g[i]:
+            t = ord2_int(x) // (n - i)
+            if t < 2:
+                return 0
+            if not s or t < s:
+                s = t
+    return s
 
 
 def _path_key(c: int, depth: int) -> int:
@@ -153,7 +162,6 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
         trees.append((coeffs[::-1], True))
     nodes = 0
     for base, on_reversal in trees:
-        depth = int(on_reversal)
         level = [(0, 1, _descend(base, 0))] if on_reversal else [(0, 0, base)]
         deferred: dict[int, list] = {}  # depth -> nodes a skipped chain put there
         while level:
@@ -170,7 +178,9 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
                         continue  # r is not a root of g mod 2
                     if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
                         yield _lift(base, g, c, j, r, on_reversal)
-                    elif r == 0 and squarefree is not False and (s := _forced_steps(g)) > 1:
+                    # s >= 2 needs 4 | g_(n-1), which spares other nodes the call
+                    elif (r == 0 and squarefree is not False and not g[-2] & 3
+                          and (s := _forced_steps(g)) > 1):
                         if squarefree is None:
                             squarefree = _squarefree_mod_p(coeffs)
                         if squarefree:
@@ -179,7 +189,7 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
                                 (c, j + s, [x >> s * (n - i) for i, x in enumerate(g)]))
                             break  # 1 is not a root of a forced g mod 2
                     deeper.append((c + (r << j), j + 1, _descend(g, r)))
-            depth += 1
+            depth = j + 1  # every node of a level has the same depth j
             if deferred and (depth in deferred or not deeper):
                 if not deeper:
                     depth = min(deferred)

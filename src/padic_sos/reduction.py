@@ -345,13 +345,13 @@ def _iterative(f: RatPoly, positivity: PositivityCertificate,
     l = l_init = (e + 1) // 2
     iterates: list[IterateRecord] = []
 
-    def branch(h: RatPoly, split: tuple[RatPoly, Fraction] | None) -> BranchRecord:
+    def branch(h: RatPoly, candidate_split: tuple[RatPoly, Fraction] | None) -> BranchRecord:
         # l grows from l_init, so 4^(-l) <= eps.  Branch a: f - 4^(-l) >=
         # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
         # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
         candidate = f - h * h
         return BranchRecord(h, candidate, _certify_positive(
-            candidate, _proved_positive(candidate), split))
+            candidate, _proved_positive(candidate), candidate_split))
 
     for _ in range(cap):
         records = []

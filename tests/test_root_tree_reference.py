@@ -146,3 +146,17 @@ def test_the_pause_proves_square_freeness_mod_p_first(monkeypatch):
     g = f * RatPoly([1, 0, 1]) * RatPoly([p * p + 1, -2 * p, 1])
     assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
     assert parts == [g]
+
+
+@pytest.mark.parametrize("g, steps", [
+    ([64, 0, 16, 1], 2),          # ord2 6 over 3 and 4 over 2
+    ([1 << 20, 1 << 9, 1], 9),    # the y coefficient binds: 9 over 1
+    ([4, 0, 0, 0, 1], 0),         # ord2 2 over 4: no skip
+    ([64, 2, 16, 1], 0),          # ord2 1 over 2
+    ([64, 0, 16, 3, 1], 0),       # an odd g_3: not forced
+    ([64, 0, 16, 2], 0),          # an even leading coefficient
+    ([0, 0, 1], 0),               # y^2: every root is 0, twice
+    ([16, 1], 0),                 # degree 1
+])
+def test_forced_steps(g, steps):
+    assert hensel._forced_steps(g) == steps

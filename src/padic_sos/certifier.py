@@ -20,7 +20,9 @@ NOT_SOS4
     2-adic factors, one of which contributes an odd-degree factor of
     odd multiplicity;
   * ``SimpleZ2Root`` / simple_z2_root: a certified root of a
-    square-free polynomial is a linear factor of multiplicity one.
+    square-free polynomial is a linear factor of multiplicity one.  The
+    rule proves f square-free before it runs the root tree, and tells
+    the tree so (``z2_root_status``'s private ``_squarefree``).
 
 SOS4
   * ``TwoSquareSplit`` / two_square_split: f = A^2 + s^2 with rational
@@ -42,17 +44,25 @@ SOS4
 
 The strict-positivity gate runs first: a polynomial negative somewhere
 is never a sum of squares, and nonnegative inputs with real roots are
-rejected with an explicit error rather than guessed at.  A caller that
-has just gated f hands its positivity certificate in, and the gate
-reads it instead of testing f again; ``_certify_positive`` runs the
-rules behind the gate.
+rejected with an explicit error rather than guessed at.
+``_certify_positive`` runs the rules behind the gate.  It is the
+library's private entry for a polynomial it has proved strictly
+positive (the reduction routes' residuals): the certificate it holds
+replaces the gate, and the certificate's ``on_squarefree_part`` is the
+root rule's square-freeness, so a polynomial proved square-free once is
+not proved so again in its root tree.
 
 The two Newton-diagram rules decide from ``newton_polygon.pure_slope``
 and build f's diagram only for the evidence they return.
 
-The rules and the pipeline trust the positivity certificate a caller
-hands them; ``verify_certificate`` is the check, and takes nothing from
-the caller but f and the certificate.  It accepts a certificate only
+No public entry takes a positivity or square-freeness claim:
+``certify_sos4`` gates f itself and ``rule_simple_z2_root`` decides
+square-freeness itself.  A certificate only passes through the private
+entries (``_certify_positive``, ``certify_sos4``'s ``_proved``,
+``rule_simple_z2_root``'s ``_squarefree``), which trust it: a wrong
+square-freeness there can send the root tree down a repeated root
+without end.  ``verify_certificate`` is the check, and takes nothing
+from the caller but f and the certificate.  It accepts a certificate only
 when its verdict and rule are the ones its evidence class names
 (INCONCLUSIVE: no rule, no evidence) and its positivity certificate is
 f's own.  It re-runs the deterministic rules
@@ -267,23 +277,22 @@ def _odd_split(a_poly: RatPoly, c: Fraction) -> OddSquareSplit | None:
     return None
 
 
-def rule_simple_z2_root(f: RatPoly, squarefree: bool | None = None) -> SimpleZ2Root | None:
+def rule_simple_z2_root(f: RatPoly, *, _squarefree: bool | None = None) -> SimpleZ2Root | None:
     """NOT rule: a certified 2-adic root of a square-free polynomial is
-    a linear factor of multiplicity one.  ``squarefree`` is what the
-    caller already knows about f (the positivity certificate tells it);
-    left out, ``is_squarefree`` decides.  A witness the root tree took
-    on f's square-free part shows f is not square-free after all, and
-    the rule declines."""
+    a linear factor of multiplicity one.  ``is_squarefree`` decides
+    whether f is square-free, and only then does the root tree run,
+    told so: it asks nothing more and never reruns on a square-free
+    part.  ``_squarefree`` is private: the pipeline hands in the
+    square-freeness that f's positivity certificate proved
+    (``on_squarefree_part``) in place of that test."""
     if f.degree < 1:
         return None
-    if squarefree is None:
-        squarefree = is_squarefree(f)
-    if not squarefree:
+    if _squarefree is None:
+        _squarefree = is_squarefree(f)
+    if not _squarefree:
         return None
-    status = z2_root_status(f)
-    if status.tag != ROOT_EXISTS or status.witness.on_squarefree_part:
-        return None
-    return SimpleZ2Root(status)
+    status = z2_root_status(f, _squarefree=True)
+    return SimpleZ2Root(status) if status.tag == ROOT_EXISTS else None
 
 
 def rule_two_square_split(f: RatPoly, a_poly: RatPoly, c) -> TwoSquareSplit | None:
@@ -375,23 +384,26 @@ def quadratic_nonsquare_disc(f: RatPoly) -> QuadraticNonSquareDisc | None:
 # ---------------------------------------------------------------------------
 
 def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
-                 check_all_rules: bool = False,
-                 positivity: PositivityCertificate | None = None) -> Sos4Certificate:
+                 check_all_rules: bool = False, *,
+                 _proved: PositivityCertificate | None = None) -> Sos4Certificate:
     """Run the rule pipeline and return the first conclusive verdict.
 
     ``witness`` is an optional exact split (A, c) with f = A^2 + c; it
     is validated and handed to the split rules, which otherwise search
     for the split themselves.  With ``check_all_rules`` every rule runs
     and the pipeline asserts that no input collects both SOS4-type and
-    NOT_SOS4-type evidence.  ``positivity`` is ``is_positive_on_reals(f)``
-    when the caller already holds it; the gate then reads it instead of
-    testing f again.  It is trusted, not checked: a wrong one can give a
-    wrong certificate, which ``verify_certificate`` refuses.
+    NOT_SOS4-type evidence.  The gate tests f itself.
+
+    ``_proved`` is private: ``is_positive_on_reals(f)`` where the library
+    has proved it already (``reduce_auto``'s core); the gate reads it
+    instead of testing f again.  It is not checked, and its
+    square-freeness reaches the root tree.
     """
     if f.is_zero:
         raise ValueError("cannot certify the zero polynomial")
     split = _check_witness(f, witness) if witness is not None else None
     last = None  # the gate's gcd(f, f'), for the not-positive branch
+    positivity = _proved
     if positivity is None:
         positivity, last = _positivity(f)
     if not positivity.verdict:
@@ -404,18 +416,20 @@ def certify_sos4(f: RatPoly, witness: tuple[RatPoly, Fraction] | None = None,
 
 
 def _certify_positive(f: RatPoly, positivity: PositivityCertificate,
-                      split: tuple[RatPoly, Fraction] | None,
+                      split: tuple[RatPoly, Fraction] | None = None,
                       check_all_rules: bool = False) -> Sos4Certificate:
     """The rule pipeline of ``certify_sos4`` on an f whose positivity
     certificate ``positivity`` has a true verdict; ``split`` is a
-    checked witness or None."""
+    checked witness or None.  The library's entry for a polynomial it
+    has proved positive: the certificate is not checked, and its
+    square-freeness goes to the root rule, whose tree trusts it."""
     if split is None:
         split = complete_square_split(f)
     # the split is checked (a witness) or exact by construction (the
     # search), so the split rules run without their witness check
     producers = (
         lambda: _odd_split(*split) if split and split[1] != 0 else None,
-        lambda: rule_simple_z2_root(f, positivity.on_squarefree_part),
+        lambda: rule_simple_z2_root(f, _squarefree=positivity.on_squarefree_part),
         lambda: _two_square(*split) if split else None,
         lambda: rule_eisenstein(f),
         lambda: rule_pure_even_divisor(f),

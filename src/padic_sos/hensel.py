@@ -23,7 +23,10 @@ the ``zpoly`` kernel's arithmetic:
   ``ratpoly.squarefree_part``, and a repeated factor reruns it on that
   part.  Once f is proved square-free a forced chain, a node with
   g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
-  walked in one step;
+  walked in one step.  A caller in the library that has proved f
+  square-free already (``certifier``'s root rule) says so through the
+  private ``_squarefree``: the tree then asks nothing and skips chains
+  from its root, with the same ``RootStatus``;
 * ``newton_refine``: push a certified witness to any target precision.
 
 Every witness is taken on the primitive integer model of f, and both
@@ -199,7 +202,7 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
     yield None
 
 
-def z2_root_status(f: RatPoly) -> RootStatus:
+def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
     Works on the primitive integer model (roots are scale-invariant).
@@ -208,13 +211,21 @@ def z2_root_status(f: RatPoly) -> RootStatus:
     ``_squarefree_mod_p`` first, then f's square-free part.  If f is
     square-free the tree runs on to its end, otherwise it reruns on the
     part and marks the witness.
+
+    ``_squarefree`` is private: True only where the library has proved f
+    square-free (``certifier``'s root rule, from the positivity
+    certificate or ``is_squarefree``).  The tree then asks nothing and
+    skips forced chains from its root, with the same ``RootStatus``.  On
+    an f with a repeated factor a wrong True can walk down the repeated
+    root without end.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = primitive_integer_coeffs(f)
     if len(coeffs) == 1:
         return RootStatus(NO_ROOT, None)
-    walk = _root_tree(coeffs, SQUAREFREE_CHECK_NODES * (len(coeffs) - 1))
+    walk = _root_tree(coeffs, SQUAREFREE_CHECK_NODES * (len(coeffs) - 1),
+                      _squarefree or None)
     witness = next(walk)
     if witness is _PAUSED:
         part = squarefree_part(f)

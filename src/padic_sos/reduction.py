@@ -51,12 +51,15 @@ input.  So no route refuses a repeated factor, and a constant core
 ALGN, ALG9, GR4 or PICKY is positive by construction, since h^2 is
 bounded by a certified epsilon; its certificate comes from
 ``ratpoly._proved_positive``, which decides only square-freeness.  The
-certificate in hand goes to ``certify_sos4``, which reads it instead of
-testing the same polynomial again, and the residual the route built
-goes into its result (``_finish``).  ALG9 searches f's split f = A^2 +
-c once: each branch a candidate f - 4^-l has the split (A, c - 4^-l),
-which goes to the rule pipeline (``certifier._certify_positive``)
-in place of a new search.
+certificate in hand goes to the certifier's private entry
+(``certifier._certify_positive``), which reads it instead of testing
+the same polynomial again and hands its square-freeness to the root
+tree, so each residual is proved square-free once; the residual the
+route built goes into its result (``_finish``).  ``reduce_auto``
+certifies its core through ``certify_sos4``'s private ``_proved``,
+which does the same.  ALG9 searches f's split f = A^2 + c once: each
+branch a candidate f - 4^-l has the split (A, c - 4^-l), which goes to
+the rule pipeline in place of a new search.
 
 Every certified epsilon is an exponent: ``ratpoly._least_exponent(f, g)``
 is the least k with f + 2^-k * g > 0 (g = -1 for ALG6, ALGN, ALG9 and
@@ -297,7 +300,7 @@ def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
     h = RatPoly([Fraction(1, 2 ** l)])
     # h^2 = 4^(-l) <= 4^(-l1) <= eps = 2^(-e) and f - eps > 0, so f - h^2 > 0
     g = f - h * h
-    cert = certify_sos4(g, positivity=_proved_positive(g))
+    cert = _certify_positive(g, _proved_positive(g))
     params["l"] = l
     if target == 1:
         return _finish(METHOD_ALG6, f, h, g, cert, params, tuple(trace))
@@ -438,7 +441,7 @@ def _constant_three_mod_four(f: RatPoly) -> ReductionResult:
             if len(trace) < 50:
                 trace.append(("N", n, "l", ell, "rejected", "positivity"))
             continue
-        cert = certify_sos4(g, positivity=positivity)
+        cert = _certify_positive(g, positivity)
         params = {"N": n, "l": ell, "a": a, "candidates_tried": tried}
         return _finish(METHOD_NOS, f, h, g, cert, params, tuple(trace))
     raise ArithmeticError("NOS: no hit in the row that provably holds one")
@@ -463,7 +466,7 @@ def _cyclotomic_power(f: RatPoly) -> ReductionResult:
     # h^2 = 4^(-l) * base <= eps0 * base, as l >= ceil(e0 / 2) for
     # eps0 = 2^(-e0), and f - eps0 * base > 0
     g = f - h * h
-    cert = certify_sos4(g, positivity=_proved_positive(g))
+    cert = _certify_positive(g, _proved_positive(g))
     params = {"l": ell, "k": k, "epsilon0": Fraction(1, 2 ** e0)}
     return _finish(METHOD_GR4, f, h, g, cert, params)
 
@@ -672,7 +675,9 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
 
 def _auto(core: RatPoly, positivity: PositivityCertificate
           ) -> ReductionResult | InconclusiveReport:
-    first = certify_sos4(core, positivity=positivity)
+    # the public entry, so that a caller that wraps ``certify_sos4`` (as
+    # perfbench's tracer does) sees reduce_auto certify its core
+    first = certify_sos4(core, _proved=positivity)
     trace = (("certify", first.verdict),)
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, core, RatPoly(), core, first, core, {}, trace)

@@ -124,18 +124,19 @@ def divide(a: Poly, b: Poly) -> tuple[list[int], list[int]]:
 
 def coprime_mod(a: Poly, b: Poly, p: int) -> bool:
     """Whether a and b are coprime modulo the prime p: Euclid's gcd of
-    their images over F_p is a nonzero constant.  Each divisor is made
-    monic first, so every residue stays below p."""
+    their images over F_p is a nonzero constant.  Each stage inverts the
+    divisor's top residue once and reads every quotient digit off it,
+    skipping the zero ones, so every residue stays below p."""
     a, b = mod(a, p), mod(b, p)
     while b:
         inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
         n = len(b) - 1
         while len(a) > n:
-            c = a.pop()
-            k = len(a) - n
-            for i in range(n):
-                a[k + i] = (a[k + i] - c * b[i]) % p
-            trim(a)
+            c = a.pop() * inv % p
+            if c:
+                k = len(a) - n
+                for i in range(n):
+                    a[k + i] = (a[k + i] - c * b[i]) % p
+        trim(a)
         a, b = b, a
     return len(a) == 1

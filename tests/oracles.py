@@ -97,7 +97,7 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
 from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, EisensteinEvenDegree,
-                                 HenselSplitEvenParts, PureEvenDivisor, certify_sos4)
+                                 HenselSplitEvenParts, PureEvenDivisor, _certify_positive)
 from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, InconclusiveReport,
@@ -580,7 +580,7 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
         trace.append((route, f"succeeded ({res.method})"))
         return res
 
-    first = certify_sos4(core, positivity=positivity)
+    first = _certify_positive(core, positivity)
     trace.append(("certify", first.verdict))
     if first.verdict == SOS4:
         return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first,

@@ -245,6 +245,7 @@ def test_newton_diagram_built_only_for_evidence(monkeypatch):
 
 def test_certify_reads_a_positivity_certificate_in_hand(monkeypatch):
     import padic_sos.certifier as certifier
+    from padic_sos.certifier import _certify_positive
     from padic_sos.ratpoly import is_positive_on_reals
     cases = [RatPoly([3, 0, 1]), RatPoly([2, 0, 1]), ALWAYS_SQUARE,
              RatPoly([-1, 0, 1]), square_plus_8a_minus_1(RatPoly([0, 1]), 1)[0]]
@@ -258,10 +259,32 @@ def test_certify_reads_a_positivity_certificate_in_hand(monkeypatch):
 
     monkeypatch.setattr(certifier, "_positivity", refusing)
     for f, positivity, cert in zip(cases, held, fresh):
-        assert certify_sos4(f, positivity=positivity) == cert
+        assert certify_sos4(f, _proved=positivity) == cert
+        if positivity.verdict:
+            assert _certify_positive(f, positivity) == cert
     # the gate's messages stay: nonnegative with a real root is refused
     with pytest.raises(ValueError, match="real roots"):
-        certify_sos4(square, positivity=square_positivity)
+        certify_sos4(square, _proved=square_positivity)
+
+
+def test_public_entries_take_no_claim():
+    import inspect
+
+    import padic_sos
+    f = RatPoly([3, 0, 1])
+    with pytest.raises(TypeError):
+        certify_sos4(f, positivity=is_positive_on_reals(f))
+    with pytest.raises(TypeError):
+        rule_simple_z2_root(f, squarefree=True)
+    # a claim reaches a public function only through a private parameter
+    for module in (padic_sos.certifier, padic_sos.hensel, padic_sos.reduction,
+                   padic_sos.ratpoly, padic_sos):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            for param in inspect.signature(fn).parameters:
+                assert "positiv" not in param and "squarefree" not in param \
+                    or param.startswith("_"), (name, param)
 
 
 def test_non_positive_inputs_run_each_remainder_pair_once(remainder_pairs):

@@ -122,7 +122,7 @@ def test_the_proved_core_certificate_is_the_tested_one(f):
     certify = reduction.certify_sos4
 
     def recording(g, *args, **kwargs):
-        handed.append((g, kwargs["positivity"]))
+        handed.append((g, kwargs["_proved"]))
         return certify(g, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:

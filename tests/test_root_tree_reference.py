@@ -4,19 +4,20 @@ two must give equal ``RootStatus`` records, witness included, on random
 rational polynomials, on clustered 2-adic roots (several branches per
 level and long forced chains), on repeated factors (the pause), on even
 leading coefficients (the reversal tree) and on the ALG9 branch
-candidates of the palindromic family.  On a square-free f the walk told
-so from the start, which skips every forced chain, must find the same
-witness too; and the skips and the mod-p proof must really run."""
+candidates of the palindromic family.  On a square-free f the status
+``z2_root_status`` gives when told so (the private ``_squarefree``),
+which skips every forced chain from the root, must be the same too; the
+skips and the mod-p proof must really run, and an ALG9 branch candidate
+must be proved square-free once, not again in its tree."""
 
 from fractions import Fraction as F
 
 import pytest
 
 import oracles
-from padic_sos import hensel
-from padic_sos.hensel import ROOT_EXISTS, _root_tree, z2_root_status
-from padic_sos.ratpoly import (SQUAREFREE_PRIME, RatPoly, is_squarefree,
-                               primitive_integer_coeffs)
+from padic_sos import hensel, zpoly
+from padic_sos.hensel import ROOT_EXISTS, z2_root_status
+from padic_sos.ratpoly import SQUAREFREE_PRIME, RatPoly, is_squarefree
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,9 +29,8 @@ X = RatPoly([0, 1])
 def assert_matches_reference(f):
     expected = oracles.level_by_level_z2_root_status(f)
     assert z2_root_status(f) == expected, f
-    if is_squarefree(f) and f.degree > 0:
-        walk = _root_tree(primitive_integer_coeffs(f), 0, True)
-        assert next(walk) == expected.witness, f
+    if f.degree > 0 and is_squarefree(f):
+        assert z2_root_status(f, _squarefree=True) == expected, f
 
 
 rationals = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8]))
@@ -89,6 +89,25 @@ def test_alg9_branch_candidates_match_the_reference(k, n, cap):
     for it in reduce_iterative(f, cap=cap).iterates:
         assert_matches_reference(it.branch_a.candidate)
         assert_matches_reference(it.branch_b.candidate)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.one_of(random_polys, clustered_polys()).filter(
+    lambda f: f.degree > 0 and is_squarefree(f)))
+def test_the_square_free_path_matches_the_reference(f):
+    assert z2_root_status(f, _squarefree=True) == oracles.level_by_level_z2_root_status(f)
+
+
+def test_one_square_freeness_proof_per_branch_candidate(monkeypatch):
+    # each candidate's positivity certificate proves it square-free mod p
+    # (``_proved_positive``), and the root rule's tree takes that proof
+    calls = []
+    original = zpoly.coprime_mod
+    monkeypatch.setattr(zpoly, "coprime_mod",
+                        lambda *args: calls.append(args) or original(*args))
+    f, _ = palindromic_counterexample(2, 67)
+    iterates = reduce_iterative(f, cap=40).iterates
+    assert len(iterates) == 40 and len(calls) == 2 * len(iterates)
 
 
 @pytest.fixture

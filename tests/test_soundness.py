@@ -11,6 +11,8 @@ no matter what the rules say; INCONCLUSIVE is always acceptable.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from padic_sos import certifier, hensel
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4,
                                  EisensteinEvenDegree, HenselSplitEvenParts,
@@ -199,13 +201,22 @@ def test_a_root_of_the_squarefree_part_is_no_simple_root():
     sq = RatPoly([7, 0, 1]) ** 2
     status = z2_root_status(sq)
     assert status.tag == ROOT_EXISTS and status.witness.on_squarefree_part
-    assert rule_simple_z2_root(sq, squarefree=True) is None
-    # a positivity certificate that wrongly claims sq square-free
-    claim = replace(is_positive_on_reals(sq), on_squarefree_part=True)
-    cert = certify_sos4(sq, positivity=claim)
+    assert rule_simple_z2_root(sq) is None
+    # no public entry takes a claim that sq is square-free: the tree would
+    # trust it and walk down the double root without end
+    positivity = is_positive_on_reals(sq)
+    claim = replace(positivity, on_squarefree_part=True)
+    with pytest.raises(TypeError):
+        rule_simple_z2_root(sq, squarefree=True)
+    with pytest.raises(TypeError):
+        certify_sos4(sq, positivity=claim)
+    # certificates forged with that claim, or with the part's root, are refused
+    cert = certify_sos4(sq)
     assert (cert.verdict, cert.rule) == (SOS4, "two_square_split")
-    assert not verify_certificate(sq, cert)
-    assert verify_certificate(sq, certify_sos4(sq))
+    assert verify_certificate(sq, cert)
+    assert not verify_certificate(sq, replace(cert, positivity=claim))
+    for forged in (claim, positivity):
+        assert not verify_certificate(sq, Sos4Certificate.of(forged, SimpleZ2Root(status)))
     # the square-free x^4 + 24x^2 + 119 = (x^2 + 7)(x^2 + 17): its root
     # witness relabelled as taken on the square-free part, which is f
     f = RatPoly([119, 0, 24, 0, 1])
@@ -293,7 +304,6 @@ def test_dispatcher_handles_rational_and_square_laden_inputs():
 def test_dispatcher_rejects_vanishing_square_factor():
     # a square factor with a real root makes f touch zero; that is
     # outside the strict-positivity contract and must raise, not guess
-    import pytest
     f = RatPoly([3, 0, 1]) * RatPoly([-1, 1]) ** 2
     with pytest.raises(ValueError):
         reduce_auto(f)

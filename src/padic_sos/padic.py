@@ -16,14 +16,9 @@ from fractions import Fraction
 
 from . import zpoly
 from .record import Record
+from .zpoly import ord2_int
 
 DEFAULT_PRECISION = 64
-
-
-def ord2_int(n: int) -> int:
-    """2-adic valuation of a nonzero integer: the index of its lowest
-    set bit (two's complement keeps it for negative n)."""
-    return (n & -n).bit_length() - 1
 
 
 def ord2(q) -> tuple[int, Fraction]:

@@ -37,8 +37,10 @@ left are the ones the ``hankel`` document prints: power sums, the
 Hankel matrix and its exact rank/signature.  A caller that has proved f strictly
 positive gets f's positivity certificate from a square-freeness test
 modulo a prime instead (``_proved_positive``), and falls back to the
-sequence only when that test is silent.  One certified search
-completes the module (``_least_exponent``): the least k with
+sequence only when that test is silent.  For a difference f - t x^k
+(k = 0 or deg f) a resultant bound on the 2-adic valuation of t proves
+square-freeness with no gcd at all (``_proved_positive_minus``).  One
+certified search completes the module (``_least_exponent``): the least k with
 f + 2^-k * g strictly positive, a monotone test, found with no budget.
 The reduction routes read their l off that exponent; the public
 ``epsilon_below_infimum`` (g = -1) and ``perturbation_bound`` gate f
@@ -724,6 +726,42 @@ def _proved_positive(f: RatPoly) -> PositivityCertificate:
     if _squarefree_mod_p(f.primitive_part):
         return PositivityCertificate(f.degree, 0, 1, 1, True, True)
     return is_positive_on_reals(f)
+
+
+def _proved_positive_minus(f: RatPoly, t: Fraction, k: int
+                           ) -> tuple[RatPoly, PositivityCertificate]:
+    """g = f - t * x^k, for a nonzero rational t and k = 0 or k = d =
+    deg f >= 1, and ``is_positive_on_reals(g)``, for a g the caller has
+    proved strictly positive on R.  g is built on f's model c*P: one
+    scaled integer list with one entry changed,
+    (c_num t_den P - t_num c_den x^k) / (c_den t_den).
+
+    g is proved square-free, with no gcd, when ord2(c) - ord2(t) >
+    d * ord2(d * b), where b = P[d] for k = 0 and b = P[0] for k = d.
+    Take k = 0 and tau = t / c, so g = c (P - tau).  A repeated root of g
+    is a common root of P - tau and P', so tau is a root of
+    D(tau) = Res_x(P - tau, P') = (d lc P)^d prod_{P'(beta)=0} (P(beta) - tau),
+    an integer polynomial in tau (a Sylvester determinant) with leading
+    coefficient +-(d lc P)^d.  By the rational root theorem the reduced
+    denominator of tau then divides (d lc P)^d, so its 2-adic valuation,
+    max(0, ord2(c) - ord2(t)), is at most d ord2(d lc P).  For k = d,
+    g(0) = f(0) != 0 (g > 0), so the roots of g, with their
+    multiplicities, are the inverses of those of x^d g(1/x) = c (P* - tau),
+    where P* is P reversed, of degree d with lc P* = P[0]; the same test
+    applies.  Comparing valuations forms no power of d b, and for
+    t = 4^-l the test holds for every l past a threshold.  Otherwise
+    ``_proved_positive`` decides; the certificate is the same."""
+    c, p = f.content, f.primitive_part
+    d = len(p) - 1
+    scale = c.numerator * t.denominator
+    ints = [scale * x for x in p]
+    ints[k] -= t.numerator * c.denominator
+    g = _from_ints(ints, 1, c.denominator * t.denominator)
+    v = zpoly.ord2_int
+    if (v(c.numerator) - v(c.denominator) - v(t.numerator) + v(t.denominator)
+            > d * v(d * p[d - k])):
+        return g, PositivityCertificate(g.degree, 0, 1, 1, True, True)
+    return g, _proved_positive(g)
 
 
 def _negative_somewhere(f: RatPoly, positivity: PositivityCertificate,

@@ -50,16 +50,20 @@ input.  So no route refuses a repeated factor, and a constant core
 (f = c * g^2) is ZERO under every route.  A residual f - h^2 of ALG6,
 ALGN, ALG9, GR4 or PICKY is positive by construction, since h^2 is
 bounded by a certified epsilon; its certificate comes from
-``ratpoly._proved_positive``, which decides only square-freeness.  The
-certificate in hand goes to the certifier's private entry
-(``certifier._certify_positive``), which reads it instead of testing
-the same polynomial again and hands its square-freeness to the root
-tree, so each residual is proved square-free once; the residual the
-route built goes into its result (``_finish``).  ``reduce_auto``
-certifies its core through ``certify_sos4``'s private ``_proved``,
-which does the same.  ALG9 searches f's split f = A^2 + c once: each
-branch a candidate f - 4^-l has the split (A, c - 4^-l), which goes to
-the rule pipeline in place of a new search.
+``ratpoly._proved_positive``, which decides only square-freeness.  An
+ALG9 candidate f - 4^-l x^k is built on f's integer model by
+``ratpoly._proved_positive_minus``, whose resultant bound proves it
+square-free with no gcd once l is past a small threshold, and which
+leaves the lower l to ``_proved_positive``.  The certificate in hand
+goes to the certifier's private entry (``certifier._certify_positive``),
+which reads it instead of testing the same polynomial again and hands
+its square-freeness to the root tree, so each residual is proved
+square-free once; the residual the route built goes into its result
+(``_finish``).  ``reduce_auto`` certifies its core through
+``certify_sos4``'s private ``_proved``, which does the same.  ALG9
+searches f's split f = A^2 + c once: each branch a candidate f - 4^-l
+has the split (A, c - 4^-l), which goes to the rule pipeline in place
+of a new search.
 
 Every certified epsilon is an exponent: ``ratpoly._least_exponent(f, g)``
 is the least k with f + 2^-k * g > 0 (g = -1 for ALG6, ALGN, ALG9 and
@@ -86,8 +90,8 @@ from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
 from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
                       _least_exponent, _positivity, _proved_positive,
-                      _squarefree_decomposition, discriminant,
-                      is_positive_on_reals, primitive_integer_coeffs)
+                      _proved_positive_minus, _squarefree_decomposition,
+                      discriminant, is_positive_on_reals, primitive_integer_coeffs)
 from .record import Record, replace
 from .newton_polygon import pure_slope
 
@@ -348,23 +352,24 @@ def _iterative(f: RatPoly, positivity: PositivityCertificate,
     l = l_init = (e + 1) // 2
     iterates: list[IterateRecord] = []
 
-    def branch(h: RatPoly, candidate_split: tuple[RatPoly, Fraction] | None) -> BranchRecord:
-        # l grows from l_init, so 4^(-l) <= eps.  Branch a: f - 4^(-l) >=
-        # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
-        # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
-        candidate = f - h * h
-        return BranchRecord(h, candidate, _certify_positive(
-            candidate, _proved_positive(candidate), candidate_split))
-
     for _ in range(cap):
         records = []
         for k in (0, d // 2):  # branch a, h = 2^(-l); branch b, h = 2^(-l)x^(d/2)
-            h = RatPoly.monomial(k, Fraction(1, 2 ** l))
+            # l grows from l_init, so 4^(-l) <= eps.  Branch a: f - 4^(-l) >=
+            # f - eps(f) > 0.  Branch b: f - 4^(-l) x^d = x^d (f*(1/x) - 4^(-l))
+            # > 0 for x != 0, as f* - eps(f*) > 0, and it is f(0) > 0 at 0
+            candidate, positivity = _proved_positive_minus(f, Fraction(1, 4 ** l), 2 * k)
             # f - 4^(-l) keeps f's top half, which alone fixes A in a split
             # A^2 + c with deg A = d/2 (``complete_square_split``), so
             # branch a's split is f's with c - 4^(-l); without one for f,
             # and on branch b, whose top coefficient moves, it is searched
-            rec = branch(h, (split[0], split[1] - h[0] ** 2) if split and k == 0 else None)
+            candidate_split = None
+            if split and k == 0:
+                c = split[1]
+                candidate_split = (split[0], Fraction((c.numerator << 2 * l) - c.denominator,
+                                                      c.denominator << 2 * l))
+            rec = BranchRecord(RatPoly.monomial(k, Fraction(1, 2 ** l)), candidate,
+                               _certify_positive(candidate, positivity, candidate_split))
             if rec.verdict == SOS4:
                 return _finish(METHOD_ALG9, f, rec.h, rec.candidate, rec.certificate,
                                {"l": l, "l_init": l_init, "epsilon": eps},

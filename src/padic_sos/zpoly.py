@@ -8,8 +8,9 @@ the coefficient of x^i; results carry no trailing zero, and the zero
 polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
 m is ordinary integer arithmetic followed by ``mod``.  ``divide`` is
 division over Z only: by a monic divisor, or by an exact divisor as in
-``ratpoly``'s square-free quotients.  The module imports nothing from
-the package, so any module can use it.
+``ratpoly``'s square-free quotients.  ``ord2_int`` is the 2-adic
+valuation of an integer.  The module imports nothing from the package,
+so any module can use it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from __future__ import annotations
 from typing import Sequence
 
 Poly = Sequence[int]
+
+
+def ord2_int(n: int) -> int:
+    """2-adic valuation of a nonzero integer: the index of its lowest
+    set bit (two's complement keeps it for negative n)."""
+    return (n & -n).bit_length() - 1
 
 
 def trim(a: list[int]) -> list[int]:

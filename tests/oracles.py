@@ -74,6 +74,14 @@ quotient, and ``squarefree_pass_f2_factor``, a recursive square-free
 pass (division by gcd(g, g')) feeding a separate distinct-degree split
 (``distinct_degree``) driven by a modular power (``f2_pow_mod``).
 
+ALG9 (``reduction._iterative``) builds each branch candidate f - 4^-l x^k
+on f's integer model, proves it square-free by a resultant bound or
+modulo a prime (``ratpoly._proved_positive_minus``) and hands branch a
+f's split with its constant moved.  The loop as first written, which
+builds f - h^2 in ``RatPoly`` arithmetic and certifies each candidate
+with the public ``certify_sos4`` (its own gate, the split searched), is
+kept as ``fraction_alg9``.
+
 ``hensel.z2_root_status`` proves square-freeness mod a prime where it
 can and then walks a forced chain of its root tree in one step.  The
 tree it replaced, which descends one 2-adic digit per node and at its
@@ -97,11 +105,13 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
                                is_squarefree, primitive_integer_coeffs,
                                squarefree_part)
 from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, EisensteinEvenDegree,
-                                 HenselSplitEvenParts, PureEvenDivisor, _certify_positive)
+                                 HenselSplitEvenParts, PureEvenDivisor, _certify_positive,
+                                 certify_sos4)
 from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
-from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ZERO,
-                                 REFINE_PRECISION, SHIFTS, InconclusiveReport,
-                                 ReductionResult, Transform, _constant_three_mod_four,
+from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ALG9, METHOD_ZERO,
+                                 REFINE_PRECISION, SHIFTS, BranchRecord, InconclusiveReport,
+                                 IterateRecord, NonTermination, ReductionResult, Transform,
+                                 _constant_three_mod_four,
                                  _cyclotomic_power, _gcd_route,
                                  _is_square_times_three_mod_four,
                                  _square_clearing_scale, _transport, _twice_odd_degree)
@@ -626,6 +636,34 @@ def try_and_skip_reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport
     note = ALWAYS_SQUARE_NOTE if shifts_all_square else (
         "no certified route applies to this input")
     return InconclusiveReport(note, tuple(trace), first)
+
+
+def fraction_alg9(f: RatPoly, cap: int) -> ReductionResult | NonTermination:
+    """``reduce_iterative(f, cap)`` on a square-free f > 0 as first
+    written: each candidate f - h^2 in ``RatPoly`` arithmetic, certified
+    by ``certify_sos4``."""
+    first = certify_sos4(f)
+    if first.verdict == SOS4:
+        return ReductionResult(METHOD_ZERO, f, RatPoly(), f, first, f,
+                               {"note": "already a sum of four squares"})
+    minus_one = RatPoly([-1])
+    e = max(_least_exponent(f, minus_one), _least_exponent(f.reverse(), minus_one))
+    eps = Fraction(1, 2 ** e)
+    l = l_init = (e + 1) // 2
+    iterates = []
+    for _ in range(cap):
+        records = []
+        for k in (0, f.degree // 2):
+            h = RatPoly.monomial(k, Fraction(1, 2 ** l))
+            rec = BranchRecord(h, f - h * h, certify_sos4(f - h * h))
+            if rec.verdict == SOS4:
+                return ReductionResult(METHOD_ALG9, f, h, rec.candidate, rec.certificate,
+                                       rec.candidate, {"l": l, "l_init": l_init,
+                                                       "epsilon": eps}, tuple(iterates))
+            records.append(rec)
+        iterates.append(IterateRecord(l, *records))
+        l += 1
+    return NonTermination(cap, l_init, eps, tuple(iterates))
 
 
 def bitwise_f2_divmod(a: int, b: int) -> tuple[int, int]:

@@ -4,9 +4,16 @@ positive (``ratpoly._proved_positive``).
 ALG6 / ALGN, GR4, PICKY (and its obstruction) and both ALG9 branches
 subtract an h^2 bounded by a certified epsilon, so each residual is
 strictly positive by construction, and only square-freeness is left to
-decide: a gcd of f and f' modulo a prime, with the full remainder
-sequence as the fallback.  Every certificate the builder returns must be
-the one ``is_positive_on_reals`` gives.
+decide.  An ALG9 candidate f - 4^-l x^k is built on f = c*P's integer
+model and proved square-free by the resultant bound of
+``ratpoly._proved_positive_minus`` once the 2-adic valuation of the
+reduced denominator of 4^-l / c passes that of (d b)^d (b = P[d] on
+branch a, P[0] on branch b); the other residuals, and the candidates the bound leaves, by a gcd
+of f and f' modulo a prime, with the full remainder sequence as the
+fallback.  Every certificate either builder returns must be the one
+``is_positive_on_reals`` gives, and the gcd must run for exactly the
+ALG9 candidates the bound leaves.  The bound's own soundness is tested
+in ``test_squarefree_bound``.
 """
 
 import contextlib
@@ -20,7 +27,7 @@ st = pytest.importorskip("hypothesis.strategies")
 import padic_sos.ratpoly as ratpoly  # noqa: E402
 import padic_sos.reduction as reduction  # noqa: E402
 from padic_sos.ratpoly import (SQUAREFREE_PRIME, RatPoly, _proved_positive,  # noqa: E402
-                               is_positive_on_reals, is_squarefree,
+                               _proved_positive_minus, is_positive_on_reals, is_squarefree,
                                primitive_integer_coeffs)
 from padic_sos.reduction import (palindromic_counterexample, reduce_auto,  # noqa: E402
                                  reduce_cyclotomic_power, reduce_iterative,
@@ -33,9 +40,10 @@ ROUTES = (reduce_odd_valuation, reduce_multiple_of_four, reduce_cyclotomic_power
 
 @contextlib.contextmanager
 def checked_builder():
-    """Check the builder against the full test on every residual the
-    routes hand it, and collect those residuals."""
-    built = []
+    """Check the builders against the full test on every residual the
+    routes hand them, whichever proof built its certificate, and collect
+    those residuals and the ALG9 candidates that fell back to the gcd."""
+    built, fallbacks = [], []
 
     def checked(g):
         cert = _proved_positive(g)
@@ -43,9 +51,27 @@ def checked_builder():
         built.append(g)
         return cert
 
+    def checked_minus(f, t, k):
+        g, cert = _proved_positive_minus(f, t, k)
+        assert cert == is_positive_on_reals(g), g
+        built.append(g)
+        return g, cert
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_proved_positive", checked)
-        yield built
+        mp.setattr(reduction, "_proved_positive_minus", checked_minus)
+        mp.setattr(ratpoly, "_proved_positive",
+                   lambda g: fallbacks.append(g) or _proved_positive(g))
+        yield built, fallbacks
+
+
+def left_by_bound(f, l, k):
+    """Whether the resultant bound leaves f - 4^-l x^k to the gcd, on an
+    f whose content c has an odd numerator and denominator: the reduced
+    denominator of tau = 4^-l / c, a power of 2, divides (d b)^d, b = P[d]
+    for k = 0 and P[0] for k = d."""
+    p, d = f.primitive_part, f.degree
+    return (d * p[d - k]) ** d % (F(1, 4 ** l) / f.content).denominator == 0
 
 
 @st.composite
@@ -82,19 +108,26 @@ def test_built_certificate_is_the_full_test_on_random_residuals(f):
     ([1, 0, 1], reduce_twice_odd_degree),  # the PICKY obstruction
 ])
 def test_each_route_builds_its_residual_certificate(coeffs, route):
-    with checked_builder() as built:
+    with checked_builder() as (built, _):
         res = route(RatPoly(coeffs))
     assert built == [res.residual]
     assert res.certificate.positivity == is_positive_on_reals(res.residual)
 
 
 def test_alg9_branch_candidates_build_their_certificates():
-    f, _ = palindromic_counterexample(0, 65)
-    with checked_builder() as built:
-        res = reduce_iterative(f, cap=3)
-    assert built == [rec.candidate for it in res.iterates
-                     for rec in (it.branch_a, it.branch_b)]
-    assert len(built) == 2 * 3
+    # l runs from 6 and tau = N^2 / 4^l, so the bound leaves l <= 3 (d = 2,
+    # none), l <= 9 (d = 6) and l <= 15 (d = 10), on both branches
+    for k, n, cap, gcds in ((0, 65, 3, 0), (1, 65, 6, 8), (2, 67, 12, 20)):
+        f, _ = palindromic_counterexample(k, n)
+        with checked_builder() as (built, fallbacks):
+            res = reduce_iterative(f, cap=cap)
+        candidates = [rec.candidate for it in res.iterates
+                      for rec in (it.branch_a, it.branch_b)]
+        assert built == candidates and len(built) == 2 * cap
+        left = [g for it in res.iterates for g, j in ((it.branch_a.candidate, 0),
+                                                     (it.branch_b.candidate, f.degree))
+                if left_by_bound(f, it.l, j)]
+        assert res.l_init == 6 and fallbacks == left and len(left) == gcds
 
 
 def test_square_mod_p_falls_back_to_the_full_test(monkeypatch):

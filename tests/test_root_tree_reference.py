@@ -8,7 +8,9 @@ candidates of the palindromic family.  On a square-free f the status
 ``z2_root_status`` gives when told so (the private ``_squarefree``),
 which skips every forced chain from the root, must be the same too; the
 skips and the mod-p proof must really run, and an ALG9 branch candidate
-must be proved square-free once, not again in its tree."""
+must be proved square-free once (by the resultant bound of
+``ratpoly._proved_positive_minus``, or else modulo p), not again in its
+tree."""
 
 from fractions import Fraction as F
 
@@ -92,15 +94,23 @@ def test_alg9_branch_candidates_match_the_reference(k, n, cap):
 
 
 def test_one_square_freeness_proof_per_branch_candidate(monkeypatch):
-    # each candidate's positivity certificate proves it square-free mod p
-    # (``_proved_positive``), and the root rule's tree takes that proof
+    # each candidate f - 4^-l x^k is proved square-free once, and the root
+    # rule's tree takes that proof: by the resultant bound when the reduced
+    # denominator of tau = 4^-l / c, here a power of 2, does not divide
+    # (d b)^d (b = P[d] on branch a, P[0] on branch b), otherwise by one
+    # gcd mod p (``ratpoly._proved_positive_minus``)
     calls = []
     original = zpoly.coprime_mod
     monkeypatch.setattr(zpoly, "coprime_mod",
                         lambda *args: calls.append(args) or original(*args))
     f, _ = palindromic_counterexample(2, 67)
     iterates = reduce_iterative(f, cap=40).iterates
-    assert len(iterates) == 40 and len(calls) == 2 * len(iterates)
+    p, d = f.primitive_part, f.degree
+    left = [(it.l, b) for it in iterates for b in (p[d], p[0])
+            if (d * b) ** d % (F(1, 4 ** it.l) / f.content).denominator == 0]
+    # here b = 4 and tau = 67^2 / 4^l: the candidates with 4^l | 40^10,
+    # l <= 15, on both branches
+    assert len(iterates) == 40 and len(calls) == len(left) == 20
 
 
 @pytest.fixture

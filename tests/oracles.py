@@ -111,8 +111,7 @@ from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ALG9, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, BranchRecord, InconclusiveReport,
                                  IterateRecord, NonTermination, ReductionResult, Transform,
-                                 _constant_three_mod_four,
-                                 _cyclotomic_power, _gcd_route,
+                                 _constant_three_mod_four, _cyclotomic_power, _gcd_route,
                                  _is_square_times_three_mod_four,
                                  _square_clearing_scale, _transport, _twice_odd_degree)
 from padic_sos.record import replace
@@ -655,7 +654,8 @@ def fraction_alg9(f: RatPoly, cap: int) -> ReductionResult | NonTermination:
         records = []
         for k in (0, f.degree // 2):
             h = RatPoly.monomial(k, Fraction(1, 2 ** l))
-            rec = BranchRecord(h, f - h * h, certify_sos4(f - h * h))
+            g = f - h * h
+            rec = BranchRecord(h, g, certify_sos4(g))
             if rec.verdict == SOS4:
                 return ReductionResult(METHOD_ALG9, f, h, rec.candidate, rec.certificate,
                                        rec.candidate, {"l": l, "l_init": l_init,

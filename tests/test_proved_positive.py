@@ -8,9 +8,9 @@ decide.  An ALG9 candidate f - 4^-l x^k is built on f = c*P's integer
 model and proved square-free by the resultant bound of
 ``ratpoly._proved_positive_minus`` once the 2-adic valuation of the
 reduced denominator of 4^-l / c passes that of (d b)^d (b = P[d] on
-branch a, P[0] on branch b); the other residuals, and the candidates the bound leaves, by a gcd
-of f and f' modulo a prime, with the full remainder sequence as the
-fallback.  Every certificate either builder returns must be the one
+branch a, P[0] on branch b).  The other residuals, and the candidates
+the bound leaves, are proved square-free by a gcd of f and f' modulo a
+prime, with the full remainder sequence as the fallback.  Every certificate either builder returns must be the one
 ``is_positive_on_reals`` gives, and the gcd must run for exactly the
 ALG9 candidates the bound leaves.  The bound's own soundness is tested
 in ``test_squarefree_bound``.

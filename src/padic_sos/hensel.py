@@ -18,8 +18,8 @@ the ``zpoly`` kernel's arithmetic:
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
   negative valuation.  The tree ends on square-free input.  After a
-  few nodes per degree it asks whether f is square-free: the proof mod
-  a prime (``ratpoly._squarefree_mod_p``) first, then
+  few nodes per degree it asks whether f is square-free: the proof
+  that f and f' are coprime (``zpoly.coprime``) first, then
   ``ratpoly.squarefree_part``, and a repeated factor reruns it on that
   part.  Once f is proved square-free a forced chain, a node with
   g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
@@ -41,8 +41,7 @@ import math
 from . import zpoly
 from .f2 import f2_divmod, f2_from_coeffs, f2_mod, f2_mul, f2_xgcd
 from .padic import ord2_int
-from .ratpoly import (RatPoly, _squarefree_mod_p, primitive_integer_coeffs,
-                      squarefree_part)
+from .ratpoly import RatPoly, primitive_integer_coeffs, squarefree_part
 from .record import Record, replace
 
 ROOT_EXISTS = "RootExists"
@@ -146,10 +145,11 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
     or None once every node is closed.
 
     ``squarefree`` is True when coeffs is known square-free, False when
-    ``_squarefree_mod_p`` failed on it, and None before that is tried.
-    While it is not True the walk checks, once, after ``switch`` nodes:
-    ``_squarefree_mod_p`` first, and if that fails it yields ``_PAUSED``
-    and the caller sends True when coeffs is square-free after all.
+    the proof that coeffs and coeffs' are coprime (``zpoly.coprime``)
+    failed, and None before that is tried.  While it is not True the walk
+    checks, once, after ``switch`` nodes: that proof first, and if it
+    fails it yields ``_PAUSED`` and the caller sends True when coeffs is
+    square-free after all.
 
     Once coeffs is proved square-free, forced chains are skipped; not
     before, since a skip moves the node at which the pause falls.  A
@@ -159,7 +159,7 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
     walk puts g(2^s*y) / 2^(s*n) at depth j + s at once, and merges it
     into that level where the level-by-level walk has it (``_path_key``),
     so the witness found first is the same.  The first such chain tries
-    ``_squarefree_mod_p`` if nothing has yet."""
+    the proof if nothing has yet."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
@@ -173,7 +173,7 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
                 nodes += 1
                 if nodes == switch and not squarefree:
                     if squarefree is None:
-                        squarefree = _squarefree_mod_p(coeffs)
+                        squarefree = zpoly.coprime(coeffs, zpoly.diff(coeffs))
                     if not squarefree:
                         squarefree = yield _PAUSED
                 for r in (0, 1):
@@ -185,7 +185,7 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
                     elif (r == 0 and squarefree is not False and not g[-2] & 3
                           and (s := _forced_steps(g)) > 1):
                         if squarefree is None:
-                            squarefree = _squarefree_mod_p(coeffs)
+                            squarefree = zpoly.coprime(coeffs, zpoly.diff(coeffs))
                         if squarefree:
                             n = len(g) - 1
                             deferred.setdefault(j + s, []).append(
@@ -208,7 +208,7 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     Works on the primitive integer model (roots are scale-invariant).
     After ``SQUAREFREE_CHECK_NODES`` nodes per degree, unless a forced
     chain has proved it already, the tree asks whether f is square-free:
-    ``_squarefree_mod_p`` first, then f's square-free part.  If f is
+    ``zpoly.coprime`` on f and f' first, then f's square-free part.  If f is
     square-free the tree runs on to its end, otherwise it reruns on the
     part and marks the witness.
 

@@ -21,12 +21,19 @@ from .zpoly import ord2_int
 DEFAULT_PRECISION = 64
 
 
+def _num_den(q) -> tuple[int, int]:
+    """q's numerator and denominator: read off an int or a Fraction,
+    through ``Fraction(q)`` for any other type it takes."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 def ord2(q) -> tuple[int, Fraction]:
     """Write q = 2^valuation * unit with an odd unit; q must be nonzero."""
-    q = Fraction(q)
-    if q == 0:
+    num, den = _num_den(q)
+    if num == 0:
         raise ValueError("ord2(0) is +infinity; callers must branch on zero")
-    num, den = q.numerator, q.denominator
     vn, vd = ord2_int(num), ord2_int(den)
     return vn - vd, Fraction(num >> vn, den >> vd)
 
@@ -46,13 +53,12 @@ def is_square_in_q2(q) -> bool:
     Zero counts; otherwise the valuation must be even and the odd unit
     part congruent to 1 mod 8.
     """
-    q = Fraction(q)
-    if q == 0:
+    num, den = _num_den(q)
+    if num == 0:
         return True
-    v, u = ord2(q)
-    if v % 2 != 0:
-        return False
-    return unit_residue(u, 8) == 1
+    vn, vd = ord2_int(num), ord2_int(den)
+    # the odd denominator is its own inverse modulo 8
+    return (vn - vd) % 2 == 0 and (num >> vn) * (den >> vd) % 8 == 1
 
 
 class PadicApprox(Record):

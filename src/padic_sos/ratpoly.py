@@ -35,9 +35,10 @@ scalar folded along it is the resultant Res(f, g) (the Sylvester
 determinant) and so the discriminant Res(f, f').  The Fraction paths
 left are the ones the ``hankel`` document prints: power sums, the
 Hankel matrix and its exact rank/signature.  A caller that has proved f strictly
-positive gets f's positivity certificate from a square-freeness test
-modulo a prime instead (``_proved_positive``), and falls back to the
-sequence only when that test is silent.  For a difference f - t x^k
+positive gets f's positivity certificate from a square-freeness proof
+instead, one integer gcd of P and P' at a point past their roots
+(``zpoly.coprime``, in ``_proved_positive``), and falls back to the
+sequence only when that proof is silent.  For a difference f - t x^k
 (k = 0 or deg f) a resultant bound on the 2-adic valuation of t proves
 square-freeness with no gcd at all (``_proved_positive_minus``).  One
 certified search completes the module (``_least_exponent``): the least k with
@@ -304,7 +305,7 @@ X = RatPoly([0, 1])
 def primitive_integer_coeffs(f: RatPoly) -> list[int]:
     """Integer coefficients of the primitive rational multiple of f:
     its primitive part, with the sign of f."""
-    if f.content < 0:
+    if f.content.numerator < 0:
         return [-x for x in f.primitive_part]
     return list(f.primitive_part)
 
@@ -693,7 +694,7 @@ def _positivity(f: RatPoly) -> tuple[PositivityCertificate, list[int]]:
         raise ValueError("zero polynomial")
     # the primitive part has a positive top coefficient, so the content
     # carries the sign of f's
-    lead = 1 if f.content > 0 else -1
+    lead = 1 if f.content.numerator > 0 else -1
     p0 = f.primitive_part[0]
     csign = 0 if p0 == 0 else (lead if p0 > 0 else -lead)
     if f.degree == 0:
@@ -703,27 +704,14 @@ def _positivity(f: RatPoly) -> tuple[PositivityCertificate, list[int]]:
     return PositivityCertificate(rank, sig, lead, csign, rank == f.degree, verdict), last
 
 
-# the prime of the square-freeness proof ``_squarefree_mod_p``: below
-# 2^15, so residues and their products stay small ints
-SQUAREFREE_PRIME = 32749
-
-
-def _squarefree_mod_p(p: Sequence[int]) -> bool:
-    """Whether the integer polynomial p is proved square-free over Q
-    modulo ``SQUAREFREE_PRIME``: the prime does not divide lc(p) and p,
-    p' are coprime there (a repeated factor g^2 of p keeps its degree
-    mod the prime and divides p' there too).  False proves nothing."""
-    return bool(p[-1] % SQUAREFREE_PRIME) and zpoly.coprime_mod(
-        p, zpoly.diff(p), SQUAREFREE_PRIME)
-
-
 def _proved_positive(f: RatPoly) -> PositivityCertificate:
     """``is_positive_on_reals(f)`` for an f the caller has proved
     strictly positive on R.  Only square-freeness is left to decide.  If
-    ``_squarefree_mod_p`` proves it, f has deg f distinct complex roots
-    and none real.  Otherwise the full test decides; the certificate is
-    the same."""
-    if _squarefree_mod_p(f.primitive_part):
+    ``zpoly.coprime`` proves P and P' coprime (f = c*P), f has deg f
+    distinct complex roots and none real.  Otherwise the full test
+    decides; the certificate is the same."""
+    p = f.primitive_part
+    if zpoly.coprime(p, zpoly.diff(p)):
         return PositivityCertificate(f.degree, 0, 1, 1, True, True)
     return is_positive_on_reals(f)
 
@@ -732,7 +720,8 @@ def _proved_positive_minus(f: RatPoly, t: Fraction, k: int
                            ) -> tuple[RatPoly, PositivityCertificate]:
     """g = f - t * x^k, for a nonzero rational t and k = 0 or k = d =
     deg f >= 1, and ``is_positive_on_reals(g)``, for a g the caller has
-    proved strictly positive on R.  g is built on f's model c*P: one
+    proved strictly positive on R: the ALG6 / ALGN residual f - 4^-l and
+    the ALG9 candidates f - 4^-l x^k.  g is built on f's model c*P: one
     scaled integer list with one entry changed,
     (c_num t_den P - t_num c_den x^k) / (c_den t_den).
 

@@ -50,9 +50,10 @@ input.  So no route refuses a repeated factor, and a constant core
 (f = c * g^2) is ZERO under every route.  A residual f - h^2 of ALG6,
 ALGN, ALG9, GR4 or PICKY is positive by construction, since h^2 is
 bounded by a certified epsilon; its certificate comes from
-``ratpoly._proved_positive``, which decides only square-freeness.  An
-ALG9 candidate f - 4^-l x^k is built on f's integer model by
-``ratpoly._proved_positive_minus``, whose resultant bound proves it
+``ratpoly._proved_positive``, which decides only square-freeness, by
+one integer gcd (``zpoly.coprime``).  The ALG6 / ALGN residual f - 4^-l
+and an ALG9 candidate f - 4^-l x^k are built on f's integer model by
+``ratpoly._proved_positive_minus``, whose resultant bound proves them
 square-free with no gcd once l is past a small threshold, and which
 leaves the lower l to ``_proved_positive``.  The certificate in hand
 goes to the certifier's private entry (``certifier._certify_positive``),
@@ -251,20 +252,25 @@ def _finish(method: str, f: RatPoly, h: RatPoly, residual: RatPoly,
                            parameters, trace)
 
 
+def _ord2_at(f: RatPoly, i: int) -> int:
+    """ord2 of f's nonzero i-th coefficient, read off the model f = c*P:
+    ord2(c) + ord2(P_i)."""
+    c = f.content
+    return ord2_int(c.numerator) - ord2_int(c.denominator) + ord2_int(f.primitive_part[i])
+
+
 def _valuation_bounds(f: RatPoly, e: int) -> tuple[int, int, int, dict]:
     """The bounds l1, l2, l3 on l for the certified epsilon 2^-e of f:
     4^-l <= 2^-e from l1 = ceil(e / 2) on."""
     d = f.degree
-    kd = ord2(f.leading)[0]
-    k0 = ord2(f[0])[0]
+    kd, k0 = _ord2_at(f, d), _ord2_at(f, 0)
     l1 = (e + 1) // 2
-    l2 = math.ceil(Fraction(-k0, 2)) + 1
+    l2 = 1 - k0 // 2  # ceil(-k0 / 2) + 1
     # l3 is the largest ceil((j*kd - d*v_j) / (2d - 2j)) over the nonzero
-    # middle coefficients, v_j = ord2(f_j) = ord2(content) + ord2(p_j)
-    # on the model f = c*P; -(-n // m) is the ceiling of n / m for m > 0
-    vc = ord2(f.content)[0]
+    # middle coefficients, v_j = ord2(f_j); -(-n // m) is the ceiling of
+    # n / m for m > 0
     p = f.primitive_part
-    l3 = max((-((d * (vc + ord2_int(p[j])) - j * kd) // (2 * d - 2 * j))
+    l3 = max((-((d * _ord2_at(f, j) - j * kd) // (2 * d - 2 * j))
               for j in range(1, d) if p[j]), default=0)
     params = {"epsilon": Fraction(1, 2 ** e), "l1": l1, "l2": l2, "l3": l3,
               "k0": k0, "kd": kd}
@@ -293,7 +299,7 @@ def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
     """The body of ALG6 (``target`` 1) and ALGN (``target`` 2): subtract
     2^(-2l) for the first l from the valuation bounds on with
     gcd(d, 2l + kd) = target."""
-    kd = ord2(f.leading)[0]
+    kd = _ord2_at(f, f.degree)
     if kd % 2 == 1:
         target = 1  # odd kd takes ALG6 on the ALGN route too
     else:
@@ -301,10 +307,10 @@ def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
     e = _least_exponent(f, _MINUS_ONE)
     l1, l2, l3, params = _valuation_bounds(f, e)
     l, trace = _gcd_steps(f.degree, kd, max(l1, l2, l3), target)
-    h = RatPoly([Fraction(1, 2 ** l)])
     # h^2 = 4^(-l) <= 4^(-l1) <= eps = 2^(-e) and f - eps > 0, so f - h^2 > 0
-    g = f - h * h
-    cert = _certify_positive(g, _proved_positive(g))
+    g, positivity = _proved_positive_minus(f, Fraction(1, 4 ** l), 0)
+    h = RatPoly([Fraction(1, 2 ** l)])
+    cert = _certify_positive(g, positivity)
     params["l"] = l
     if target == 1:
         return _finish(METHOD_ALG6, f, h, g, cert, params, tuple(trace))
@@ -689,7 +695,7 @@ def _auto(core: RatPoly, positivity: PositivityCertificate
 
     # a positive constant is SOS4, so the core has even degree >= 2
     scale, shift = 1, Fraction(0)
-    if ord2(core.leading)[0] % 2 == 1:
+    if _ord2_at(core, core.degree) % 2 == 1:
         route, res = "alg6", _gcd_route(core, 1)
     elif core.degree % 4 == 0:
         route, res = "algn", _gcd_route(core, 2)

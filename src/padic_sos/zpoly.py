@@ -8,16 +8,22 @@ the coefficient of x^i; results carry no trailing zero, and the zero
 polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
 m is ordinary integer arithmetic followed by ``mod``.  ``divide`` is
 division over Z only: by a monic divisor, or by an exact divisor as in
-``ratpoly``'s square-free quotients.  ``ord2_int`` is the 2-adic
-valuation of an integer.  The module imports nothing from the package,
-so any module can use it.
+``ratpoly``'s square-free quotients.  ``coprime`` proves two lists
+coprime over Q with one integer gcd, the package's square-freeness
+proof of f against f'.  ``ord2_int`` is the 2-adic valuation of an
+integer.  The module imports nothing from the package, so any module
+can use it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 Poly = Sequence[int]
+
+# bits by which the evaluation point of ``coprime`` passes its bound
+_XI_MARGIN = 16
 
 
 def ord2_int(n: int) -> int:
@@ -68,11 +74,14 @@ def diff(a: Poly) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def evaluate(a: Poly, t: int) -> int:
-    """a(t) by Horner's rule."""
+def evaluate(a: Poly, t: int, mask: int = 0) -> int:
+    """a(t) by Horner's rule; with a mask 2^k - 1, a(t) mod 2^k, each
+    step reduced."""
     acc = 0
     for c in reversed(a):
         acc = acc * t + c
+        if mask:
+            acc &= mask
     return acc
 
 
@@ -86,12 +95,17 @@ def lift_root(a: Poly, gamma: int, delta: int, precision: int) -> int:
     and raises e to at least min(2e - delta, precision + delta), which is
     more than e while e < precision.  The loop ends once m divides a(x),
     that is once e >= precision: after about log2(precision) steps, and
-    at once on an exact root."""
+    at once on an exact root.
+
+    A step reads a(x) and a'(x) only through (v >> delta) mod m, so only
+    modulo M = 2^(precision+2*delta): Horner's rule reduces every step
+    there, and every value of the loop is the same modulo m."""
+    mask = (1 << (precision + 2 * delta)) - 1
     da = diff(a)
     m = 1 << (precision + delta)
     x = gamma % m
-    while (v := evaluate(a, x)) % m:
-        x = (x - (v >> delta) * pow(evaluate(da, x) >> delta, -1, m)) % m
+    while (v := evaluate(a, x, mask)) % m:
+        x = (x - (v >> delta) * pow(evaluate(da, x, mask) >> delta, -1, m)) % m
     return x % (1 << precision)
 
 
@@ -129,21 +143,31 @@ def divide(a: Poly, b: Poly) -> tuple[list[int], list[int]]:
     return trim(q), trim(r)
 
 
-def coprime_mod(a: Poly, b: Poly, p: int) -> bool:
-    """Whether a and b are coprime modulo the prime p: Euclid's gcd of
-    their images over F_p is a nonzero constant.  Each stage inverts the
-    divisor's top residue once and reads every quotient digit off it,
-    skipping the zero ones, so every residue stays below p."""
-    a, b = mod(a, p), mod(b, p)
-    while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
-        while len(a) > n:
-            c = a.pop() * inv % p
-            if c:
-                k = len(a) - n
-                for i in range(n):
-                    a[k + i] = (a[k + i] - c * b[i]) % p
-        trim(a)
-        a, b = b, a
-    return len(a) == 1
+def coprime(a: Poly, b: Poly) -> bool:
+    """Whether a and b are proved coprime over Q, by one integer gcd of
+    their values at xi = 2^k (Char, Geddes and Gonnet's heuristic gcd,
+    cut down to a proof).  Each list packed k bits apart is its value
+    at xi (Kronecker substitution).  True proves coprimality; False
+    proves nothing.  A zero list is coprime only to a nonzero constant.
+
+    With H = min(|a|, |b|), the largest absolute coefficients, k is
+    H.bit_length() + 1 plus a margin of ``_XI_MARGIN`` bits, so that
+    xi >= 2H + 2.  Suppose a and b share a factor over Q, so a primitive
+    g in Z[x] of degree m >= 1 divides both over Z (Gauss's lemma).
+    Every root of g is a root of a and of b, so it lies inside both
+    Cauchy bounds: |alpha| < 1 + H <= xi / 2.  Then |g(xi)| >=
+    prod |xi - alpha| > (xi / 2)^m >= xi / 2.  g(xi) divides a(xi) and
+    b(xi), which are not both zero (the list of largest coefficient H
+    has no root beyond 1 + H), so it divides gamma = gcd(a(xi), b(xi))
+    > 0, and 2 gamma > xi.  So 2 gamma < xi proves them coprime.  The margin
+    only makes a spurious common divisor of the two values that large
+    unlikely."""
+    if not a or not b:
+        return len(a) + len(b) == 1
+    k = min(max(map(abs, a)), max(map(abs, b))).bit_length() + 1 + _XI_MARGIN
+    x = y = 0
+    for c in reversed(a):
+        x = (x << k) + c
+    for c in reversed(b):
+        y = (y << k) + c
+    return math.gcd(x, y).bit_length() < k

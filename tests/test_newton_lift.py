@@ -49,13 +49,40 @@ def test_lift_root_examples():
     assert zpoly.lift_root([-1, 3], 1, 0, 8) == 0b10101011
 
 
+def unreduced_lift_root(a, gamma, delta, precision):
+    """``zpoly.lift_root``'s Newton loop on the exact values a(x), a'(x)."""
+    m = 1 << (precision + delta)
+    x = gamma % m
+    while (v := zpoly.evaluate(a, x)) % m:
+        x = (x - (v >> delta) * pow(zpoly.evaluate(zpoly.diff(a), x) >> delta, -1, m)) % m
+    return x % (1 << precision)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(strategies.lists(strategies.integers(-2 ** 400, 2 ** 400), min_size=2,
+                                   max_size=8).filter(lambda a: a[-1]),
+                  strategies.integers(-2 ** 80, 2 ** 80), strategies.integers(0, 60),
+                  strategies.integers(1, 300))
+def test_lift_root_on_reduced_values_matches_the_exact_loop(a, gamma, s, precision):
+    # big coefficients, reduced mod 2^(precision + 2 delta) at every
+    # Horner step: the same residue as the loop on exact values; the
+    # constant term is moved so that a(gamma) = 2^(2 delta + 1 + s) * odd
+    dv = zpoly.evaluate(zpoly.diff(a), gamma)
+    hypothesis.assume(dv)
+    delta = ord2(dv)[0]
+    a = [a[0] - zpoly.evaluate(a, gamma) + ((a[0] | 1) << 2 * delta + 1 + s)] + a[1:]
+    assert zpoly.evaluate(a, gamma) % (1 << 2 * delta + 1) == 0
+    assert (zpoly.lift_root(a, gamma, delta, precision)
+            == unreduced_lift_root(a, gamma, delta, precision))
+
+
 def test_exact_root_takes_no_newton_step(monkeypatch):
     calls = []
     evaluate = zpoly.evaluate
 
-    def counting(a, t):
+    def counting(a, t, *mask):
         calls.append(t)
-        return evaluate(a, t)
+        return evaluate(a, t, *mask)
 
     monkeypatch.setattr(zpoly, "evaluate", counting)
     assert zpoly.lift_root([-5, 1], 5, 0, 64) == 5

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,43 @@ def test_ord2():
     assert ord2(F(-8, 3)) == (3, F(-1, 3))
     with pytest.raises(ValueError):
         ord2(0)
+
+
+def fraction_ord2(q):
+    """``ord2`` as first written: every argument through ``Fraction(q)``."""
+    q = F(q)
+    if q == 0:
+        raise ValueError("ord2(0)")
+    num, den = q.numerator, q.denominator
+    vn, vd = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    return vn - vd, F(num >> vn, den >> vd)
+
+
+def fraction_is_square_in_q2(q):
+    q = F(q)
+    if q == 0:
+        return True
+    v, u = fraction_ord2(q)
+    return v % 2 == 0 and unit_residue(u, 8) == 1
+
+
+def outcome(fn, q):
+    try:
+        return fn(q)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [
+    0, 1, -1, 12, -12, 17, -7, 3 << 100, True, False, F(0), F(9, 49), F(-8, 3),
+    F(63, 16 * 4225), F(-63, 16 * 4225), "0", "12", "-7/8", "9/49", " 17 ", 0.5, -0.0,
+    2.25, Decimal("0.75"), Decimal("-17"), "x", None, [1], float("nan"), float("inf"),
+])
+def test_valuation_reads_match_the_fraction_forms(q):
+    # ints and Fractions are read directly; every other type goes through
+    # Fraction(q) as before, with the same result or the same error
+    assert outcome(ord2, q) == outcome(fraction_ord2, q)
+    assert outcome(is_square_in_q2, q) == outcome(fraction_is_square_in_q2, q)
 
 
 def test_is_square_in_q2():

@@ -4,20 +4,25 @@ positive (``ratpoly._proved_positive``).
 ALG6 / ALGN, GR4, PICKY (and its obstruction) and both ALG9 branches
 subtract an h^2 bounded by a certified epsilon, so each residual is
 strictly positive by construction, and only square-freeness is left to
-decide.  An ALG9 candidate f - 4^-l x^k is built on f = c*P's integer
-model and proved square-free by the resultant bound of
-``ratpoly._proved_positive_minus`` once the 2-adic valuation of the
-reduced denominator of 4^-l / c passes that of (d b)^d (b = P[d] on
-branch a, P[0] on branch b).  The other residuals, and the candidates
-the bound leaves, are proved square-free by a gcd of f and f' modulo a
-prime, with the full remainder sequence as the fallback.  Every certificate either builder returns must be the one
-``is_positive_on_reals`` gives, and the gcd must run for exactly the
-ALG9 candidates the bound leaves.  The bound's own soundness is tested
-in ``test_squarefree_bound``.
+decide.  An ALG6 / ALGN residual f - 4^-l and an ALG9 candidate
+f - 4^-l x^k are built on f = c*P's integer model and proved
+square-free by the resultant bound of ``ratpoly._proved_positive_minus``
+once the 2-adic valuation of the reduced denominator of 4^-l / c passes
+that of (d b)^d (b = P[d] for f - 4^-l, P[0] for f - 4^-l x^d).  The
+other residuals, and those the bound leaves, are proved square-free by
+one integer gcd of P and P' (``zpoly.coprime``), with the full
+remainder sequence as the fallback.  Every residual built on the model
+must be f - t x^k, every certificate either builder returns must be the
+one ``is_positive_on_reals`` gives, and the gcd must run for exactly
+the ALG9 candidates the bound leaves.  The bound's own soundness is
+tested in ``test_squarefree_bound``.
 """
 
 import contextlib
+import sys
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -26,13 +31,16 @@ st = pytest.importorskip("hypothesis.strategies")
 
 import padic_sos.ratpoly as ratpoly  # noqa: E402
 import padic_sos.reduction as reduction  # noqa: E402
-from padic_sos.ratpoly import (SQUAREFREE_PRIME, RatPoly, _proved_positive,  # noqa: E402
+from padic_sos.ratpoly import (RatPoly, _proved_positive,  # noqa: E402
                                _proved_positive_minus, is_positive_on_reals, is_squarefree,
                                primitive_integer_coeffs)
 from padic_sos.reduction import (palindromic_counterexample, reduce_auto,  # noqa: E402
                                  reduce_cyclotomic_power, reduce_iterative,
                                  reduce_multiple_of_four, reduce_odd_valuation,
                                  reduce_twice_odd_degree)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
 
 ROUTES = (reduce_odd_valuation, reduce_multiple_of_four, reduce_cyclotomic_power,
           reduce_twice_odd_degree, lambda f: reduce_iterative(f, cap=3))
@@ -53,6 +61,7 @@ def checked_builder():
 
     def checked_minus(f, t, k):
         g, cert = _proved_positive_minus(f, t, k)
+        assert g == f - RatPoly.monomial(k, t), (f, t, k)
         assert cert == is_positive_on_reals(g), g
         built.append(g)
         return g, cert
@@ -130,12 +139,35 @@ def test_alg9_branch_candidates_build_their_certificates():
         assert res.l_init == 6 and fallbacks == left and len(left) == gcds
 
 
-def test_square_mod_p_falls_back_to_the_full_test(monkeypatch):
-    p = SQUAREFREE_PRIME
-    x2p1 = RatPoly([1, 0, 1])
-    # (x - p)^2 + 1 is x^2 + 1 mod p, so f is a square there though it is
-    # square-free and positive over Q
-    f = x2p1 * RatPoly([p * p + 1, -2 * p, 1])
+def test_alg6_algn_residuals_build_their_certificates():
+    # the reduce corpus: every residual the routes build is checked, and
+    # each ALG6 / ALGN run builds its one residual on the model
+    routes = Counter()
+    for item in corpus.corpus("reduce-corpus", 31, 4):
+        with checked_builder() as (built, _):
+            res = reduce_auto(item.poly)
+        method = getattr(res, "method", None)  # an InconclusiveReport has none
+        routes[method] += 1
+        if method in ("ALG6", "ALGN"):
+            assert len(built) == 1
+            assert res.certificate.positivity == is_positive_on_reals(built[0])
+    assert routes["ALG6"] and routes["ALGN"]
+    # c = 2^9, 2^10 on P = x^4 + x + 1: ord2(c) > d ord2(d lc P) = 8, so the
+    # resultant bound proves f - 4^-l square-free with no gcd
+    p = RatPoly([1, 1, 0, 0, 1])
+    for f, route, method in ((p * 2 ** 9, reduce_odd_valuation, "ALG6"),
+                             (p * 2 ** 10, reduce_multiple_of_four, "ALGN")):
+        with checked_builder() as (built, fallbacks):
+            res = route(f)
+        assert res.method == method and built == [res.residual] and fallbacks == []
+        assert res.residual == f - RatPoly.monomial(0, F(1, 4 ** res.parameters["l"]))
+
+
+def test_unproved_square_freeness_falls_back_to_the_full_test(monkeypatch):
+    # x^2 + x + c is square-free and positive, but for c = 786433 the
+    # values at xi = 2^19 share the factor 2 xi + 1, so ``zpoly.coprime``
+    # is silent (``test_zpoly``)
+    f = RatPoly([786433, 1, 1])
     assert is_squarefree(f) and is_positive_on_reals(f).verdict
     full = []
     original = ratpoly.is_positive_on_reals
@@ -143,10 +175,11 @@ def test_square_mod_p_falls_back_to_the_full_test(monkeypatch):
                         lambda g: full.append(g) or original(g))
     assert _proved_positive(f) == original(f)
     assert full == [f]
-    # p dividing the leading coefficient falls back too
-    g = RatPoly([1, 0, p])
+    # a rational multiple keeps the primitive part, and so the fallback
+    g = f * F(3, 8)
     assert _proved_positive(g) == original(g) and full == [f, g]
-    # a square-free f modulo p is decided without it
+    # a square-free f the proof reaches is decided without it
+    x2p1 = RatPoly([1, 0, 1])
     assert _proved_positive(x2p1) == original(x2p1) and full == [f, g]
 
 

@@ -7,10 +7,10 @@ leading coefficients (the reversal tree) and on the ALG9 branch
 candidates of the palindromic family.  On a square-free f the status
 ``z2_root_status`` gives when told so (the private ``_squarefree``),
 which skips every forced chain from the root, must be the same too; the
-skips and the mod-p proof must really run, and an ALG9 branch candidate
-must be proved square-free once (by the resultant bound of
-``ratpoly._proved_positive_minus``, or else modulo p), not again in its
-tree."""
+skips and the pause's square-freeness proof (``zpoly.coprime``) must
+really run, and an ALG9 branch candidate must be proved square-free
+once (by the resultant bound of ``ratpoly._proved_positive_minus``, or
+else by that proof), not again in its tree."""
 
 from fractions import Fraction as F
 
@@ -19,7 +19,7 @@ import pytest
 import oracles
 from padic_sos import hensel, zpoly
 from padic_sos.hensel import ROOT_EXISTS, z2_root_status
-from padic_sos.ratpoly import SQUAREFREE_PRIME, RatPoly, is_squarefree
+from padic_sos.ratpoly import RatPoly, is_squarefree
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -98,10 +98,10 @@ def test_one_square_freeness_proof_per_branch_candidate(monkeypatch):
     # rule's tree takes that proof: by the resultant bound when the reduced
     # denominator of tau = 4^-l / c, here a power of 2, does not divide
     # (d b)^d (b = P[d] on branch a, P[0] on branch b), otherwise by one
-    # gcd mod p (``ratpoly._proved_positive_minus``)
+    # integer gcd (``ratpoly._proved_positive_minus``)
     calls = []
-    original = zpoly.coprime_mod
-    monkeypatch.setattr(zpoly, "coprime_mod",
+    original = zpoly.coprime
+    monkeypatch.setattr(zpoly, "coprime",
                         lambda *args: calls.append(args) or original(*args))
     f, _ = palindromic_counterexample(2, 67)
     iterates = reduce_iterative(f, cap=40).iterates
@@ -142,24 +142,28 @@ def test_forced_chains_are_skipped(descents):
         assert descents["library"] * 4 < descents["reference"], (g, descents)
 
 
-def test_the_pause_proves_square_freeness_mod_p_first(monkeypatch):
+def test_the_pause_proves_square_freeness_first(monkeypatch):
     parts, proofs = [], []
-    for name, calls in (("squarefree_part", parts), ("_squarefree_mod_p", proofs)):
-        original = getattr(hensel, name)
-        monkeypatch.setattr(hensel, name, lambda f, original=original, calls=calls:
-                            calls.append(f) or original(f))
+    for module, name, calls in ((hensel, "squarefree_part", parts),
+                                (zpoly, "coprime", proofs)):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, original=original, calls=calls:
+                            calls.append(args) or original(*args))
     # roots -1 and 2^40 - 1 share 40 digits, all 1: a chain of nodes with
     # the double residue 1, which is not forced, past the pause at 8 nodes
     f = (X + RatPoly([1])) * (X - RatPoly([(1 << 40) - 1]))
     assert z2_root_status(f) == oracles.level_by_level_z2_root_status(f)
     assert z2_root_status(f).tag == ROOT_EXISTS
     assert len(proofs) == 2 and parts == []
-    # times x^2 + 1 and (x - p)^2 + 1, which agree mod p: square-free
-    # over Q but not mod p, so the pause takes the square-free part
-    p = SQUAREFREE_PRIME
-    g = f * RatPoly([1, 0, 1]) * RatPoly([p * p + 1, -2 * p, 1])
+    # g = (x - r)^2 + m 2^64 with m = xi - r: g' = 2 (x - r) puts the proof's
+    # point at xi = 2^57, where m divides g(xi) and g'(xi), so the proof is
+    # silent on a square-free g, and the pause takes the square-free part;
+    # g = (x - r)^2 mod 2^64, so the tree follows r's digits past the pause
+    r, xi = (1 << 39) - 1, 1 << 57
+    g = (X - RatPoly([r])) ** 2 + RatPoly([(xi - r) << 64])
+    assert is_squarefree(g)
     assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
-    assert parts == [g]
+    assert len(proofs) == 3 and parts == [(g,)]
 
 
 @pytest.mark.parametrize("g, steps", [

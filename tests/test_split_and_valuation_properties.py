@@ -137,3 +137,7 @@ def test_integer_slope_bound_matches_fraction_slopes(c0, middle, lead, odd_kd, e
     l1, l2, l3, params = _valuation_bounds(f, e)
     assert l3 == params["l3"] == oracles.slope_bound(f)
     assert params["kd"] % 2 == odd_kd
+    # kd, k0 and l2 read off the model f = c*P are the Fraction forms
+    assert params["kd"] == ord2(f.leading)[0] and params["k0"] == ord2(f[0])[0]
+    assert l2 == params["l2"] == math.ceil(F(-params["k0"], 2)) + 1
+    assert l1 == params["l1"] == math.ceil(F(e, 2))

@@ -2,9 +2,10 @@
 
 The oracle is sympy's ``Poly`` over ZZ: on hypothesis-drawn ascending
 integer lists every ``zpoly`` function must give the coefficients
-sympy gives, and ``coprime_mod`` the gcd sympy takes over F_p.  The
-ALG6 / ALGN gcd loop of ``reduction`` is checked by brute force
-against its termination guard.
+sympy gives.  ``coprime`` may only prove what sympy's gcd over Q
+confirms, is never True on a common factor, and is silent on a
+square-free input built to defeat it.  The ALG6 / ALGN gcd loop of
+``reduction`` is checked by brute force against its termination guard.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from padic_sos import zpoly  # noqa: E402
-from padic_sos.ratpoly import SQUAREFREE_PRIME, RatPoly, is_squarefree  # noqa: E402
+from padic_sos.ratpoly import RatPoly, is_squarefree  # noqa: E402
 from padic_sos.reduction import _gcd_steps  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -82,67 +83,81 @@ def test_gcd_loop_never_reaches_its_guard():
                 assert len(trace) == l - start <= d // 2
 
 
-def sympy_coprime_mod(a, b, p):
-    """gcd(a, b) over F_p is a nonzero constant, by sympy."""
-    pa, pb = (sympy.Poly(list(reversed(c)) or [0], X, modulus=p) for c in (a, b))
-    g = pa.gcd(pb)
+def sympy_coprime(a, b):
+    """gcd(a, b) over Q is a nonzero constant, by sympy."""
+    g = to_sympy(a).gcd(to_sympy(b))
     return not g.is_zero and g.degree() == 0
 
 
-PRIMES = st.sampled_from([2, 3, 7, 101, SQUAREFREE_PRIME])
-
-
 @settings(max_examples=300, deadline=None)
-@given(polys, polys, PRIMES)
-def test_coprime_mod_matches_sympy_gcd(a, b, p):
-    assert zpoly.coprime_mod(a, b, p) == sympy_coprime_mod(a, b, p)
+@given(polys, polys)
+def test_coprime_implies_a_constant_sympy_gcd(a, b):
+    if zpoly.coprime(a, b):
+        assert sympy_coprime(a, b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
-    st.lists(ints, min_size=n, max_size=n), st.lists(ints, min_size=n, max_size=n))),
-    PRIMES)
-def test_coprime_mod_on_equal_degrees(pair, p):
+    st.lists(ints, min_size=n, max_size=n), st.lists(ints, min_size=n, max_size=n))))
+def test_coprime_on_equal_degrees(pair):
     a, b = (c[:-1] + [c[-1] or 1] for c in pair)
-    assert zpoly.coprime_mod(a, b, p) == sympy_coprime_mod(a, b, p)
+    if zpoly.coprime(a, b):
+        assert sympy_coprime(a, b)
+
+
+big = st.integers(-2 ** 200, 2 ** 200)
+factors = st.one_of(
+    st.lists(ints, min_size=2, max_size=5),
+    st.lists(big, min_size=2, max_size=4),
+    # a root r at the Cauchy bound 1 + r of x^m (x - r)
+    st.builds(lambda m, r: [0] * m + [-r, 1], st.integers(0, 4), st.integers(1, 2 ** 120)),
+).filter(lambda g: g[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors, nonzero, nonzero)
+def test_coprime_is_false_on_a_common_factor(g, u, v):
+    # soundness: a common factor of degree >= 1 is never proved away
+    assert not zpoly.coprime(zpoly.mul(g, u), zpoly.mul(g, v))
+    assert not zpoly.coprime(g, zpoly.mul(g, v))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-10 ** 6, 10 ** 6), ints.filter(bool), PRIMES)
-def test_coprime_mod_in_degree_one(c0, c1, p):
-    # c0 + c1*x and c1 are coprime mod p unless p divides c1 and, with it,
-    # the image c0 of f as well
+@given(st.integers(-10 ** 6, 10 ** 6), ints.filter(bool))
+def test_coprime_in_degree_one(c0, c1):
+    # c0 + c1*x and its nonzero constant derivative are always coprime, and
+    # gcd(f(xi), c1) <= |c1| < xi / 2 proves it
     f = [c0, c1]
-    assert zpoly.coprime_mod(f, zpoly.diff(f), p) == (c1 % p != 0 or c0 % p != 0)
-    assert zpoly.coprime_mod(f, zpoly.diff(f), p) == sympy_coprime_mod(f, [c1], p)
+    assert zpoly.coprime(f, zpoly.diff(f)) and sympy_coprime(f, [c1])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-50, 50), min_size=2, max_size=10).filter(lambda a: a[-1]),
-       PRIMES)
-def test_coprime_with_derivative_mod_p_proves_squarefree(a, p):
-    # with p not dividing the leading coefficient, f, f' coprime mod p makes
-    # f square-free over Q; a square factor g^2 never passes
-    if a[-1] % p and zpoly.coprime_mod(a, zpoly.diff(a), p):
+@given(st.lists(st.integers(-50, 50), min_size=2, max_size=10).filter(lambda a: a[-1]))
+def test_coprime_with_derivative_proves_squarefree(a):
+    # f, f' coprime over Q makes f square-free; a square factor g^2 never
+    # passes
+    if zpoly.coprime(a, zpoly.diff(a)):
         assert is_squarefree(RatPoly(a))
     g = a[:2]
-    if g[-1] % p:
+    if g[-1]:
         square = zpoly.mul(zpoly.mul(g, g), a)
-        assert not zpoly.coprime_mod(square, zpoly.diff(square), p)
+        assert not zpoly.coprime(square, zpoly.diff(square))
 
 
-def test_coprime_mod_with_leading_coefficient_divisible_by_p():
-    p = SQUAREFREE_PRIME
-    # (p*x + 1)^2 is 1 mod p, so it passes though it is a square; the
-    # proof of square-freeness needs p to leave the leading coefficient
-    square = zpoly.mul([1, p], [1, p])
-    assert zpoly.coprime_mod(square, zpoly.diff(square), p)
-    assert not is_squarefree(RatPoly(square))
-    # p*x^2 + x + 1 is x + 1 mod p, coprime to its derivative 1
-    assert zpoly.coprime_mod([1, 1, p], zpoly.diff([1, 1, p]), p)
-    assert zpoly.coprime_mod([1, 1, p], [1, 2 * p], p) == sympy_coprime_mod(
-        [1, 1, p], [1, 2 * p], p)
-    # both images zero, or one zero and the other of positive degree
-    assert not zpoly.coprime_mod([p, 2 * p], [0, p], p)
-    assert not zpoly.coprime_mod([p], [1, 1], p)
-    assert zpoly.coprime_mod([p], [3], p)
+def test_coprime_on_zero_constant_and_unprovable_lists():
+    # a zero list is coprime only to a nonzero constant
+    assert not zpoly.coprime([], [])
+    assert zpoly.coprime([3], []) and zpoly.coprime([], [-5])
+    assert not zpoly.coprime([], [1, 1]) and not zpoly.coprime([0, 1], [])
+    assert zpoly.coprime([7], [3]) and zpoly.coprime([6], [4])
+    # square-free polynomials far from the proof's limits are proved
+    for a in ([1, 0, 1], [-2, 0, 1], [1, 1, 1, 1, 1], [5, -3, 0, 2, 1]):
+        assert zpoly.coprime(a, zpoly.diff(a))
+    # x^2 + x + c against 2x + 1: H = 2, so xi = 2^19, and c = -xi^2 - xi
+    # mod 2 xi + 1 makes 2 xi + 1 divide both values.  f is square-free
+    # (disc 1 - 4c < 0), but the proof is silent
+    xi, c = 1 << 19, 786433
+    assert (xi * xi + xi + c) % (2 * xi + 1) == 0
+    f = [c, 1, 1]
+    assert is_squarefree(RatPoly(f)) and sympy_coprime(f, zpoly.diff(f))
+    assert not zpoly.coprime(f, zpoly.diff(f))

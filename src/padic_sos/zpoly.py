@@ -150,18 +150,17 @@ def coprime(a: Poly, b: Poly) -> bool:
     at xi (Kronecker substitution).  True proves coprimality; False
     proves nothing.  A zero list is coprime only to a nonzero constant.
 
-    With H = min(|a|, |b|), the largest absolute coefficients, k is
-    H.bit_length() + 1 plus a margin of ``_XI_MARGIN`` bits, so that
-    xi >= 2H + 2.  Suppose a and b share a factor over Q, so a primitive
-    g in Z[x] of degree m >= 1 divides both over Z (Gauss's lemma).
-    Every root of g is a root of a and of b, so it lies inside both
-    Cauchy bounds: |alpha| < 1 + H <= xi / 2.  Then |g(xi)| >=
-    prod |xi - alpha| > (xi / 2)^m >= xi / 2.  g(xi) divides a(xi) and
-    b(xi), which are not both zero (the list of largest coefficient H
-    has no root beyond 1 + H), so it divides gamma = gcd(a(xi), b(xi))
-    > 0, and 2 gamma > xi.  So 2 gamma < xi proves them coprime.  The margin
-    only makes a spurious common divisor of the two values that large
-    unlikely."""
+    Let H be the smaller of the two largest absolute coefficients; k is
+    H.bit_length() + 1 plus a margin of ``_XI_MARGIN`` bits, so xi >=
+    2H + 2.  Suppose a and b share a factor over Q.  Then a primitive g
+    in Z[x] of degree m >= 1 divides both over Z (Gauss's lemma).  Each
+    root of g is a root of a and of b, so it lies inside both Cauchy
+    bounds: |alpha| < 1 + H <= xi / 2.  So |g(xi)| >= prod |xi - alpha|
+    > (xi / 2)^m >= xi / 2.  The list whose largest coefficient is H is
+    not zero at xi > 1 + H, so gamma = gcd(a(xi), b(xi)) > 0, and g(xi)
+    divides it: 2 gamma > xi.  Hence 2 gamma < xi proves a and b
+    coprime.  The margin only makes it unlikely that a spurious common
+    divisor of the two values is that large."""
     if not a or not b:
         return len(a) + len(b) == 1
     k = min(max(map(abs, a)), max(map(abs, b))).bit_length() + 1 + _XI_MARGIN

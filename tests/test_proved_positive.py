@@ -139,17 +139,29 @@ def test_alg9_branch_candidates_build_their_certificates():
         assert res.l_init == 6 and fallbacks == left and len(left) == gcds
 
 
+@contextlib.contextmanager
+def gcd_route_residuals():
+    """``checked_builder``, plus the (t, k) of every f - t x^k built on the
+    model."""
+    with checked_builder() as (built, fallbacks), pytest.MonkeyPatch.context() as mp:
+        minus = []
+        checked = reduction._proved_positive_minus
+        mp.setattr(reduction, "_proved_positive_minus",
+                   lambda f, t, k: minus.append((t, k)) or checked(f, t, k))
+        yield built, fallbacks, minus
+
+
 def test_alg6_algn_residuals_build_their_certificates():
     # the reduce corpus: every residual the routes build is checked, and
-    # each ALG6 / ALGN run builds its one residual on the model
+    # each ALG6 / ALGN run builds its one residual f - 4^-l on the model
     routes = Counter()
     for item in corpus.corpus("reduce-corpus", 31, 4):
-        with checked_builder() as (built, _):
+        with gcd_route_residuals() as (built, _, minus):
             res = reduce_auto(item.poly)
         method = getattr(res, "method", None)  # an InconclusiveReport has none
         routes[method] += 1
         if method in ("ALG6", "ALGN"):
-            assert len(built) == 1
+            assert minus == [(F(1, 4 ** res.parameters["l"]), 0)] and len(built) == 1
             assert res.certificate.positivity == is_positive_on_reals(built[0])
     assert routes["ALG6"] and routes["ALGN"]
     # c = 2^9, 2^10 on P = x^4 + x + 1: ord2(c) > d ord2(d lc P) = 8, so the
@@ -157,10 +169,10 @@ def test_alg6_algn_residuals_build_their_certificates():
     p = RatPoly([1, 1, 0, 0, 1])
     for f, route, method in ((p * 2 ** 9, reduce_odd_valuation, "ALG6"),
                              (p * 2 ** 10, reduce_multiple_of_four, "ALGN")):
-        with checked_builder() as (built, fallbacks):
+        with gcd_route_residuals() as (built, fallbacks, minus):
             res = route(f)
         assert res.method == method and built == [res.residual] and fallbacks == []
-        assert res.residual == f - RatPoly.monomial(0, F(1, 4 ** res.parameters["l"]))
+        assert minus == [(F(1, 4 ** res.parameters["l"]), 0)]
 
 
 def test_unproved_square_freeness_falls_back_to_the_full_test(monkeypatch):

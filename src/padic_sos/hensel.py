@@ -17,16 +17,15 @@ the ``zpoly`` kernel's arithmetic:
   simple root mod 2 is Newton-lifted until the classical conditions
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
-  negative valuation.  The tree ends on square-free input.  After a
-  few nodes per degree it asks whether f is square-free: the proof
-  that f and f' are coprime (``zpoly.coprime``) first, then
-  ``ratpoly.squarefree_part``, and a repeated factor reruns it on that
-  part.  Once f is proved square-free a forced chain, a node with
+  negative valuation.  The tree ends on square-free input, so whether
+  f is square-free is decided before it walks: by the proof that f and
+  f' are coprime (``zpoly.coprime``), or by a caller in the library
+  that has proved it already (``certifier``'s root rule, through the
+  private ``_squarefree``).  On a proved f a forced chain, a node with
   g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
-  walked in one step.  A caller in the library that has proved f
-  square-free already (``certifier``'s root rule) says so through the
-  private ``_squarefree``: the tree then asks nothing and skips chains
-  from its root, with the same ``RootStatus``;
+  walked in one step.  When the proof is silent the tree runs a few
+  nodes per degree without skips, and only then takes
+  ``ratpoly.squarefree_part``: a repeated factor reruns it on that part;
 * ``newton_refine``: push a certified witness to any target precision.
 
 Every witness is taken on the primitive integer model of f, and both
@@ -47,8 +46,8 @@ from .record import Record, replace
 ROOT_EXISTS = "RootExists"
 NO_ROOT = "NoRoot"
 
-# Root-tree nodes per degree after which z2_root_status checks f for a
-# repeated factor: a cost switch, not a limit on the search.
+# Root-tree nodes per degree that a non-square-free f's own tree runs
+# before its square-free part: it fixes which witness such an f reports.
 SQUAREFREE_CHECK_NODES = 4
 _PAUSED = "paused"
 
@@ -138,28 +137,22 @@ def _path_key(c: int, depth: int) -> int:
     return int(format(c, f"0{depth}b")[::-1], 2)
 
 
-def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
+def _root_tree(coeffs: list[int], limit: int = 0):
     """Breadth-first root tree over Z_2 of the primitive integer
     polynomial ``coeffs``, then, with an even leading coefficient, over
-    2Z_2 for its reversal.  A generator of the first certified witness,
-    or None once every node is closed.
+    2Z_2 for its reversal: the first certified witness, or None once
+    every node is closed.
 
-    ``squarefree`` is True when coeffs is known square-free, False when
-    the proof that coeffs and coeffs' are coprime (``zpoly.coprime``)
-    failed, and None before that is tried.  While it is not True the walk
-    checks, once, after ``switch`` nodes: that proof first, and if it
-    fails it yields ``_PAUSED`` and the caller sends True when coeffs is
-    square-free after all.
-
-    Once coeffs is proved square-free, forced chains are skipped; not
-    before, since a skip moves the node at which the pause falls.  A
-    node g at depth j with g = lc*y^n mod 2 (``_forced_steps`` s >= 2)
-    has the one residue 0, not a simple root, and so have its
-    descendants down to depth j + s - 1, each g(2^t*y) / 2^(t*n).  The
-    walk puts g(2^s*y) / 2^(s*n) at depth j + s at once, and merges it
-    into that level where the level-by-level walk has it (``_path_key``),
-    so the witness found first is the same.  The first such chain tries
-    the proof if nothing has yet."""
+    With ``limit`` 0, coeffs must be square-free, and forced chains are
+    skipped from the root.  A node g at depth j with g = lc*y^n mod 2
+    (``_forced_steps`` s >= 2) has the one residue 0, not a simple root,
+    and so have its descendants down to depth j + s - 1, each
+    g(2^t*y) / 2^(t*n).  The walk puts g(2^s*y) / 2^(s*n) at depth j + s
+    at once, and merges it into that level where the level-by-level walk
+    has it (``_path_key``), so the witness found first is the same.  With
+    a positive ``limit`` nothing is skipped, and the walk returns
+    ``_PAUSED`` at node ``limit``: on an f with a repeated factor a chain
+    down a repeated root never ends."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
@@ -171,26 +164,19 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
             deeper = []
             for c, j, g in level:
                 nodes += 1
-                if nodes == switch and not squarefree:
-                    if squarefree is None:
-                        squarefree = zpoly.coprime(coeffs, zpoly.diff(coeffs))
-                    if not squarefree:
-                        squarefree = yield _PAUSED
+                if nodes == limit:
+                    return _PAUSED
                 for r in (0, 1):
                     if (g[0] if r == 0 else sum(g)) % 2:
                         continue  # r is not a root of g mod 2
                     if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
-                        yield _lift(base, g, c, j, r, on_reversal)
+                        return _lift(base, g, c, j, r, on_reversal)
                     # s >= 2 needs 4 | g_(n-1), which spares other nodes the call
-                    elif (r == 0 and squarefree is not False and not g[-2] & 3
-                          and (s := _forced_steps(g)) > 1):
-                        if squarefree is None:
-                            squarefree = zpoly.coprime(coeffs, zpoly.diff(coeffs))
-                        if squarefree:
-                            n = len(g) - 1
-                            deferred.setdefault(j + s, []).append(
-                                (c, j + s, [x >> s * (n - i) for i, x in enumerate(g)]))
-                            break  # 1 is not a root of a forced g mod 2
+                    if not (limit or r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
+                        n = len(g) - 1
+                        deferred.setdefault(j + s, []).append(
+                            (c, j + s, [x >> s * (n - i) for i, x in enumerate(g)]))
+                        break  # 1 is not a root of a forced g mod 2
                     deeper.append((c + (r << j), j + 1, _descend(g, r)))
             depth = j + 1  # every node of a level has the same depth j
             if deferred and (depth in deferred or not deeper):
@@ -199,42 +185,39 @@ def _root_tree(coeffs: list[int], switch: int, squarefree: bool | None = None):
                 deeper = sorted(deeper + deferred.pop(depth),
                                 key=lambda node: _path_key(node[0], depth))
             level = deeper
-    yield None
+    return None
 
 
 def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
-    Works on the primitive integer model (roots are scale-invariant).
-    After ``SQUAREFREE_CHECK_NODES`` nodes per degree, unless a forced
-    chain has proved it already, the tree asks whether f is square-free:
-    ``zpoly.coprime`` on f and f' first, then f's square-free part.  If f is
-    square-free the tree runs on to its end, otherwise it reruns on the
-    part and marks the witness.
+    Works on the primitive integer model P (roots are scale-invariant).
+    Whether f is square-free is decided before the tree walks: by the
+    private ``_squarefree``, or else by one proof that P and P' are
+    coprime (``zpoly.coprime``).  A proved f gets its tree with forced
+    chains skipped.  When the proof is silent, the tree runs
+    ``SQUAREFREE_CHECK_NODES`` nodes per degree without skips; if it has
+    not ended there, f's square-free part decides: a part of full degree
+    reruns the tree on P, and a part of lower degree runs its own tree,
+    whose witness is marked ``on_squarefree_part``.
 
-    ``_squarefree`` is private: True only where the library has proved f
+    ``_squarefree`` is True only where the library has proved f
     square-free (``certifier``'s root rule, from the positivity
-    certificate or ``is_squarefree``).  The tree then asks nothing and
-    skips forced chains from its root, with the same ``RootStatus``.  On
-    an f with a repeated factor a wrong True can walk down the repeated
-    root without end.
+    certificate or ``is_squarefree``); the ``RootStatus`` is the same.
+    On an f with a repeated factor a wrong True can walk down the
+    repeated root without end.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = primitive_integer_coeffs(f)
-    if len(coeffs) == 1:
-        return RootStatus(NO_ROOT, None)
-    walk = _root_tree(coeffs, SQUAREFREE_CHECK_NODES * (len(coeffs) - 1),
-                      _squarefree or None)
-    witness = next(walk)
+    proved = _squarefree or zpoly.coprime(coeffs, zpoly.diff(coeffs))
+    witness = _root_tree(coeffs, 0 if proved else SQUAREFREE_CHECK_NODES * f.degree)
     if witness is _PAUSED:
         part = squarefree_part(f)
-        if part.degree == f.degree:
-            witness = walk.send(True)
-        else:
-            witness = next(_root_tree(primitive_integer_coeffs(part), 0, True))
-            if witness is not None:
-                witness = replace(witness, on_squarefree_part=True)
+        repeated = part.degree < f.degree
+        witness = _root_tree(primitive_integer_coeffs(part) if repeated else coeffs)
+        if repeated and witness is not None:
+            witness = replace(witness, on_squarefree_part=True)
     return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)
 
 

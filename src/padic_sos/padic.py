@@ -38,15 +38,6 @@ def ord2(q) -> tuple[int, Fraction]:
     return vn - vd, Fraction(num >> vn, den >> vd)
 
 
-def unit_residue(u: Fraction, modulus: int) -> int:
-    """The residue of an odd rational modulo 2^k, clearing the odd
-    denominator with its modular inverse."""
-    num, den = u.numerator, u.denominator
-    if num % 2 == 0 or den % 2 == 0:
-        raise ValueError("unit residue needs an odd rational")
-    return num * pow(den, -1, modulus) % modulus
-
-
 def is_square_in_q2(q) -> bool:
     """True when q is a square in the field of 2-adic numbers.
 

@@ -5,8 +5,7 @@ primitive parts on it, ``hensel`` its root tree and lifting modulo 2^k,
 and ``hensel`` and ``padic`` lift 2-adic roots with ``lift_root``, the
 package's one Newton loop.  A polynomial is a list ``a`` with ``a[i]``
 the coefficient of x^i; results carry no trailing zero, and the zero
-polynomial is the empty list.  Inputs are only read.  Arithmetic modulo
-m is ordinary integer arithmetic followed by ``mod``.  ``divide`` is
+polynomial is the empty list.  Inputs are only read.  ``divide`` is
 division over Z only: by a monic divisor, or by an exact divisor as in
 ``ratpoly``'s square-free quotients.  ``coprime`` proves two lists
 coprime over Q with one integer gcd, the package's square-freeness
@@ -62,11 +61,6 @@ def mul(a: Poly, b: Poly) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return trim(out)
-
-
-def mod(a: Poly, m: int) -> list[int]:
-    """Coefficients reduced into [0, m)."""
-    return trim([c % m for c in a])
 
 
 def diff(a: Poly) -> list[int]:

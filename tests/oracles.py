@@ -47,7 +47,9 @@ precision.  The three loops it replaced are kept here:
   model (the content's numerator times the primitive part), with steps
   mod 2^(precision+delta+4) and a budget of 2*bit_length+8 of them;
 * ``budgeted_padic_sqrt``: Newton's iteration on x^2 - u from 1 with
-  two guard digits and a budget of bit_length+3 steps.
+  two guard digits and a budget of bit_length+3 steps, on the residue
+  of the odd unit u modulo a power of 2 (``unit_residue``, which the
+  tests also use to check square roots and square classes).
 
 The PICKY route's ``HenselSplitEvenParts`` evidence checks only the
 hypotheses of Hensel's lemma and records the degrees and modulus they
@@ -76,16 +78,17 @@ pass (division by gcd(g, g')) feeding a separate distinct-degree split
 
 ALG9 (``reduction._iterative``) builds each branch candidate f - 4^-l x^k
 on f's integer model, proves it square-free by a resultant bound or
-modulo a prime (``ratpoly._proved_positive_minus``) and hands branch a
+by one integer gcd (``ratpoly._proved_positive_minus``) and hands branch a
 f's split with its constant moved.  The loop as first written, which
 builds f - h^2 in ``RatPoly`` arithmetic and certifies each candidate
 with the public ``certify_sos4`` (its own gate, the split searched), is
 kept as ``fraction_alg9``.
 
-``hensel.z2_root_status`` proves square-freeness mod a prime where it
-can and then walks a forced chain of its root tree in one step.  The
-tree it replaced, which descends one 2-adic digit per node and at its
-pause always takes the square-free part, is kept as
+``hensel.z2_root_status`` proves square-freeness with one integer gcd
+before its root tree walks, and on a proved f walks a forced chain of
+the tree in one step.  The tree it replaced, which descends one 2-adic
+digit per node and after 4 nodes per degree always takes the
+square-free part, is kept as
 ``level_by_level_z2_root_status`` (on ``level_by_level_root_tree`` and
 ``level_by_level_descend``).
 """
@@ -107,7 +110,7 @@ from padic_sos.ratpoly import (PositivityCertificate, RatPoly,
 from padic_sos.certifier import (HENSEL_SPLIT_PRECISION, SOS4, EisensteinEvenDegree,
                                  HenselSplitEvenParts, PureEvenDivisor, _certify_positive,
                                  certify_sos4)
-from padic_sos.padic import PadicApprox, is_square_in_q2, unit_residue
+from padic_sos.padic import PadicApprox, is_square_in_q2
 from padic_sos.reduction import (ALWAYS_SQUARE_NOTE, CYCLOTOMIC, METHOD_ALG9, METHOD_ZERO,
                                  REFINE_PRECISION, SHIFTS, BranchRecord, InconclusiveReport,
                                  IterateRecord, NonTermination, ReductionResult, Transform,
@@ -468,6 +471,15 @@ def fixed_modulus_newton_refine(f: RatPoly, gamma: int, delta: int, precision: i
     else:
         raise ArithmeticError("Newton refinement failed to converge")
     return cur % (1 << precision)
+
+
+def unit_residue(u: Fraction, modulus: int) -> int:
+    """The residue of an odd rational modulo 2^k, clearing the odd
+    denominator with its modular inverse."""
+    num, den = u.numerator, u.denominator
+    if num % 2 == 0 or den % 2 == 0:
+        raise ValueError("unit residue needs an odd rational")
+    return num * pow(den, -1, modulus) % modulus
 
 
 def budgeted_padic_sqrt(q, precision: int) -> PadicApprox:

@@ -9,13 +9,14 @@ import json
 import random
 from fractions import Fraction as F
 
+from oracles import unit_residue
 from padic_sos.certifier import (INCONCLUSIVE, NOT_SOS4, SOS4, OddSquareSplit,
                                  certify_sos4, complete_square_split,
                                  verify_certificate)
 from padic_sos.f2 import f2_mul
 from padic_sos.hensel import ROOT_EXISTS, hensel_split, z2_root_status
 from padic_sos.newton_polygon import newton_diagram
-from padic_sos.padic import is_square_in_q2, ord2, padic_sqrt, unit_residue
+from padic_sos.padic import is_square_in_q2, ord2, padic_sqrt
 from padic_sos.ratpoly import (RatPoly, count_distinct_and_real_roots,
                                discriminant, hankel_matrix,
                                is_positive_on_reals, is_squarefree,

@@ -157,8 +157,9 @@ def test_hensel_split_lifts_agree_across_precisions(split, k, big_k):
     assert (f2_from_coeffs(high.g), f2_from_coeffs(high.h)) == (g1, h1)
     assert all(0 <= c < high.modulus for c in high.g + high.h)
     scaled = [int(c * high.scale) for c in f.coeffs]
-    assert zpoly.mod(zpoly.sub(scaled, zpoly.mul(high.g, high.h)), high.modulus) == []
-    assert (zpoly.mod(high.g, 1 << k), zpoly.mod(high.h, 1 << k)) == (list(low.g), list(low.h))
+    assert all(c % high.modulus == 0 for c in zpoly.sub(scaled, zpoly.mul(high.g, high.h)))
+    assert ([zpoly.trim([c % (1 << k) for c in lift]) for lift in (high.g, high.h)]
+            == [list(low.g), list(low.h)])
 
 
 # ---------------------------------------------------------------------------

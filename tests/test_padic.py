@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from padic_sos.padic import (PadicApprox, is_square_in_q2, ord2, padic_sqrt,
-                             unit_residue)
+from oracles import unit_residue
+from padic_sos.padic import PadicApprox, is_square_in_q2, ord2, padic_sqrt
 
 
 def test_ord2():

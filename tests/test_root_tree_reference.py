@@ -2,15 +2,19 @@
 root tree it replaced (``oracles.level_by_level_z2_root_status``): the
 two must give equal ``RootStatus`` records, witness included, on random
 rational polynomials, on clustered 2-adic roots (several branches per
-level and long forced chains), on repeated factors (the pause), on even
-leading coefficients (the reversal tree) and on the ALG9 branch
-candidates of the palindromic family.  On a square-free f the status
+level and long forced chains), on repeated factors (whose own tree runs
+4 nodes per degree before the square-free part), on even leading
+coefficients (the reversal tree) and on the ALG9 branch candidates of
+the palindromic family.  On a square-free f the status
 ``z2_root_status`` gives when told so (the private ``_squarefree``),
-which skips every forced chain from the root, must be the same too; the
-skips and the pause's square-freeness proof (``zpoly.coprime``) must
-really run, and an ALG9 branch candidate must be proved square-free
-once (by the resultant bound of ``ratpoly._proved_positive_minus``, or
-else by that proof), not again in its tree."""
+which skips every forced chain from the root, must be the same too.
+Square-freeness is decided before the tree walks: one proof
+(``zpoly.coprime``), or none when the caller is told, and the
+square-free part only when that proof is silent and the tree has not
+ended within its node limit.  The skips must really run, and an ALG9
+branch candidate must be proved square-free once (by the resultant
+bound of ``ratpoly._proved_positive_minus``, or else by that proof),
+not again in its tree."""
 
 from fractions import Fraction as F
 
@@ -19,7 +23,7 @@ import pytest
 import oracles
 from padic_sos import hensel, zpoly
 from padic_sos.hensel import ROOT_EXISTS, z2_root_status
-from padic_sos.ratpoly import RatPoly, is_squarefree
+from padic_sos.ratpoly import RatPoly, is_squarefree, primitive_integer_coeffs
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -142,28 +146,58 @@ def test_forced_chains_are_skipped(descents):
         assert descents["library"] * 4 < descents["reference"], (g, descents)
 
 
-def test_the_pause_proves_square_freeness_first(monkeypatch):
-    parts, proofs = [], []
-    for module, name, calls in ((hensel, "squarefree_part", parts),
-                                (zpoly, "coprime", proofs)):
+@pytest.fixture
+def decisions(monkeypatch):
+    """A function that runs one ``z2_root_status`` call and returns it
+    with the numbers of ``zpoly.coprime`` and ``squarefree_part`` calls
+    the call made."""
+    calls = {"proofs": 0, "parts": 0}
+    for module, name, key in ((zpoly, "coprime", "proofs"),
+                              (hensel, "squarefree_part", "parts")):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, original=original, calls=calls:
-                            calls.append(args) or original(*args))
+
+        def counting(*args, original=original, key=key):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    def run(f, **kwargs):
+        calls.update(proofs=0, parts=0)
+        status = z2_root_status(f, **kwargs)
+        return status, calls["proofs"], calls["parts"]
+    return run
+
+
+def test_square_freeness_is_decided_before_the_walk(decisions):
     # roots -1 and 2^40 - 1 share 40 digits, all 1: a chain of nodes with
-    # the double residue 1, which is not forced, past the pause at 8 nodes
+    # the double residue 1, which is not forced, past 4 nodes per degree
     f = (X + RatPoly([1])) * (X - RatPoly([(1 << 40) - 1]))
-    assert z2_root_status(f) == oracles.level_by_level_z2_root_status(f)
-    assert z2_root_status(f).tag == ROOT_EXISTS
-    assert len(proofs) == 2 and parts == []
+    assert hensel._root_tree(primitive_integer_coeffs(f), 8) is hensel._PAUSED
+    expected = oracles.level_by_level_z2_root_status(f)
+    assert expected.tag == ROOT_EXISTS
+    assert decisions(f) == (expected, 1, 0)
+    assert decisions(f, _squarefree=True) == (expected, 0, 0)
     # g = (x - r)^2 + m 2^64 with m = xi - r: g' = 2 (x - r) puts the proof's
     # point at xi = 2^57, where m divides g(xi) and g'(xi), so the proof is
-    # silent on a square-free g, and the pause takes the square-free part;
-    # g = (x - r)^2 mod 2^64, so the tree follows r's digits past the pause
+    # silent on a square-free g, and g's square-free part decides;
+    # g = (x - r)^2 mod 2^64, so the tree follows r's digits past 8 nodes
     r, xi = (1 << 39) - 1, 1 << 57
     g = (X - RatPoly([r])) ** 2 + RatPoly([(xi - r) << 64])
     assert is_squarefree(g)
-    assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
-    assert len(proofs) == 3 and parts == [(g,)]
+    assert decisions(g) == (oracles.level_by_level_z2_root_status(g), 1, 1)
+
+
+@pytest.mark.parametrize("f, parts, on_part", [
+    ((X - RatPoly([1])) ** 2 * (X - RatPoly([3])), 0, False),  # the root 3 within 12 nodes
+    ((X - RatPoly([1])) ** 2, 1, True),                         # no simple root, ever
+])
+def test_a_repeated_factor_takes_the_square_free_part_only_past_the_limit(
+        decisions, f, parts, on_part):
+    status, proofs, taken = decisions(f)
+    assert status == oracles.level_by_level_z2_root_status(f)
+    assert status.tag == ROOT_EXISTS and status.witness.on_squarefree_part == on_part
+    assert (proofs, taken) == (1, parts)
 
 
 @pytest.mark.parametrize("g, steps", [

@@ -62,14 +62,6 @@ def test_exact_division_matches_exquo(q, b):
     assert zpoly.divide(a, b) == (quotient, [])
 
 
-@settings(max_examples=100, deadline=None)
-@given(polys, st.integers(1, 10 ** 20))
-def test_mod_reduces_into_range(a, m):
-    reduced = zpoly.mod(a, m)
-    assert all(0 <= c < m for c in reduced)
-    assert all(c % m == 0 for c in zpoly.sub(a, reduced))
-
-
 def test_gcd_loop_never_reaches_its_guard():
     # ALG6 runs on odd kd with target 1, ALGN on even kd and d = 0 mod 4
     # with target 2; positive inputs have even degree

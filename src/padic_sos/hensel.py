@@ -171,7 +171,8 @@ def _root_tree(coeffs: list[int], limit: int = 0):
                         continue  # r is not a root of g mod 2
                     if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
                         return _lift(base, g, c, j, r, on_reversal)
-                    # s >= 2 needs 4 | g_(n-1), which spares other nodes the call
+                    # skip only at limit 0 and r = 0; s >= 2 needs 4 | g_(n-1),
+                    # which spares other nodes the call
                     if not (limit or r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
                         n = len(g) - 1
                         deferred.setdefault(j + s, []).append(

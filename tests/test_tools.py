@@ -40,7 +40,7 @@ def test_quartiles():
     assert paired_runs.quartiles([5, 1, 4, 2, 3]) == (2, 3, 4)
 
 
-def test_compare_counts_wins_in_the_metric_s_direction():
+def test_compare_counts_wins_in_each_metric_direction():
     runs = {"base": [{"ops_per_s": 10, "op_ms_p50": 2.0},
                      {"ops_per_s": 10, "op_ms_p50": 2.0},
                      {"ops_per_s": 10, "op_ms_p50": 2.0}],

@@ -17,16 +17,22 @@ the ``zpoly`` kernel's arithmetic:
   simple root mod 2 is Newton-lifted until the classical conditions
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
-  negative valuation.  The tree ends on square-free input, so whether
+  negative valuation.  Each tree is walked from one heap keyed (depth,
+  path), path a node's residues read first residue most significant:
+  breadth-first, in the level-by-level walk's order, so the first
+  witness is that walk's.  The tree ends on square-free input, so whether
   f is square-free is decided before it walks: by the proof that f and
   f' are coprime (``zpoly.coprime``), or by a caller in the library
   that has proved it already (``certifier``'s root rule, through the
   private ``_squarefree``).  On a proved f a forced chain, a node with
   g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
-  walked in one step.  When the proof is silent the tree runs a few
+  walked in one step: the node s levels down goes in at (j + s, path <<
+  s), the key it has in the walk without skips, so the first witness
+  does not change.  When the proof is silent the tree runs a few
   nodes per degree without skips, and only then takes
   ``ratpoly.squarefree_part``: a repeated factor reruns it on that part;
 * ``newton_refine``: push a certified witness to any target precision.
+  A public entry: no library path calls it.
 
 Every witness is taken on the primitive integer model of f, and both
 Newton lifts, of a simple root mod 2 in the tree and of a witness to a
@@ -35,6 +41,7 @@ target precision, are ``zpoly.lift_root``.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from . import zpoly
@@ -131,61 +138,53 @@ def _forced_steps(g: list[int]) -> int:
     return s
 
 
-def _path_key(c: int, depth: int) -> int:
-    """The place of the node with residue c at ``depth`` in its level:
-    its residues, first residue most significant, as one integer."""
-    return int(format(c, f"0{depth}b")[::-1], 2)
-
-
 def _root_tree(coeffs: list[int], limit: int = 0):
     """Breadth-first root tree over Z_2 of the primitive integer
     polynomial ``coeffs``, then, with an even leading coefficient, over
     2Z_2 for its reversal: the first certified witness, or None once
     every node is closed.
 
-    With ``limit`` 0, coeffs must be square-free, and forced chains are
-    skipped from the root.  A node g at depth j with g = lc*y^n mod 2
+    Each tree's nodes leave one heap in (depth, path) order, path the
+    node's residues read first residue most significant, so a child of
+    (j, path) goes in at (j + 1, 2*path + r): breadth-first, and within
+    a level in the order the level-by-level walk visits it.  With
+    ``limit`` 0, coeffs must be square-free, and forced chains are
+    skipped.  A node g at depth j with g = lc*y^n mod 2
     (``_forced_steps`` s >= 2) has the one residue 0, not a simple root,
     and so have its descendants down to depth j + s - 1, each
-    g(2^t*y) / 2^(t*n).  The walk puts g(2^s*y) / 2^(s*n) at depth j + s
-    at once, and merges it into that level where the level-by-level walk
-    has it (``_path_key``), so the witness found first is the same.  With
-    a positive ``limit`` nothing is skipped, and the walk returns
-    ``_PAUSED`` at node ``limit``: on an f with a repeated factor a chain
-    down a repeated root never ends."""
+    g(2^t*y) / 2^(t*n).  The walk puts g(2^s*y) / 2^(s*n) in at once, at
+    (j + s, path << s), the key of that node in the walk without skips,
+    so the witness found first is the same.  (Its odd lc puts every root
+    of coeffs in the node's ball, so every other node of depth j closes
+    at once, and no node is left to share depth j + s with it.)  With a
+    positive ``limit``
+    nothing is skipped, and the walk returns ``_PAUSED`` at node
+    ``limit``: on an f with a repeated factor a chain down a repeated
+    root never ends."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
     nodes = 0
     for base, on_reversal in trees:
-        level = [(0, 1, _descend(base, 0))] if on_reversal else [(0, 0, base)]
-        deferred: dict[int, list] = {}  # depth -> nodes a skipped chain put there
-        while level:
-            deeper = []
-            for c, j, g in level:
-                nodes += 1
-                if nodes == limit:
-                    return _PAUSED
-                for r in (0, 1):
-                    if (g[0] if r == 0 else sum(g)) % 2:
-                        continue  # r is not a root of g mod 2
-                    if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
-                        return _lift(base, g, c, j, r, on_reversal)
-                    # skip only at limit 0 and r = 0; s >= 2 needs 4 | g_(n-1),
-                    # which spares other nodes the call
-                    if not (limit or r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
-                        n = len(g) - 1
-                        deferred.setdefault(j + s, []).append(
-                            (c, j + s, [x >> s * (n - i) for i, x in enumerate(g)]))
-                        break  # 1 is not a root of a forced g mod 2
-                    deeper.append((c + (r << j), j + 1, _descend(g, r)))
-            depth = j + 1  # every node of a level has the same depth j
-            if deferred and (depth in deferred or not deeper):
-                if not deeper:
-                    depth = min(deferred)
-                deeper = sorted(deeper + deferred.pop(depth),
-                                key=lambda node: _path_key(node[0], depth))
-            level = deeper
+        heap = [(1, 0, 0, _descend(base, 0)) if on_reversal else (0, 0, 0, base)]
+        while heap:
+            j, path, c, g = heapq.heappop(heap)  # (depth, path) is unique
+            nodes += 1
+            if nodes == limit:
+                return _PAUSED
+            for r in (0, 1):
+                if (g[0] if r == 0 else sum(g)) % 2:
+                    continue  # r is not a root of g mod 2
+                if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
+                    return _lift(base, g, c, j, r, on_reversal)
+                # skip only at limit 0 and r = 0; s >= 2 needs 4 | g_(n-1),
+                # which spares other nodes the call
+                if not (limit or r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
+                    n = len(g) - 1
+                    heapq.heappush(heap, (j + s, path << s, c,
+                                          [x >> s * (n - i) for i, x in enumerate(g)]))
+                    break  # 1 is not a root of a forced g mod 2
+                heapq.heappush(heap, (j + 1, 2 * path + r, c + (r << j), _descend(g, r)))
     return None
 
 

@@ -87,7 +87,7 @@ from . import zpoly
 from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, _certify_positive,
                         certify_sos4, complete_square_split, hensel_split_even_parts,
                         quadratic_nonsquare_disc, verify_certificate)
-from .hensel import ROOT_EXISTS, RootStatus, _certify, newton_refine
+from .hensel import ROOT_EXISTS, RootStatus, _certify
 from .padic import is_square_in_q2, ord2, ord2_int
 from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
                       _least_exponent, _positivity, _proved_positive,
@@ -559,7 +559,7 @@ def _obstruction(f: RatPoly, k0: int, ell_pos: int,
     witness = _certify(coeffs, zpoly.diff(coeffs), 2 ** (ell + a), False)
     if witness is None:
         raise ArithmeticError("obstruction witness failed its check")
-    refined = newton_refine(q, witness.gamma, witness.delta, REFINE_PRECISION)
+    refined = zpoly.lift_root(coeffs, witness.gamma, witness.delta, REFINE_PRECISION)
     # l >= ell_pos, so 4^(-l) * base <= 4^(-ell_pos) * base <= eps0 * base,
     # and f - eps0 * base > 0
     g = f - base * Fraction(1, 4 ** ell)

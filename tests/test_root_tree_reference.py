@@ -88,6 +88,32 @@ def test_even_leading_coefficients_match_the_reference(f, a):
     assert_matches_reference(f + RatPoly.monomial(f.degree, f.leading * (2 ** a - 1)))
 
 
+even_leading_polys = st.builds(
+    lambda f, a: f + RatPoly.monomial(f.degree, f.leading * (2 ** a - 1)),
+    st.one_of(random_polys, clustered_polys()), st.integers(1, 6))
+repeated_factor_polys = st.builds(lambda g, h: g * g * h,
+                                  st.one_of(random_polys, clustered_polys()), random_polys)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.one_of(random_polys, clustered_polys(), even_leading_polys,
+                            repeated_factor_polys))
+def test_the_walk_pauses_where_the_reference_does(f):
+    # for every node limit L up to the reference walk's node count + 1,
+    # the walk pauses exactly when the reference has visited L nodes;
+    # past that both end, on the same witness.  A walk down a repeated
+    # root never ends, so L stops at 64 nodes.
+    coeffs = primitive_integer_coeffs(f)
+    hypothesis.assume(len(coeffs) > 1)
+    for limit in range(1, 65):
+        expected = next(oracles.level_by_level_root_tree(coeffs, limit))
+        witness = hensel._root_tree(coeffs, limit)
+        assert (witness is hensel._PAUSED) == (expected is oracles._PAUSED), (f, limit)
+        if expected is not oracles._PAUSED:
+            assert witness == expected, f
+            break
+
+
 @pytest.mark.parametrize("k, n, cap", [(0, 67, 40), (1, 67, 40), (2, 67, 40),
                                         (0, 65, 12), (1, 69, 12), (2, 65, 12)])
 def test_alg9_branch_candidates_match_the_reference(k, n, cap):

@@ -77,5 +77,7 @@ def test_digests_name_every_benchmark_output():
     assert kinds.pop("alg9-family") == 3
     assert kinds.pop("certify-corpus") == kinds.pop("z2_root_status certify-corpus") == 100
     assert kinds.pop("reduce-corpus") == kinds.pop("z2_root_status reduce-corpus") == 40
+    assert kinds.pop("z2_root_status tree") == same_outputs.TREE_INPUTS == 200
+    assert kinds.pop("z2_root_status tree squarefree") == 133
     assert sum(kinds.values()) == 36 and all(k.startswith("cli ") for k in kinds)
     assert same_outputs.digests(7) == first

@@ -13,6 +13,9 @@ path and no bytecode written, hashes (sha256) the ``repr`` of:
   reduce-corpus (``reduce_auto``) and alg9-family
   (``reduce_iterative(cap=40)``), inputs from ``perfbench/corpus.py``;
 * plain ``z2_root_status`` of every polynomial of both corpora;
+* plain ``z2_root_status`` of every polynomial of ``tree_inputs(seed)``,
+  whose root trees run deep, and ``z2_root_status(f, _squarefree=True)``
+  of the square-free ones, which skips forced chains from the root;
 * the exit code and standard output of ``cli.main``, run in process,
   on every argv of ``corpus.cli_documents(seed, 3)``.
 
@@ -30,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -39,6 +43,36 @@ from paired_runs import export
 from reach import CERTIFY_PER_DEGREE, CLI_PER_ENTRY, REDUCE_PER_DEGREE
 
 TOOLS = Path(__file__).resolve().parent
+TREE_INPUTS = 200
+
+
+def tree_inputs(seed: int) -> list:
+    """``TREE_INPUTS`` seeded polynomials whose root trees the corpora do
+    not reach: products of x - r with the roots r clustered at high 2-adic
+    valuation (forced chains), of (x - r)^2 - 2^(2m+1)*u, m >= 2, with no
+    2-adic root, and of 2^k*x - u, with a root of negative valuation,
+    under a leading coefficient that is often even (the reversal tree);
+    every third one times a square (the node limit)."""
+    from padic_sos.ratpoly import RatPoly
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(TREE_INPUTS):
+        base = rng.choice([0, 0, 1, 3, -5])
+        f = RatPoly([rng.choice([1, 3, 2, 4, 8])])
+        for _ in range(rng.randint(1, 3)):
+            y = RatPoly([-base - (rng.randint(-5, 5) << rng.randint(4, 24)), 1])  # x - r
+            kind = rng.choice("lllqqqv")
+            if kind == "l":
+                f = f * y
+            elif kind == "q":
+                f = f * (y * y - RatPoly([rng.choice([1, 3, 5, 7]) << rng.randrange(5, 19, 2)]))
+            else:
+                f = f * RatPoly([-rng.choice([1, 3, 5]), 1 << rng.randint(1, 12)])
+        if i % 3 == 0:
+            f = f * RatPoly([-rng.randint(-9, 9), 1]) ** 2
+        out.append(f)
+    return out
 
 
 def digest(value) -> str:
@@ -53,6 +87,7 @@ def digests(seed: int) -> dict[str, str]:
     from padic_sos import certify_sos4, reduce_auto, reduce_iterative
     from padic_sos.cli import main as cli_main
     from padic_sos.hensel import z2_root_status
+    from padic_sos.ratpoly import is_squarefree
 
     out = {}
     passes = (("certify-corpus", corpus.corpus("certify-corpus", seed, CERTIFY_PER_DEGREE),
@@ -66,6 +101,11 @@ def digests(seed: int) -> dict[str, str]:
             out[f"{name}[{i}]"] = digest(call(item.poly))
             if name != "alg9-family":
                 out[f"z2_root_status {name}[{i}]"] = digest(z2_root_status(item.poly))
+    for i, f in enumerate(tree_inputs(seed)):
+        out[f"z2_root_status tree[{i}]"] = digest(z2_root_status(f))
+        if is_squarefree(f):
+            out[f"z2_root_status tree squarefree[{i}]"] = digest(
+                z2_root_status(f, _squarefree=True))
     for i, (_, argv) in enumerate(corpus.cli_documents(seed, CLI_PER_ENTRY)):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):

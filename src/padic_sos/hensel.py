@@ -157,10 +157,9 @@ def _root_tree(coeffs: list[int], limit: int = 0):
     so the witness found first is the same.  (Its odd lc puts every root
     of coeffs in the node's ball, so every other node of depth j closes
     at once, and no node is left to share depth j + s with it.)  With a
-    positive ``limit``
-    nothing is skipped, and the walk returns ``_PAUSED`` at node
-    ``limit``: on an f with a repeated factor a chain down a repeated
-    root never ends."""
+    positive ``limit`` nothing is skipped, and the walk returns
+    ``_PAUSED`` at node ``limit``: on an f with a repeated factor a
+    chain down a repeated root never ends."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))

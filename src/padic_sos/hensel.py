@@ -169,20 +169,24 @@ def _root_tree(coeffs: list[int], limit: int = 0):
         while heap:
             j, path, c, g = heapq.heappop(heap)  # (depth, path) is unique
             nodes += 1
-            if nodes == limit:
+            if 0 < limit <= nodes:
                 return _PAUSED
+            n = len(g) - 1
             for r in (0, 1):
                 if (g[0] if r == 0 else sum(g)) % 2:
                     continue  # r is not a root of g mod 2
                 if (g[1] if r == 0 else sum(g[1::2])) % 2:  # simple root
                     return _lift(base, g, c, j, r, on_reversal)
-                # skip only at limit 0 and r = 0; s >= 2 needs 4 | g_(n-1),
-                # which spares other nodes the call
-                if not (limit or r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
-                    n = len(g) - 1
+                # s >= 2 needs r = 0 and 4 | g_(n-1), which spares other nodes the call
+                if not (r or g[-2] & 3) and (s := _forced_steps(g)) > 1:
+                    nodes += s - 1  # the levels the skip passes
                     heapq.heappush(heap, (j + s, path << s, c,
                                           [x >> s * (n - i) for i, x in enumerate(g)]))
                     break  # 1 is not a root of a forced g mod 2
+                # g = lc*(y + a)^n, a = g_(n-1) / (n*lc), read off g_i / g_(i+1)
+                if g[-1] & 1 and all(n * g[-1] * (n - i) * g[i] == (i + 1) * g[i + 1] * g[-2]
+                                     for i in range(n - 1)):
+                    return _PAUSED  # f is a power of one linear factor: no simple root
                 heapq.heappush(heap, (j + 1, 2 * path + r, c + (r << j), _descend(g, r)))
     return None
 
@@ -213,9 +217,8 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     witness = _root_tree(coeffs, 0 if proved else SQUAREFREE_CHECK_NODES * f.degree)
     if witness is _PAUSED:
         part = squarefree_part(f)
-        repeated = part.degree < f.degree
-        witness = _root_tree(primitive_integer_coeffs(part) if repeated else coeffs)
-        if repeated and witness is not None:
+        witness = _root_tree(primitive_integer_coeffs(part))
+        if part.degree < f.degree and witness is not None:
             witness = replace(witness, on_squarefree_part=True)
     return RootStatus(NO_ROOT if witness is None else ROOT_EXISTS, witness)
 

@@ -22,7 +22,7 @@ import pytest
 
 import oracles
 from padic_sos import hensel, zpoly
-from padic_sos.hensel import ROOT_EXISTS, z2_root_status
+from padic_sos.hensel import ROOT_EXISTS, RootStatus, RootWitness, z2_root_status
 from padic_sos.ratpoly import RatPoly, is_squarefree, primitive_integer_coeffs
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
@@ -64,6 +64,18 @@ def clustered_polys(draw):
     return f
 
 
+@st.composite
+def pure_powers(draw):
+    """C*(q*x - p)^n, one root of multiplicity n >= 2, with p's low bits
+    clustered as in ``clustered_polys``; an even q makes the leading
+    coefficient even, so the reversal tree runs too."""
+    p = draw(st.sampled_from([0, 0, 0, 1, 3, -5])) + (
+        draw(st.integers(-5, 5)) << draw(st.integers(2, 14)))
+    q = draw(st.sampled_from([1, 2, 3, 4]))
+    c = draw(st.sampled_from([1, -1, 3, F(1, 2), F(-5, 4)]))
+    return RatPoly([c]) * RatPoly([-p, q]) ** draw(st.integers(2, 9))
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(random_polys)
 def test_random_polynomials_match_the_reference(f):
@@ -83,6 +95,17 @@ def test_repeated_factors_match_the_reference(g, h):
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(pure_powers())
+def test_pure_powers_match_the_reference(f):
+    # no node of a pure power's trees gives a witness, so its walk pauses
+    # at once, and the square-free part decides; with a wrong claim that
+    # f is square-free too
+    expected = oracles.level_by_level_z2_root_status(f)
+    assert z2_root_status(f) == expected, f
+    assert z2_root_status(f, _squarefree=True) == expected, f
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(random_polys, st.integers(1, 6))
 def test_even_leading_coefficients_match_the_reference(f, a):
     assert_matches_reference(f + RatPoly.monomial(f.degree, f.leading * (2 ** a - 1)))
@@ -97,7 +120,7 @@ repeated_factor_polys = st.builds(lambda g, h: g * g * h,
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(st.one_of(random_polys, clustered_polys(), even_leading_polys,
-                            repeated_factor_polys))
+                            repeated_factor_polys, pure_powers()))
 def test_the_walk_pauses_where_the_reference_does(f):
     # for every node limit L up to the reference walk's node count + 1,
     # the walk pauses exactly when the reference has visited L nodes;
@@ -170,6 +193,16 @@ def test_forced_chains_are_skipped(descents):
         descents.update(library=0, reference=0)
         assert z2_root_status(g) == oracles.level_by_level_z2_root_status(g)
         assert descents["library"] * 4 < descents["reference"], (g, descents)
+
+
+def test_a_pure_power_walks_no_node_below_the_root(descents):
+    # the root node of x^n is y^n itself: the walk pauses there, and the
+    # part x decides, where a walk of 4 nodes per degree descends 4n - 1
+    expected = RootStatus(ROOT_EXISTS, RootWitness(0, 0, 2, exact=True,
+                                                   on_squarefree_part=True))
+    assert oracles.level_by_level_z2_root_status(RatPoly.monomial(6)) == expected
+    assert z2_root_status(RatPoly.monomial(2000)) == expected
+    assert descents["library"] == 0
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from padic_sos.hensel import (ROOT_EXISTS, RootStatus, RootWitness,
                               hensel_split, verify_root_witness, z2_root_status)
 from padic_sos.newton_polygon import newton_diagram
 from padic_sos.padic import is_square_in_q2
-from padic_sos.ratpoly import RatPoly, discriminant, is_positive_on_reals
+from padic_sos.ratpoly import RatPoly, _positivity, discriminant, is_positive_on_reals
 from padic_sos.record import replace
 from padic_sos.reduction import (InconclusiveReport, ReductionResult,
                                  reduce_auto, reduce_twice_odd_degree)
@@ -227,6 +227,21 @@ def test_a_root_of_the_squarefree_part_is_no_simple_root():
     bad = replace(cert, evidence=SimpleZ2Root(RootStatus(ROOT_EXISTS, relabelled)))
     assert not verify_certificate(f, bad)
 
+
+
+def test_a_root_witness_on_a_repeated_root_is_refused():
+    # f = (x - 1)^2 (x^2 + 1) = (x^2 - x)^2 + (x - 1)^2 is a sum of two
+    # squares; its exact double root 1 passes the root tree's check (delta
+    # None, exact), so only the gate's square-freeness refuses a NOT_SOS4
+    # certificate built on it
+    f = (RatPoly([-1, 1]) ** 2) * RatPoly([1, 0, 1])
+    assert f == RatPoly([0, -1, 1]) ** 2 + RatPoly([-1, 1]) ** 2
+    witness = RootWitness(1, None, 1, exact=True)
+    assert verify_root_witness(f, witness)
+    forged = Sos4Certificate.of(_positivity(f)[0],
+                                SimpleZ2Root(RootStatus(ROOT_EXISTS, witness)))
+    assert (forged.verdict, forged.rule) == (NOT_SOS4, "simple_z2_root")
+    assert not verify_certificate(f, forged)
 
 def test_verify_certificate_reads_rule_verdict_and_exactness():
     # the Eisenstein certificate of x^2 + 2 under any other label

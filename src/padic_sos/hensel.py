@@ -24,13 +24,17 @@ the ``zpoly`` kernel's arithmetic:
   f is square-free is decided before it walks: by the proof that f and
   f' are coprime (``zpoly.coprime``), or by a caller in the library
   that has proved it already (``certifier``'s root rule, through the
-  private ``_squarefree``).  On a proved f a forced chain, a node with
-  g = lc*y^n mod 2 whose Newton polygon puts every root in 2^s*Z_2, is
-  walked in one step: the node s levels down goes in at (j + s, path <<
-  s), the key it has in the walk without skips, so the first witness
-  does not change.  When the proof is silent the tree runs a few
-  nodes per degree without skips, and only then takes
-  ``ratpoly.squarefree_part``: a repeated factor reruns it on that part;
+  private ``_squarefree``).  There is one walk.  A forced chain, a node
+  with g = lc*y^n mod 2 whose Newton polygon puts every root in
+  2^s*Z_2, is walked in one step: the node s levels down goes in at
+  (j + s, path << s), the key it has in the walk without skips, and the
+  s - 1 levels it passes count as nodes, so neither the first witness
+  nor where a node limit pauses changes.  A pure power, a node g =
+  lc*(y + a)^n with lc odd and n >= 2, makes f a power of one linear
+  factor, whose tree gives no witness and never ends: the walk pauses
+  there at once.  When the proof is silent the walk pauses after a few
+  nodes per degree, and only then takes ``ratpoly.squarefree_part``,
+  whose tree decides;
 * ``newton_refine``: push a certified witness to any target precision.
   A public entry: no library path calls it.
 
@@ -53,8 +57,9 @@ from .record import Record, replace
 ROOT_EXISTS = "RootExists"
 NO_ROOT = "NoRoot"
 
-# Root-tree nodes per degree that a non-square-free f's own tree runs
-# before its square-free part: it fixes which witness such an f reports.
+# Root-tree nodes per degree, skipped levels counted, that a
+# non-square-free f's own tree runs before its square-free part: it
+# fixes which witness such an f reports.
 SQUAREFREE_CHECK_NODES = 4
 _PAUSED = "paused"
 
@@ -122,8 +127,8 @@ def _forced_steps(g: list[int]) -> int:
     """For g = lc*y^n mod 2 with lc odd and n >= 2, every root of g lies
     in 2^s*Z_2 for s = min over i < n of floor(ord2(g_i) / (n - i)), from
     the last segment of g's Newton polygon.  That s when it is at least
-    2, else 0; an odd g_i with i < n gives 0, and so does g = lc*y^n,
-    which is no square-free polynomial's node."""
+    2, else 0; an odd g_i with i < n gives 0, and so does g = lc*y^n, a
+    pure power, on which the walk pauses instead."""
     n = len(g) - 1
     if n < 2 or not g[-1] & 1:
         return 0
@@ -147,19 +152,27 @@ def _root_tree(coeffs: list[int], limit: int = 0):
     Each tree's nodes leave one heap in (depth, path) order, path the
     node's residues read first residue most significant, so a child of
     (j, path) goes in at (j + 1, 2*path + r): breadth-first, and within
-    a level in the order the level-by-level walk visits it.  With
-    ``limit`` 0, coeffs must be square-free, and forced chains are
-    skipped.  A node g at depth j with g = lc*y^n mod 2
-    (``_forced_steps`` s >= 2) has the one residue 0, not a simple root,
-    and so have its descendants down to depth j + s - 1, each
+    a level in the order the level-by-level walk visits it.
+
+    Forced chains are skipped.  A node g at depth j with g = lc*y^n mod
+    2 (``_forced_steps`` s >= 2) has the one residue 0, not a simple
+    root, and so have its descendants down to depth j + s - 1, each
     g(2^t*y) / 2^(t*n).  The walk puts g(2^s*y) / 2^(s*n) in at once, at
     (j + s, path << s), the key of that node in the walk without skips,
-    so the witness found first is the same.  (Its odd lc puts every root
-    of coeffs in the node's ball, so every other node of depth j closes
-    at once, and no node is left to share depth j + s with it.)  With a
-    positive ``limit`` nothing is skipped, and the walk returns
-    ``_PAUSED`` at node ``limit``: on an f with a repeated factor a
-    chain down a repeated root never ends."""
+    and counts the s - 1 nodes it passes.  Its odd lc puts every root of
+    coeffs in the node's ball, so every other node of depth j closes at
+    once, and no node is left to share depth j + s with it: the witness
+    found first is the same, and so is the count at every node after
+    the chain.  A pure power, a node g = lc*(y + a)^n with lc odd and
+    n >= 2, makes coeffs a power of one linear factor: no node of either
+    tree has a simple root, and the chain down its root never ends, so
+    the walk returns ``_PAUSED`` there at once.
+
+    A positive ``limit`` pauses the walk (``_PAUSED``) at the first node
+    that brings the count to ``limit`` or past it, exactly when the walk
+    without skips pauses at node ``limit``: on an f with a repeated
+    factor a chain down a repeated root may never end.  With ``limit``
+    0, coeffs must be square-free, and only a pure power pauses."""
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
@@ -197,18 +210,19 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     Works on the primitive integer model P (roots are scale-invariant).
     Whether f is square-free is decided before the tree walks: by the
     private ``_squarefree``, or else by one proof that P and P' are
-    coprime (``zpoly.coprime``).  A proved f gets its tree with forced
-    chains skipped.  When the proof is silent, the tree runs
-    ``SQUAREFREE_CHECK_NODES`` nodes per degree without skips; if it has
-    not ended there, f's square-free part decides: a part of full degree
-    reruns the tree on P, and a part of lower degree runs its own tree,
-    whose witness is marked ``on_squarefree_part``.
+    coprime (``zpoly.coprime``).  A proved f gets its tree without a
+    node limit.  When the proof is silent, the tree pauses after
+    ``SQUAREFREE_CHECK_NODES`` nodes per degree; if it has not ended
+    there, the tree of f's square-free part decides.  A part of full
+    degree is P up to sign, whose tree gives P's witness; the witness of
+    a part of lower degree is marked ``on_squarefree_part``.
 
     ``_squarefree`` is True only where the library has proved f
     square-free (``certifier``'s root rule, from the positivity
     certificate or ``is_squarefree``); the ``RootStatus`` is the same.
-    On an f with a repeated factor a wrong True can walk down the
-    repeated root without end.
+    A wrong True pauses at once on a power of one linear factor, and the
+    part decides as above; on any other f with a repeated factor it can
+    walk down the repeated root without end.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")

@@ -3,11 +3,12 @@ root tree it replaced (``oracles.level_by_level_z2_root_status``): the
 two must give equal ``RootStatus`` records, witness included, on random
 rational polynomials, on clustered 2-adic roots (several branches per
 level and long forced chains), on repeated factors (whose own tree runs
-4 nodes per degree before the square-free part), on even leading
-coefficients (the reversal tree) and on the ALG9 branch candidates of
-the palindromic family.  On a square-free f the status
-``z2_root_status`` gives when told so (the private ``_squarefree``),
-which skips every forced chain from the root, must be the same too.
+4 nodes per degree before the square-free part), on pure powers (whose
+walk pauses at once), on even leading coefficients (the reversal tree)
+and on the ALG9 branch candidates of the palindromic family.  On a
+square-free f the status ``z2_root_status`` gives when told so (the
+private ``_squarefree``), which walks without a node limit, must be the
+same too, and so must it on a pure power told so wrongly.
 Square-freeness is decided before the tree walks: one proof
 (``zpoly.coprime``), or none when the caller is told, and the
 square-free part only when that proof is silent and the tree has not

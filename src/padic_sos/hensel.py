@@ -29,10 +29,10 @@ the ``zpoly`` kernel's arithmetic:
   2^s*Z_2, is walked in one step: the node s levels down goes in at
   (j + s, path << s), the key it has in the walk without skips, and the
   s - 1 levels it passes count as nodes, so neither the first witness
-  nor where a node limit pauses changes.  A pure power, a node g =
-  lc*(y + a)^n with lc odd and n >= 2, makes f a power of one linear
-  factor, whose tree gives no witness and never ends: the walk pauses
-  there at once.  When the proof is silent the walk pauses after a few
+  nor where a node limit pauses changes.  A power of one linear factor,
+  lc*(x + a)^n with n >= 2, has no simple root in either tree, and the
+  chain down its root never ends: the walk pauses on it before its
+  first node.  When the proof is silent the walk pauses after a few
   nodes per degree, and only then takes ``ratpoly.squarefree_part``,
   whose tree decides;
 * ``newton_refine``: push a certified witness to any target precision.
@@ -127,8 +127,9 @@ def _forced_steps(g: list[int]) -> int:
     """For g = lc*y^n mod 2 with lc odd and n >= 2, every root of g lies
     in 2^s*Z_2 for s = min over i < n of floor(ord2(g_i) / (n - i)), from
     the last segment of g's Newton polygon.  That s when it is at least
-    2, else 0; an odd g_i with i < n gives 0, and so does g = lc*y^n, a
-    pure power, on which the walk pauses instead."""
+    2, else 0; an odd g_i with i < n gives 0, and so does g = lc*y^n,
+    whose f is a power of one linear factor: the walk pauses on that f
+    before its first node."""
     n = len(g) - 1
     if n < 2 or not g[-1] & 1:
         return 0
@@ -163,16 +164,21 @@ def _root_tree(coeffs: list[int], limit: int = 0):
     coeffs in the node's ball, so every other node of depth j closes at
     once, and no node is left to share depth j + s with it: the witness
     found first is the same, and so is the count at every node after
-    the chain.  A pure power, a node g = lc*(y + a)^n with lc odd and
-    n >= 2, makes coeffs a power of one linear factor: no node of either
-    tree has a simple root, and the chain down its root never ends, so
-    the walk returns ``_PAUSED`` there at once.
+    the chain.  A coeffs that is a power of one linear factor, lc*(x +
+    a)^n with n >= 2, has every node such a power again: none has a
+    simple root, and the chain down the root never ends, so the walk
+    returns ``_PAUSED`` before its first node.
 
     A positive ``limit`` pauses the walk (``_PAUSED``) at the first node
     that brings the count to ``limit`` or past it, exactly when the walk
     without skips pauses at node ``limit``: on an f with a repeated
     factor a chain down a repeated root may never end.  With ``limit``
-    0, coeffs must be square-free, and only a pure power pauses."""
+    0, coeffs must be square-free, and only such a power pauses."""
+    n = len(coeffs) - 1  # the degree of every node's g too
+    # coeffs = lc*(x + a)^n, a = c_(n-1) / (n*lc), when each c_i / c_(i+1) is (i + 1)*a / (n - i)
+    if n > 1 and all(n * coeffs[-1] * (n - i) * coeffs[i] == (i + 1) * coeffs[i + 1] * coeffs[-2]
+                     for i in range(n - 1)):
+        return _PAUSED
     trees = [(coeffs, False)]
     if coeffs[-1] % 2 == 0:
         trees.append((coeffs[::-1], True))
@@ -184,7 +190,6 @@ def _root_tree(coeffs: list[int], limit: int = 0):
             nodes += 1
             if 0 < limit <= nodes:
                 return _PAUSED
-            n = len(g) - 1
             for r in (0, 1):
                 if (g[0] if r == 0 else sum(g)) % 2:
                     continue  # r is not a root of g mod 2
@@ -196,10 +201,6 @@ def _root_tree(coeffs: list[int], limit: int = 0):
                     heapq.heappush(heap, (j + s, path << s, c,
                                           [x >> s * (n - i) for i, x in enumerate(g)]))
                     break  # 1 is not a root of a forced g mod 2
-                # g = lc*(y + a)^n, a = g_(n-1) / (n*lc), read off g_i / g_(i+1)
-                if g[-1] & 1 and all(n * g[-1] * (n - i) * g[i] == (i + 1) * g[i + 1] * g[-2]
-                                     for i in range(n - 1)):
-                    return _PAUSED  # f is a power of one linear factor: no simple root
                 heapq.heappush(heap, (j + 1, 2 * path + r, c + (r << j), _descend(g, r)))
     return None
 

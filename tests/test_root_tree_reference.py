@@ -196,9 +196,10 @@ def test_forced_chains_are_skipped(descents):
         assert descents["library"] * 4 < descents["reference"], (g, descents)
 
 
-def test_a_pure_power_walks_no_node_below_the_root(descents):
-    # the root node of x^n is y^n itself: the walk pauses there, and the
-    # part x decides, where a walk of 4 nodes per degree descends 4n - 1
+def test_a_pure_power_pauses_before_any_descent(descents):
+    # x^n is a power of one linear factor: the walk pauses before its
+    # first node, and the part x decides, where a walk of 4 nodes per
+    # degree makes 4n - 1 descents
     expected = RootStatus(ROOT_EXISTS, RootWitness(0, 0, 2, exact=True,
                                                    on_squarefree_part=True))
     assert oracles.level_by_level_z2_root_status(RatPoly.monomial(6)) == expected

@@ -228,7 +228,6 @@ def test_a_root_of_the_squarefree_part_is_no_simple_root():
     assert not verify_certificate(f, bad)
 
 
-
 def test_a_root_witness_on_a_repeated_root_is_refused():
     # f = (x - 1)^2 (x^2 + 1) = (x^2 - x)^2 + (x - 1)^2 is a sum of two
     # squares; its exact double root 1 passes the root tree's check (delta
@@ -242,6 +241,7 @@ def test_a_root_witness_on_a_repeated_root_is_refused():
                                 SimpleZ2Root(RootStatus(ROOT_EXISTS, witness)))
     assert (forged.verdict, forged.rule) == (NOT_SOS4, "simple_z2_root")
     assert not verify_certificate(f, forged)
+
 
 def test_verify_certificate_reads_rule_verdict_and_exactness():
     # the Eisenstein certificate of x^2 + 2 under any other label

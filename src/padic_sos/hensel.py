@@ -50,6 +50,7 @@ import math
 
 from . import zpoly
 from .f2 import f2_divmod, f2_from_coeffs, f2_mod, f2_mul, f2_xgcd
+from .newton_polygon import pure_slope
 from .padic import ord2_int
 from .ratpoly import RatPoly, primitive_integer_coeffs, squarefree_part
 from .record import Record, replace
@@ -228,6 +229,12 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = primitive_integer_coeffs(f)
+    # a pure diagram of non-integral slope puts every root at that
+    # valuation, which no root in Q_2 has (such a slope needs an even
+    # end coefficient, the cheap test first)
+    if (coeffs[0] and not coeffs[0] & coeffs[-1] & 1
+            and (slope := pure_slope(f)) is not None and slope.denominator > 1):
+        return RootStatus(NO_ROOT, None)
     proved = _squarefree or zpoly.coprime(coeffs, zpoly.diff(coeffs))
     witness = _root_tree(coeffs, 0 if proved else SQUAREFREE_CHECK_NODES * f.degree)
     if witness is _PAUSED:

@@ -809,7 +809,7 @@ def perturbation_bound(f: RatPoly, g: RatPoly) -> Fraction:
     return Fraction(1, 2 ** _least_exponent(f, g))
 
 
-def _least_exponent(f: RatPoly, g: RatPoly) -> int:
+def _least_exponent(f: RatPoly, g: RatPoly, probe: bool | None = None) -> int:
     """The least k >= e with f + 2^-k * g strictly positive on R, for an
     f already known to be strictly positive on R and a g with
     deg g <= deg f.  {t >= 0 : f + t*g > 0} is convex and holds 0, so the
@@ -818,20 +818,36 @@ def _least_exponent(f: RatPoly, g: RatPoly) -> int:
     The start e is the least e >= 0 with 2^-e * |g(0)| <= f(0) when
     g(0) < 0, and 0 otherwise: below it the candidate is negative at 0.
     The search tests e, e + 1, e + 3, e + 7, ... until the test holds,
-    then binary-searches the last gap."""
-    e = (max(math.ceil(-g[0] / f[0]), 1) - 1).bit_length()
-
-    def ok(k: int) -> bool:
-        cand = f + g * Fraction(1, 2 ** k)
-        return not cand.is_zero and is_positive_on_reals(cand).verdict
-
-    lo, hi = e - 1, e  # ok is false at every k <= lo
-    while not ok(hi):
+    then binary-searches the last gap.  ``probe`` is the verdict of the
+    test at e (``_first_probe``) when the caller has run it: True is the
+    answer e, and False resumes the search at e + 1."""
+    e = _start_exponent(f, g)
+    if probe:
+        return e
+    lo, hi = (e, e + 1) if probe is False else (e - 1, e)  # the test fails at every k <= lo
+    while not _exceeds(f, g, hi):
         lo, hi = hi, 2 * hi - e + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if _exceeds(f, g, mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _start_exponent(f: RatPoly, g: RatPoly) -> int:
+    """The start e of ``_least_exponent(f, g)``."""
+    return (max(math.ceil(-g[0] / f[0]), 1) - 1).bit_length()
+
+
+def _exceeds(f: RatPoly, g: RatPoly, k: int) -> bool:
+    """The epsilon searches' test: f + 2^-k * g is strictly positive on R."""
+    cand = f + g * Fraction(1, 2 ** k)
+    return not cand.is_zero and is_positive_on_reals(cand).verdict
+
+
+def _first_probe(f: RatPoly, g: RatPoly) -> bool:
+    """The first test of ``_least_exponent(f, g)``, at its start e.  For
+    g = -1 a true probe proves f > 2^-e > 0 on its own."""
+    return _exceeds(f, g, _start_exponent(f, g))

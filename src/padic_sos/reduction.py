@@ -89,7 +89,7 @@ from .certifier import (SOS4, SimpleZ2Root, Sos4Certificate, _certify_positive,
                         quadratic_nonsquare_disc, verify_certificate)
 from .hensel import ROOT_EXISTS, RootStatus, _certify
 from .padic import is_square_in_q2, ord2, ord2_int
-from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly,
+from .ratpoly import (_MINUS_ONE, PositivityCertificate, RatPoly, _first_probe,
                       _least_exponent, _positivity, _proved_positive,
                       _proved_positive_minus, _squarefree_decomposition,
                       discriminant, is_positive_on_reals, primitive_integer_coeffs)
@@ -196,13 +196,32 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _prepare(f: RatPoly) -> tuple[RatPoly, RatPoly, PositivityCertificate]:
+def _prepare(f: RatPoly, searches: bool
+             ) -> tuple[RatPoly, RatPoly, PositivityCertificate, bool | None]:
     """The square part, square-free core and core certificate of f =
     square_part^2 * core, after the one gate that f is strictly positive
-    on R.  A square-free f is its own core; otherwise the gate's
-    gcd(f, f') feeds the square-free decomposition f = unit * prod g_i^i."""
+    on R, and the verdict of the epsilon search's first probe on f when
+    it ran (else None).  A square-free f is its own core; otherwise the
+    gate's gcd(f, f') feeds the square-free decomposition
+    f = unit * prod g_i^i.
+
+    When the route ``searches`` the least k with f - 2^-k > 0 on f itself
+    and ``zpoly.coprime`` proves P and P' coprime (f = c*P), the search's
+    first probe (``ratpoly._first_probe``) runs in place of the gate.  A
+    true probe proves f > 0, so f has deg f distinct complex roots and
+    none real: the gate's certificate, with no test on f.  A false probe
+    falls back to the gate, and the search resumes past it."""
     if f.is_zero:
         raise ValueError("input must be strictly positive on R")
+    probe = None
+    p = f.primitive_part
+    # the probe can hold only on an f of even degree >= 2 with positive
+    # leading and constant coefficients
+    if (searches and f.degree > 0 and f.degree % 2 == 0 and f.content > 0 and p[0] > 0
+            and zpoly.coprime(p, zpoly.diff(p))):
+        probe = _first_probe(f, _MINUS_ONE)
+        if probe:
+            return RatPoly([1]), f, PositivityCertificate(f.degree, 0, 1, 1, True, True), True
     positivity, last = _positivity(f)
     if not positivity.verdict:
         raise ValueError("input must be strictly positive on R")
@@ -222,15 +241,16 @@ def _prepare(f: RatPoly) -> tuple[RatPoly, RatPoly, PositivityCertificate]:
         # core(0) > 0); and its leading coefficient is lc f > 0, the
         # g_i being monic
         positivity = PositivityCertificate(core.degree, 0, 1, 1, True, True)
-    return square_part, core, positivity
+    return square_part, core, positivity, probe
 
 
-def _on_core(f: RatPoly, body):
-    """``body(core, positivity)`` run on f's prepared core, its outcome
-    transported to f.  A positive constant core is SOS4, so it gets
-    ``reduce_auto``'s ZERO result whatever the route."""
-    square_part, core, positivity = _prepare(f)
-    return _transport((_auto if core.degree == 0 else body)(core, positivity),
+def _on_core(f: RatPoly, body, searches: bool = False):
+    """``body(core, positivity, probe)`` run on f's prepared core
+    (``_prepare``), its outcome transported to f.  A positive constant
+    core is SOS4, so it gets ``reduce_auto``'s ZERO result whatever the
+    route."""
+    square_part, core, positivity, probe = _prepare(f, searches)
+    return _transport((_auto if core.degree == 0 else body)(core, positivity, probe),
                       f, square_part)
 
 
@@ -281,7 +301,7 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     """Subtract 2^(-2l) when the leading coefficient has odd 2-adic
     valuation; the loop makes gcd(d, 2l + kd) = 1 so the difference is
     Eisenstein-irreducible of even degree."""
-    return _on_core(f, lambda core, _: _gcd_route(core, 1))
+    return _on_core(f, lambda core, _, probe: _gcd_route(core, 1, probe), True)
 
 
 def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
@@ -289,22 +309,22 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     gcd(d, 2l + kd) to 2, leaving a pure diagram whose slope
     denominator 2*d0 is even.  Odd kd delegates to the odd-valuation
     route."""
-    def body(core, _):
+    def body(core, _, probe):
         _require(core.degree % 4 == 0, "degree must be a positive multiple of 4")
-        return _gcd_route(core, 2)
-    return _on_core(f, body)
+        return _gcd_route(core, 2, probe)
+    return _on_core(f, body, True)
 
 
-def _gcd_route(f: RatPoly, target: int) -> ReductionResult:
+def _gcd_route(f: RatPoly, target: int, probe: bool | None = None) -> ReductionResult:
     """The body of ALG6 (``target`` 1) and ALGN (``target`` 2): subtract
     2^(-2l) for the first l from the valuation bounds on with
-    gcd(d, 2l + kd) = target."""
+    gcd(d, 2l + kd) = target.  ``probe`` is ``_prepare``'s."""
     kd = _ord2_at(f, f.degree)
     if kd % 2 == 1:
         target = 1  # odd kd takes ALG6 on the ALGN route too
     else:
         _require(target == 2, "k_d must be odd")
-    e = _least_exponent(f, _MINUS_ONE)
+    e = _least_exponent(f, _MINUS_ONE, probe)
     l1, l2, l3, params = _valuation_bounds(f, e)
     l, trace = _gcd_steps(f.degree, kd, max(l1, l2, l3), target)
     # h^2 = 4^(-l) <= 4^(-l1) <= eps = 2^(-e) and f - eps > 0, so f - h^2 > 0
@@ -339,11 +359,12 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
     the per-iterate record instead of looping forever (some inputs
     provably never succeed)."""
     _require(cap >= 0, "cap must be nonnegative")
-    return _on_core(f, lambda core, positivity: _iterative(core, positivity, cap))
+    return _on_core(f, lambda core, positivity, probe: _iterative(core, positivity, cap, probe),
+                    True)
 
 
-def _iterative(f: RatPoly, positivity: PositivityCertificate,
-               cap: int) -> ReductionResult | NonTermination:
+def _iterative(f: RatPoly, positivity: PositivityCertificate, cap: int,
+               probe: bool | None = None) -> ReductionResult | NonTermination:
     split = complete_square_split(f)
     first = _certify_positive(f, positivity, split)
     if first.verdict == SOS4:
@@ -353,7 +374,7 @@ def _iterative(f: RatPoly, positivity: PositivityCertificate,
     # f* = x^d f(1/x) is positive too: x^d f(1/x) > 0 for x != 0, and
     # f*(0) is the leading coefficient of f
     fstar = f.reverse()
-    e = max(_least_exponent(f, _MINUS_ONE), _least_exponent(fstar, _MINUS_ONE))
+    e = max(_least_exponent(f, _MINUS_ONE, probe), _least_exponent(fstar, _MINUS_ONE))
     eps = Fraction(1, 2 ** e)
     l = l_init = (e + 1) // 2
     iterates: list[IterateRecord] = []
@@ -391,7 +412,7 @@ def reduce_constant_three_mod_four(f: RatPoly) -> ReductionResult:
     f - (x^(d/2)/2^l + 2^a/N)^2 is positive with Newton diagram exactly
     the segment (0, 2a+1)-(d, -2l) free of interior lattice points,
     hence Eisenstein-irreducible of even degree."""
-    return _on_core(f, lambda core, _: _constant_three_mod_four(_integral(core)))
+    return _on_core(f, lambda core, *_: _constant_three_mod_four(_integral(core)))
 
 
 def _nos_candidates(f: RatPoly, a: int):
@@ -462,7 +483,7 @@ def reduce_cyclotomic_power(f: RatPoly) -> ReductionResult:
     """Degree 4k: subtract 2^(-2l)(x^2+x+1)^(2k).  After scaling by
     2^(2l) the difference reduces mod 2 to (x^2+x+1)^(2k), so every
     2-adic factor has even degree."""
-    def body(core, _):
+    def body(core, *_):
         _require(core.degree % 4 == 0, "degree must be a positive multiple of 4")
         return _cyclotomic_power(_integral(core))
     return _on_core(f, body)
@@ -491,7 +512,7 @@ def reduce_twice_odd_degree(f: RatPoly) -> ReductionResult | ObstructionReport:
     the same family is certifiably NOT a sum of four squares: the
     scaled difference has a simple 2-adic root near 2^(l+a), returned
     as a verified obstruction."""
-    def body(core, _):
+    def body(core, *_):
         _require(core.degree % 4 == 2, "degree must be 2 mod 4 (that is, 2*(2k+1))")
         return _twice_odd_degree(_integral(core))
     return _on_core(f, body)
@@ -681,10 +702,12 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     Raises ValueError for inputs that are not strictly positive on the
     reals.
     """
-    return _on_core(f, _auto)
+    # the cores ALG6 and ALGN take: odd kd, or degree 0 mod 4
+    return _on_core(f, _auto, not f.is_zero and (
+        _ord2_at(f, f.degree) % 2 == 1 or f.degree % 4 == 0))
 
 
-def _auto(core: RatPoly, positivity: PositivityCertificate
+def _auto(core: RatPoly, positivity: PositivityCertificate, probe: bool | None = None
           ) -> ReductionResult | InconclusiveReport:
     # the public entry, so that a caller that wraps ``certify_sos4`` (as
     # perfbench's tracer does) sees reduce_auto certify its core
@@ -696,9 +719,9 @@ def _auto(core: RatPoly, positivity: PositivityCertificate
     # a positive constant is SOS4, so the core has even degree >= 2
     scale, shift = 1, Fraction(0)
     if _ord2_at(core, core.degree) % 2 == 1:
-        route, res = "alg6", _gcd_route(core, 1)
+        route, res = "alg6", _gcd_route(core, 1, probe)
     elif core.degree % 4 == 0:
-        route, res = "algn", _gcd_route(core, 2)
+        route, res = "algn", _gcd_route(core, 2, probe)
     else:
         picky_shift = None
         for shift in SHIFTS:

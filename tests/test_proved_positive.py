@@ -210,5 +210,8 @@ def test_algn_residual_runs_no_remainder_sequence(monkeypatch):
     # h^2 is below epsilon, so the residual is not a candidate the
     # epsilon search tested
     assert res.h * res.h != RatPoly([res.parameters["epsilon"]])
-    assert primitive_integer_coeffs(f) in firsts
-    assert primitive_integer_coeffs(res.residual) not in firsts
+    # the one remainder sequence is the search's first probe, f - 2^-e
+    # with 2^-e <= f(0) = 3 < 2^(1-e), which gates f in place of a test on
+    # f itself and holds, so it is also the search's answer
+    assert res.parameters["epsilon"] == 1
+    assert firsts == [primitive_integer_coeffs(f - RatPoly([1]))]

@@ -447,17 +447,43 @@ def gated(monkeypatch):
     return calls
 
 
+def first_candidate(f):
+    """f - 2^-e for the least e >= 0 with 2^-e <= f(0): the first
+    candidate of f's epsilon search."""
+    e = 0
+    while F(1, 2 ** e) > f[0]:
+        e += 1
+    return f - RatPoly([F(1, 2 ** e)])
+
+
 @pytest.mark.parametrize("coeffs, method", [
     ([3, 0, 1], "NOS"), ([5, 1, 0, 0, 2], "ALG6"), ([3, 1, 0, 0, 4], "ALGN"),
     ([2, 1, 3, 0, 1], "ALGN"), ([1, 0, 2], "ZERO"), ([9, 0, 0, 4, 0, 0, 4], None),
 ])
-def test_reduce_auto_gates_a_squarefree_core_once(gated, coeffs, method):
+def test_reduce_auto_gates_a_squarefree_core_once(gated, remainder_pairs, coeffs, method):
     f = RatPoly(coeffs)
     res = reduce_auto(f)
     assert getattr(res, "method", None) == method
-    # f is its own core: one gate, before any route, and ALG6 / ALGN /
-    # the certifier take it as gated
-    assert gated[0] == f and gated.count(f) == 1
+    firsts = [a for a, _ in remainder_pairs]
+    if method in (None, "NOS"):
+        # f is its own core, of neither ALG6's nor ALGN's class: one gate
+        # on f, before any route, and the certifier takes it as gated
+        assert gated[0] == f and gated.count(f) == 1
+        assert firsts[0] == f.primitive_part
+        return
+    # f is its own core, with odd kd or degree 0 mod 4: the epsilon
+    # search's first candidate f - 2^-e is gated first, once
+    probe = first_candidate(f)
+    assert gated[0] == probe and gated.count(probe) == 1
+    assert firsts[0] == probe.primitive_part
+    if method == "ZERO":
+        # 2x^2 has a real root, so the probe fails and one gate on f follows
+        assert gated == [probe, f] and firsts == [probe.primitive_part, f.primitive_part]
+    else:
+        # the probe holds: it proves f > 0 and is the search's answer, so it
+        # is the one remainder sequence the call runs, and f runs none
+        assert res.parameters["epsilon"] == f[0] - probe[0]
+        assert gated == [probe] and firsts == [probe.primitive_part]
 
 
 def alg9(f):
@@ -494,12 +520,70 @@ def test_reduce_auto_gates_input_once_and_never_its_core(gated, remainder_pairs)
         assert res.transform.square_part == X2P1
 
 
-def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated):
+def test_reduce_iterative_gates_f_once_and_never_its_reversal(gated, remainder_pairs):
     f = RatPoly([3, 1, 0, 0, 4])
     assert f.reverse() != f
-    reduce_iterative(f, cap=3)
-    assert gated[0] == f and gated.count(f) == 1
-    assert f.reverse() not in gated
+    res = reduce_iterative(f, cap=3)
+    # the epsilon search's first candidate on f gates it, once, before the
+    # route; it holds, so the only other remainder sequence the call runs
+    # is the reversal's search, and neither f nor its reversal is gated
+    probe = first_candidate(f)
+    assert res.parameters["epsilon"] == f[0] - probe[0]
+    assert gated[0] == probe and gated.count(probe) == 1
+    assert [a for a, _ in remainder_pairs] == [
+        probe.primitive_part, first_candidate(f.reverse()).primitive_part]
+    assert f not in gated and f.reverse() not in gated
+
+
+def test_a_false_probe_falls_back_to_the_gate_and_the_search_resumes_past_it(
+        gated, remainder_pairs):
+    # 2(x - 1)^2 + 1/2, odd kd: ALG6.  f(0) = 5/2 puts the first probe at
+    # e = 0, and f - 1 has real roots; the gate on f follows, and the
+    # search goes on from e = 1 to the least k = 2 without probing e again
+    f = RatPoly([F(5, 2), -4, 2])
+    res = reduce_auto(f)
+    assert res.method == "ALG6" and res.parameters["epsilon"] == F(1, 4)
+    probe = first_candidate(f)
+    assert probe == f - RatPoly([1])
+    assert gated[:2] == [probe, f] and gated.count(probe) == gated.count(f) == 1
+    firsts = [a for a, _ in remainder_pairs]
+    assert firsts.count(probe.primitive_part) == firsts.count(f.primitive_part) == 1
+    assert _least_exponent(f, RatPoly([-1])) == 2
+
+
+def test_a_false_probe_on_an_algn_class_zero_input_keeps_its_result(gated):
+    # (x^2 - 2)^2 + 1/2, degree 4: the probe f - 1 has real roots, the gate
+    # on f follows, and f is SOS4, the certificate certify_sos4 gives it
+    f = RatPoly([F(9, 2), 0, -4, 0, 1])
+    res = reduce_auto(f)
+    assert gated[:2] == [first_candidate(f), f]
+    assert res.method == "ZERO" and res.h.is_zero and res.residual == f
+    assert res.certificate == certify_sos4(f)
+
+
+def test_a_silent_square_freeness_proof_takes_the_gate_path(gated, monkeypatch):
+    # the proof that P and P' are coprime is silent on x^2 + x + 786433,
+    # so f is gated as it is, with no probe; the probe path, on a proof
+    # that holds (f is square-free), gives the same result
+    f = RatPoly([786433, 1, 1])
+    p = f.primitive_part
+    assert not zpoly.coprime(p, zpoly.diff(p)) and is_squarefree(f)
+    res = reduce_iterative(f, cap=2)
+    assert gated[0] == f
+    original = zpoly.coprime
+    monkeypatch.setattr(zpoly, "coprime", lambda a, b: tuple(a) == p or original(a, b))
+    gated.clear()
+    assert reduce_iterative(f, cap=2) == res
+    assert gated[0] == first_candidate(f) and f not in gated
+
+
+@pytest.mark.parametrize("route", [reduce_auto, reduce_odd_valuation,
+                                   reduce_multiple_of_four, reduce_iterative])
+def test_an_alg_class_input_with_real_roots_is_refused(route):
+    # x^4 - 3x^2 + 1: positive at 0, real roots elsewhere, so its probe
+    # f - 1 fails and the gate refuses f
+    with pytest.raises(ValueError, match="input must be strictly positive on R"):
+        route(RatPoly([1, 0, -3, 0, 1]))
 
 
 @pytest.mark.parametrize("route, not_squarefree, not_positive", [

@@ -8,7 +8,9 @@ walk pauses at once), on even leading coefficients (the reversal tree)
 and on the ALG9 branch candidates of the palindromic family.  On a
 square-free f the status ``z2_root_status`` gives when told so (the
 private ``_squarefree``), which walks without a node limit, must be the
-same too, and so must it on a pure power told so wrongly.
+same too, and so must it on a pure power told so wrongly.  A pure
+Newton diagram of non-integral slope has no root in Q_2 and walks no
+tree, whatever the claim.
 Square-freeness is decided before the tree walks: one proof
 (``zpoly.coprime``), or none when the caller is told, and the
 square-free part only when that proof is silent and the tree has not
@@ -23,7 +25,7 @@ import pytest
 
 import oracles
 from padic_sos import hensel, zpoly
-from padic_sos.hensel import ROOT_EXISTS, RootStatus, RootWitness, z2_root_status
+from padic_sos.hensel import NO_ROOT, ROOT_EXISTS, RootStatus, RootWitness, z2_root_status
 from padic_sos.ratpoly import RatPoly, is_squarefree, primitive_integer_coeffs
 from padic_sos.reduction import palindromic_counterexample, reduce_iterative
 
@@ -75,6 +77,37 @@ def pure_powers(draw):
     q = draw(st.sampled_from([1, 2, 3, 4]))
     c = draw(st.sampled_from([1, -1, 3, F(1, 2), F(-5, 4)]))
     return RatPoly([c]) * RatPoly([-p, q]) ** draw(st.integers(2, 9))
+
+
+@st.composite
+def pure_diagram_polys(draw):
+    """c * sum a_j x^j with a pure Newton diagram of non-integral slope:
+    ord2(a_0) = v0 and ord2(a_d) = vd with d not dividing v0 - vd, and
+    every other a_j zero or of ord2 on or above the chord between them."""
+    d = draw(st.integers(2, 8))
+    v0, vd = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    hypothesis.assume((v0 - vd) % d)
+
+    def coefficient(v):
+        return draw(st.sampled_from([1, -1, 3, -3, 5, 7, -9])) << v
+
+    middle = [coefficient(-(-((d - j) * v0 + j * vd) // d) + draw(st.integers(0, 3)))
+              if draw(st.booleans()) else 0 for j in range(1, d)]
+    c = draw(st.sampled_from([1, -1, 3, F(1, 2), F(-5, 4), F(3, 16)]))
+    return RatPoly([c]) * RatPoly([coefficient(v0), *middle, coefficient(vd)])
+
+
+@hypothesis.settings(max_examples=200, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
+@hypothesis.given(f=pure_diagram_polys())
+def test_a_pure_diagram_of_non_integral_slope_walks_no_tree(descents, f):
+    # every root has valuation (v0 - vd) / d, not an integer, so none is in
+    # Q_2: NoRoot, read off the diagram with or without the claim
+    descents.update(library=0, reference=0)
+    expected = oracles.level_by_level_z2_root_status(f)
+    assert z2_root_status(f) == expected == RootStatus(NO_ROOT, None), f
+    assert z2_root_status(f, _squarefree=True) == expected, f
+    assert descents["library"] == 0, f
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -163,8 +196,10 @@ def test_one_square_freeness_proof_per_branch_candidate(monkeypatch):
     left = [(it.l, b) for it in iterates for b in (p[d], p[0])
             if (d * b) ** d % (F(1, 4 ** it.l) / f.content).denominator == 0]
     # here b = 4 and tau = 67^2 / 4^l: the candidates with 4^l | 40^10,
-    # l <= 15, on both branches
-    assert len(iterates) == 40 and len(calls) == len(left) == 20
+    # l <= 15, on both branches.  The first call is f's own proof, before
+    # its epsilon search's first probe gates it
+    assert len(iterates) == 40 and len(left) == 20
+    assert len(calls) == 21 and calls[0] == (p, zpoly.diff(p))
 
 
 @pytest.fixture

@@ -79,5 +79,8 @@ def test_digests_name_every_benchmark_output():
     assert kinds.pop("reduce-corpus") == kinds.pop("z2_root_status reduce-corpus") == 40
     assert kinds.pop("z2_root_status tree") == same_outputs.TREE_INPUTS == 200
     assert kinds.pop("z2_root_status tree squarefree") == 133
+    for route in ("reduce_auto", "reduce_odd_valuation", "reduce_multiple_of_four",
+                  "reduce_iterative"):
+        assert kinds.pop(f"margin {route}") == same_outputs.MARGIN_INPUTS == 40
     assert sum(kinds.values()) == 36 and all(k.startswith("cli ") for k in kinds)
     assert same_outputs.digests(7) == first

@@ -16,6 +16,10 @@ path and no bytecode written, hashes (sha256) the ``repr`` of:
 * plain ``z2_root_status`` of every polynomial of ``tree_inputs(seed)``,
   whose root trees run deep, and ``z2_root_status(f, _squarefree=True)``
   of the square-free ones, which skips forced chains from the root;
+* ``reduce_auto``, ``reduce_odd_valuation``, ``reduce_multiple_of_four``
+  and ``reduce_iterative(cap=3)`` of every polynomial of
+  ``margin_inputs(seed)``, which reach the fallbacks of the routes' gate
+  (a refusal is hashed as its type and message);
 * the exit code and standard output of ``cli.main``, run in process,
   on every argv of ``corpus.cli_documents(seed, 3)``.
 
@@ -37,6 +41,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from paired_runs import export
@@ -44,6 +49,7 @@ from reach import CERTIFY_PER_DEGREE, CLI_PER_ENTRY, REDUCE_PER_DEGREE
 
 TOOLS = Path(__file__).resolve().parent
 TREE_INPUTS = 200
+MARGIN_INPUTS = 40
 
 
 def tree_inputs(seed: int) -> list:
@@ -75,6 +81,47 @@ def tree_inputs(seed: int) -> list:
     return out
 
 
+def margin_inputs(seed: int) -> list:
+    """``MARGIN_INPUTS`` seeded positive polynomials on which the epsilon
+    search's first candidate f - 2^-e (2^-e <= f(0) < 2^(1-e)) is not
+    positive, or on which the proof that P and P' are coprime is silent:
+    the corpora reach neither.  With t = k * 2^-s <= 1, seven in eight
+    are t * (A^2 + m) of degree 2 to 8, A = (q*x - p) * B an integer
+    polynomial with A(0) = -p*B(0) != 0 and m = 1 - 2^-j: the minimum
+    t*m, at x = p/q, is below 1 and below f(0) / 2 < 2^-e, so the
+    candidate is negative there.  Their leading coefficients' 2-adic
+    valuations take both parities.  Every eighth is t * (x^2 + b*x + c)
+    with 4c = b^2 mod n, n = 2*xi + b and xi = 2^K the point of the
+    proof: n divides both values there, so the proof is silent."""
+    from padic_sos.ratpoly import RatPoly
+
+    rng = random.Random(f"margin:{seed}")
+    out = []
+    for i in range(MARGIN_INPUTS):
+        k = rng.choice([1, 2, 3, 6])
+        scale = RatPoly([Fraction(k, 2 ** rng.randint((k - 1).bit_length(), 6))])  # <= 1
+        if i % 8 == 7:
+            b = rng.choice([1, 3, 5, -7])
+            n = (2 << max(2, abs(b)).bit_length() + 17) + b  # K = bits + 1 + 16
+            c = b * b * pow(4, -1, n) % n + n * rng.randint(0, 3)
+            out.append(scale * RatPoly([c, b, 1]))
+            continue
+        b = [rng.choice([1, -1, 1, -1, 2])]  # B(0), then B of degree deg A - 1 <= 3
+        if (deg_b := rng.randint(0, 3)):
+            b += [rng.randint(-3, 3) for _ in range(deg_b - 1)] + [rng.choice([1, -1, 2, 3])]
+        a = RatPoly([-rng.choice([1, 1, 1, 3]), rng.randint(1, 4)]) * RatPoly(b)
+        out.append(scale * (a * a + RatPoly([1 - Fraction(1, 2 ** rng.randint(1, 8))])))
+    return out
+
+
+def refusal_or(call, f):
+    """``call(f)``, or the type and message of the ValueError it raises."""
+    try:
+        return call(f)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def digest(value) -> str:
     """sha256 of ``repr(value)``, in hex."""
     return hashlib.sha256(repr(value).encode()).hexdigest()
@@ -84,7 +131,8 @@ def digests(seed: int) -> dict[str, str]:
     """Item name -> digest of its output, for one seed, on the package and
     ``corpus`` module found on the path."""
     import corpus
-    from padic_sos import certify_sos4, reduce_auto, reduce_iterative
+    from padic_sos import (certify_sos4, reduce_auto, reduce_iterative,
+                           reduce_multiple_of_four, reduce_odd_valuation)
     from padic_sos.cli import main as cli_main
     from padic_sos.hensel import z2_root_status
     from padic_sos.ratpoly import is_squarefree
@@ -106,6 +154,12 @@ def digests(seed: int) -> dict[str, str]:
         if is_squarefree(f):
             out[f"z2_root_status tree squarefree[{i}]"] = digest(
                 z2_root_status(f, _squarefree=True))
+    routes = (("reduce_auto", reduce_auto), ("reduce_odd_valuation", reduce_odd_valuation),
+              ("reduce_multiple_of_four", reduce_multiple_of_four),
+              ("reduce_iterative", lambda f: reduce_iterative(f, cap=3)))
+    for i, f in enumerate(margin_inputs(seed)):
+        for name, call in routes:
+            out[f"margin {name}[{i}]"] = digest(refusal_or(call, f))
     for i, (_, argv) in enumerate(corpus.cli_documents(seed, CLI_PER_ENTRY)):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):

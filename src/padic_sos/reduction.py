@@ -254,6 +254,12 @@ def _on_core(f: RatPoly, body, searches: bool = False):
                       f, square_part)
 
 
+def _kd_odd(f: RatPoly) -> bool:
+    """Whether f is nonzero with a leading coefficient of odd 2-adic
+    valuation: the ALG6 class."""
+    return not f.is_zero and _ord2_at(f, f.degree) % 2 == 1
+
+
 def _integral(core: RatPoly) -> RatPoly:
     """The core, which NOS, GR4 and PICKY take only with integer
     coefficients."""
@@ -301,7 +307,7 @@ def reduce_odd_valuation(f: RatPoly) -> ReductionResult:
     """Subtract 2^(-2l) when the leading coefficient has odd 2-adic
     valuation; the loop makes gcd(d, 2l + kd) = 1 so the difference is
     Eisenstein-irreducible of even degree."""
-    return _on_core(f, lambda core, _, probe: _gcd_route(core, 1, probe), True)
+    return _on_core(f, lambda core, _, probe: _gcd_route(core, 1, probe), _kd_odd(f))
 
 
 def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
@@ -312,7 +318,7 @@ def reduce_multiple_of_four(f: RatPoly) -> ReductionResult:
     def body(core, _, probe):
         _require(core.degree % 4 == 0, "degree must be a positive multiple of 4")
         return _gcd_route(core, 2, probe)
-    return _on_core(f, body, True)
+    return _on_core(f, body, f.degree % 4 == 0)
 
 
 def _gcd_route(f: RatPoly, target: int, probe: bool | None = None) -> ReductionResult:
@@ -702,9 +708,7 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     Raises ValueError for inputs that are not strictly positive on the
     reals.
     """
-    # the cores ALG6 and ALGN take: odd kd, or degree 0 mod 4
-    return _on_core(f, _auto, not f.is_zero and (
-        _ord2_at(f, f.degree) % 2 == 1 or f.degree % 4 == 0))
+    return _on_core(f, _auto, _kd_odd(f) or f.degree % 4 == 0)
 
 
 def _auto(core: RatPoly, positivity: PositivityCertificate, probe: bool | None = None
@@ -718,7 +722,7 @@ def _auto(core: RatPoly, positivity: PositivityCertificate, probe: bool | None =
 
     # a positive constant is SOS4, so the core has even degree >= 2
     scale, shift = 1, Fraction(0)
-    if _ord2_at(core, core.degree) % 2 == 1:
+    if _kd_odd(core):
         route, res = "alg6", _gcd_route(core, 1, probe)
     elif core.degree % 4 == 0:
         route, res = "algn", _gcd_route(core, 2, probe)

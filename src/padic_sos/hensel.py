@@ -17,14 +17,17 @@ the ``zpoly`` kernel's arithmetic:
   simple root mod 2 is Newton-lifted until the classical conditions
   f(gamma) = 0 mod 2^(2*delta+1), ord2(f'(gamma)) = delta certify a
   root.  The reversed polynomial over even residues catches roots of
-  negative valuation.  Each tree is walked from one heap keyed (depth,
-  path), path a node's residues read first residue most significant:
-  breadth-first, in the level-by-level walk's order, so the first
-  witness is that walk's.  The tree ends on square-free input, so whether
-  f is square-free is decided before it walks: by the proof that f and
-  f' are coprime (``zpoly.coprime``), or by a caller in the library
-  that has proved it already (``certifier``'s root rule, through the
-  private ``_squarefree``).  There is one walk.  A forced chain, a node
+  negative valuation.  A pure Newton diagram of non-integral slope
+  (``newton_polygon.pure_slope``) puts every root at that valuation,
+  which no root in Q_2 has: such an f is NoRoot with no tree walked.
+  Each tree is walked from one heap keyed (depth, path), path a node's
+  residues read first residue most significant: breadth-first, in the
+  level-by-level walk's order, so the first witness is that walk's.
+  The tree ends on square-free input, so whether f is square-free is
+  decided before it walks: by the proof that f and f' are coprime
+  (``zpoly.coprime``), or by a caller in the library that has proved it
+  already (``certifier``'s root rule, through the private
+  ``_squarefree``).  There is one walk.  A forced chain, a node
   with g = lc*y^n mod 2 whose Newton polygon puts every root in
   2^s*Z_2, is walked in one step: the node s levels down goes in at
   (j + s, path << s), the key it has in the walk without skips, and the
@@ -210,8 +213,11 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     """Certified existence or nonexistence of a root of f in Q_2.
 
     Works on the primitive integer model P (roots are scale-invariant).
-    Whether f is square-free is decided before the tree walks: by the
-    private ``_squarefree``, or else by one proof that P and P' are
+    A pure Newton diagram of non-integral slope puts every root at that
+    valuation, so f has none in Q_2: NoRoot, with no tree and whatever
+    ``_squarefree`` says.  Otherwise, whether f is square-free is
+    decided before the tree walks: by the private ``_squarefree``, or
+    else by one proof that P and P' are
     coprime (``zpoly.coprime``).  A proved f gets its tree without a
     node limit.  When the proof is silent, the tree pauses after
     ``SQUAREFREE_CHECK_NODES`` nodes per degree; if it has not ended
@@ -229,9 +235,7 @@ def z2_root_status(f: RatPoly, *, _squarefree: bool = False) -> RootStatus:
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
     coeffs = primitive_integer_coeffs(f)
-    # a pure diagram of non-integral slope puts every root at that
-    # valuation, which no root in Q_2 has (such a slope needs an even
-    # end coefficient, the cheap test first)
+    # a non-integral slope needs an even end coefficient: that test first
     if (coeffs[0] and not coeffs[0] & coeffs[-1] & 1
             and (slope := pure_slope(f)) is not None and slope.denominator > 1):
         return RootStatus(NO_ROOT, None)

@@ -43,7 +43,9 @@ sequence only when that proof is silent.  For a difference f - t x^k
 square-freeness with no gcd at all (``_proved_positive_minus``).  One
 certified search completes the module (``_least_exponent``): the least k with
 f + 2^-k * g strictly positive, a monotone test, found with no budget.
-The reduction routes read their l off that exponent; the public
+The reduction routes read their l off that exponent, and a route that
+has already run the search's first probe (``_first_probe``) hands its
+verdict in, so the probe runs once; the public
 ``epsilon_below_infimum`` (g = -1) and ``perturbation_bound`` gate f
 and return 2^-k.
 """

@@ -41,6 +41,13 @@ remainder sequence of (f, f') gives the gate (``ratpoly._positivity``)
 f's certificate, and on a non-square-free f its last term, gcd(f, f'),
 feeds the square-free decomposition f = square_part^2 * core.  The
 core's certificate then follows from f > 0 with no test of its own.
+Where the route about to run searches f's own epsilon (ALG6 on odd
+kd, ALGN on degree 0 mod 4, ALG9 always) and ``zpoly.coprime`` proves
+f square-free, that search's first probe f - 2^-e gates f instead: a
+true probe proves f > 0, gives the gate's certificate and is the
+search's answer, so f runs one remainder sequence where it ran two.  A
+false probe falls back to the gate, and the search resumes past it;
+only an input whose core is then ZERO pays one sequence more.
 Each route checks its own preconditions on the core (degree class,
 integer coefficients, NOS's constant term) and runs its private body
 (``_gcd_route`` for ALG6 and ALGN, ``_constant_three_mod_four``, ...)
@@ -69,7 +76,9 @@ of a new search.
 Every certified epsilon is an exponent: ``ratpoly._least_exponent(f, g)``
 is the least k with f + 2^-k * g > 0 (g = -1 for ALG6, ALGN, ALG9 and
 NOS, minus the subtracted family for GR4 and PICKY), and a route's l
-starts at ceil(k / 2) = (k + 1) // 2, where 4^-l <= 2^-k.
+starts at ceil(k / 2) = (k + 1) // 2, where 4^-l <= 2^-k.  ALG6, ALGN
+and ALG9 take the verdict of the search's first probe on f from
+``_prepare``, so the probe runs once.
 
 No route gives up after a fixed number of tries: that search ends
 because min f > 0, the gcd loop within d/2 steps, NOS in a row it
@@ -370,7 +379,7 @@ def reduce_iterative(f: RatPoly, cap: int = 40) -> ReductionResult | NonTerminat
 
 
 def _iterative(f: RatPoly, positivity: PositivityCertificate, cap: int,
-               probe: bool | None = None) -> ReductionResult | NonTermination:
+               probe: bool | None) -> ReductionResult | NonTermination:
     split = complete_square_split(f)
     first = _certify_positive(f, positivity, split)
     if first.verdict == SOS4:
@@ -711,7 +720,7 @@ def reduce_auto(f: RatPoly) -> ReductionResult | InconclusiveReport:
     return _on_core(f, _auto, _kd_odd(f) or f.degree % 4 == 0)
 
 
-def _auto(core: RatPoly, positivity: PositivityCertificate, probe: bool | None = None
+def _auto(core: RatPoly, positivity: PositivityCertificate, probe: bool | None
           ) -> ReductionResult | InconclusiveReport:
     # the public entry, so that a caller that wraps ``certify_sos4`` (as
     # perfbench's tracer does) sees reduce_auto certify its core
